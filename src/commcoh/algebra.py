@@ -383,6 +383,8 @@ def import_algebra(source) -> AlgebraPresentation:
         raw = data["brackets"]
     except KeyError as exc:
         raise PresentationError(f"algebra file is missing key {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise PresentationError(f"malformed algebra file: {exc}") from None
     if not isinstance(raw, list):
         raise PresentationError('brackets must be a list of {"i", "j", "value"} objects')
     brackets: dict[tuple[int, int], dict[int, int]] = {}

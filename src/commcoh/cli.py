@@ -8,7 +8,8 @@ reduction (morse).
 
 Exit codes: 0 on success, 1 when the computation could not be carried
 out (bad input, size caps), 2 when a validation or consistency check
-failed on an otherwise well-formed input.
+failed on an otherwise well-formed input, 3 on an internal failure: a
+fault in commcoh itself, not in what it was given.
 """
 
 from __future__ import annotations
@@ -433,12 +434,14 @@ def main(argv=None) -> int:
         SizeCapError,
         DegreeCapError,
         ValueError,
-        KeyError,
         OSError,
         json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     if args.format == "json":

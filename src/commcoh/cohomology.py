@@ -91,17 +91,16 @@ class CohomologyResult:
         """Coordinates of a cocycle's class in the representative basis.
 
         None if the vector is not a cocycle.  Coboundaries map to all zeros.
+        The [representatives | coboundaries] matrix is built once per result,
+        and over GF(2) `solve` eliminates it once and reuses that for every query.
         """
         if isinstance(vec, Cochain):
             vec = list(vec.coeffs)
         if self._solver is None:
-            cols = [list(rep.coeffs) for rep in self.representatives] + [
-                list(v) for v in self.coboundaries.basis
-            ]
-            rows = [[col[i] for col in cols] for i in range(self.space.dim)]
+            cols = [rep.coeffs for rep in self.representatives] + list(self.coboundaries.basis)
             self._solver = Matrix.from_rows(
-                self.space.algebra.field, rows, len(cols)
-            )
+                self.space.algebra.field, cols, self.space.dim
+            ).transpose()
         sol = solve(self._solver, vec)
         if sol is None:
             return None

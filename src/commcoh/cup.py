@@ -55,6 +55,12 @@ def cup(phi: Cochain, psi: Cochain) -> Cochain:
     return target.cochain(coeffs)
 
 
+def _position(label: str) -> tuple[int, int]:
+    """(degree, index) of the label h{degree}_{index}: the order of a product key."""
+    degree, _, index = label[1:].partition("_")
+    return int(degree), int(index)
+
+
 @dataclass
 class RingTable:
     """Multiplication table of cohomology classes up to a degree bound.
@@ -75,7 +81,7 @@ class RingTable:
         return [r.dim_H for r in self.results]
 
     def product(self, left: str, right: str) -> dict[str, int]:
-        key = (left, right) if left <= right else (right, left)
+        key = (left, right) if _position(left) <= _position(right) else (right, left)
         return self.products[key]
 
     def to_json(self) -> dict:

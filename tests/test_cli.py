@@ -242,6 +242,33 @@ def test_malformed_bracket_entry_exits_1(capsys, tmp_path):
     assert "malformed" in err
 
 
+def test_bad_inputs_exit_1_as_user_errors(capsys, tmp_path):
+    bad_module = tmp_path / "module.json"
+    bad_module.write_text(json.dumps({"dim": 1}))
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text(json.dumps([1, 2]))
+    for argv in (
+        ["cohomology", "--algebra", "nosuch:3"],
+        ["cohomology", "--algebra", "heisenberg:x"],
+        ["cohomology", "--algebra", "dim2", "--module", str(bad_module)],
+        ["check", "--algebra", str(not_an_object)],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("error:"), argv
+
+
+def test_internal_key_error_is_not_blamed_on_the_user(capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("h2_10")
+
+    monkeypatch.setattr("commcoh.cli.cmd_cohomology", broken)
+    code, out, err = run(capsys, "cohomology", "--algebra", "dim2")
+    assert code == 3
+    assert err.startswith("internal error: KeyError")
+    assert "Traceback" not in err and out == ""
+
+
 # ------------------------------------------------------------------
 # odds and ends
 # ------------------------------------------------------------------

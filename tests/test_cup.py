@@ -3,7 +3,7 @@ import random
 import pytest
 
 from commcoh.field import make_field, binom_mod2
-from commcoh.algebra import adjoint_module, dim2, heisenberg, trivial_module
+from commcoh.algebra import abelian, adjoint_module, dim2, heisenberg, trivial_module
 from commcoh.cochain import cochain_space, delta
 from commcoh.cohomology import cohomology
 from commcoh.cup import cup, ring_table
@@ -150,6 +150,16 @@ def test_heisenberg_ring_table_consistency():
     assert table.dims() == [1, 2, 4, 6, 9]
     assert table.defects == []
     # products are symmetric in the stored key order
+    for (left, right), val in table.products.items():
+        assert table.product(left, right) == val
+        assert table.product(right, left) == val
+
+
+def test_product_orders_labels_by_degree_and_index():
+    # degree 1 has eleven classes, so as strings "h1_10" sorts before "h1_2"
+    table = ring_table(abelian(11), 2)
+    assert table.dims() == [1, 11, 66]
+    assert table.product("h1_2", "h1_10") == table.product("h1_10", "h1_2") != {}
     for (left, right), val in table.products.items():
         assert table.product(left, right) == val
         assert table.product(right, left) == val

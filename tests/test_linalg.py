@@ -9,6 +9,7 @@ from commcoh.linalg import (
     Matrix,
     SizeCapError,
     Subspace,
+    _rref_packed,
     entry_cap_override,
     image_basis,
     kernel_basis,
@@ -40,6 +41,61 @@ def random_binary_rows(rng, nrows, ncols):
 # ------------------------------------------------------------------
 
 
+def naive_rref_packed(rows, ncols):
+    """Leftmost-pivot Gauss-Jordan elimination, scanning columns: the reference engine."""
+    rows = list(rows)
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        bit = 1 << c
+        pr = None
+        for i in range(r, nrows):
+            if rows[i] & bit:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv = rows[r]
+        for i in range(nrows):
+            if i != r and rows[i] & bit:
+                rows[i] ^= piv
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows[:r], pivots
+
+
+@st.composite
+def packed_matrices(draw):
+    """(rows, ncols): dense, sparse and zero rows, plus sums of rows so ranks drop."""
+    ncols = draw(st.integers(0, 200))
+    row = st.one_of(
+        st.just(0),
+        st.integers(0, (1 << ncols) - 1),
+        st.lists(st.integers(0, max(ncols - 1, 0)), max_size=4).map(
+            lambda bits: sum({1 << j for j in bits}) if ncols else 0
+        ),
+    )
+    rows = draw(st.lists(row, max_size=40))
+    if rows:
+        index = st.integers(0, len(rows) - 1)
+        pairs = draw(st.lists(st.tuples(index, index), max_size=10))
+        rows += [rows[i] ^ rows[j] for i, j in pairs]
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_matrices())
+def test_rref_packed_matches_column_scan(matrix):
+    rows, ncols = matrix
+    before = list(rows)
+    assert _rref_packed(rows) == naive_rref_packed(rows, ncols)
+    assert rows == before
+
+
 def test_packed_vs_generic_rank_and_kernel():
     """A 0/1 matrix has the same rank over GF(2) and GF(4), and row reduction
     never leaves the prime subfield, so the two code paths must agree."""
@@ -56,6 +112,21 @@ def test_packed_vs_generic_rank_and_kernel():
         assert k2.dim == k4.dim
         assert [tuple(v) for v in k2.basis] == [tuple(v) for v in k4.basis]
         assert ncols == rank(a2) + k2.dim  # rank plus nullity
+        i2, i4 = image_basis(a2), image_basis(a4)
+        assert (i2.basis, i2.pivots) == (i4.basis, i4.pivots)
+        z2, z4 = (Subspace.from_vectors(f, rows, ncols) for f in (GF2, GF4))
+        sub = rows[: rng.randrange(nrows + 1)]
+        sub.append([x ^ y for x, y in zip(rows[0], rows[-1])])
+        b2, b4 = (Subspace.from_vectors(f, sub, ncols) for f in (GF2, GF4))
+        assert z2.contains_subspace(b2) and z4.contains_subspace(b4)
+        assert quotient_basis(z2, b2) == quotient_basis(z4, b4)
+        assert k2.contains_subspace(z2) == k4.contains_subspace(z4)
+        assert b2.contains_subspace(z2) == b4.contains_subspace(z4)
+        v = [rng.randrange(2) for _ in range(ncols)]
+        assert b2.reduce(v) == b4.reduce(v)
+        assert k2.reduce(v) == k4.reduce(v)
+        rhs = [rng.randrange(2) for _ in range(nrows)]
+        assert solve(a2, rhs) == solve(a4, rhs)
 
 
 def test_packed_vs_generic_product():
