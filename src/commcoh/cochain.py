@@ -226,7 +226,10 @@ class CochainSpace:
         return Cochain(self, tuple(coeffs))
 
     def cochain(self, coeffs: Iterable[int]) -> "Cochain":
-        return Cochain(self, tuple(coeffs))
+        """The cochain with these coefficients; FieldError for one outside the field."""
+        coeffs = tuple(coeffs)
+        self.algebra.field.check_vector(coeffs)
+        return Cochain(self, coeffs)
 
     def from_items(self, items: dict[tuple[tuple[int, ...], int], int]) -> "Cochain":
         coeffs = [0] * self.dim
@@ -286,6 +289,7 @@ class Cochain:
 
     def scale(self, bits: int) -> "Cochain":
         f = self.space.algebra.field
+        f.check_bits(bits)
         return Cochain(self.space, tuple(f.mul(bits, a) for a in self.coeffs))
 
     def value(self, tpl: tuple[int, ...], mu: int = 0) -> int:
@@ -465,21 +469,13 @@ def _differential_matrix_cached(algebra, module, degree, flavor) -> Matrix:
     dst = cochain_space(algebra, module, degree + 1, flavor)
     f = algebra.field
     m = module.dim
-    if f.degree == 1:
-        rows = [0] * dst.dim
-        for ti, tpl in enumerate(src.tuples):
-            for nu in range(m):
-                j = ti * m + nu
-                for (target, mu), val in source_image(algebra, module, flavor, tpl, nu).items():
-                    rows[dst.index(target, mu)] |= 1 << j
-        return Matrix.from_packed(f, rows, src.dim)
-    rows = [[0] * src.dim for _ in range(dst.dim)]
+    rows = [0] * dst.dim
     for ti, tpl in enumerate(src.tuples):
         for nu in range(m):
-            j = ti * m + nu
+            shift = f.degree * (ti * m + nu)
             for (target, mu), val in source_image(algebra, module, flavor, tpl, nu).items():
-                rows[dst.index(target, mu)][j] = val
-    return Matrix.from_rows(f, rows, src.dim)
+                rows[dst.index(target, mu)] |= val << shift
+    return Matrix.from_packed(f, rows, src.dim)
 
 
 def delta(phi: Cochain) -> Cochain:
@@ -616,15 +612,10 @@ def inclusion_matrix(
                  for tpl in dst.tuples for mu in range(m)]
     else:
         raise ValueError(f"no inclusion from {src_flavor} to {dst_flavor}")
-    if f.degree == 1:
-        rows = [0] * dst.dim
-        for r, c in pairs:
-            rows[r] |= 1 << c
-        return Matrix.from_packed(f, rows, src.dim)
-    rows = [[0] * src.dim for _ in range(dst.dim)]
+    rows = [0] * dst.dim
     for r, c in pairs:
-        rows[r][c] = 1
-    return Matrix.from_rows(f, rows, src.dim)
+        rows[r] |= 1 << (f.degree * c)
+    return Matrix.from_packed(f, rows, src.dim)
 
 
 def include_cochain(phi: Cochain, dst_flavor: str) -> Cochain:

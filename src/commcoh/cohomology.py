@@ -62,8 +62,9 @@ class CohomologyResult:
         self.space = space
         self.cocycles = cocycles
         self.coboundaries = coboundaries
+        # unpacked field elements, so the entry check of space.cochain is skipped
         self.representatives = [
-            space.cochain(v) for v in quotient_basis(cocycles, coboundaries)
+            Cochain(space, v) for v in quotient_basis(cocycles, coboundaries)
         ]
         self._solver = None
 
@@ -237,8 +238,7 @@ def _comparison(algebra, module, degree, src_flavor, dst_flavor) -> ComparisonRe
             defects.append(rep)
             coords = [0] * dst.dim_H
         cols.append(coords)
-    rows = [[col[i] for col in cols] for i in range(dst.dim_H)]
-    mat = Matrix.from_rows(algebra.field, rows, len(cols))
+    mat = _matrix_from_cols(algebra.field, cols, dst.dim_H)
     r = matrix_rank(mat)
     return ComparisonReport(src, dst, mat, r, src.dim_H - r, defects)
 

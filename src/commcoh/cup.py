@@ -81,7 +81,16 @@ class RingTable:
         return [r.dim_H for r in self.results]
 
     def product(self, left: str, right: str) -> dict[str, int]:
+        """Coordinates of left * right; KeyError naming an unknown label or a degree off the table."""
+        for label in (left, right):
+            if not any(label in row for row in self.labels):
+                raise KeyError(f"unknown class label {label!r}")
         key = (left, right) if _position(left) <= _position(right) else (right, left)
+        if key not in self.products:
+            degree = _position(left)[0] + _position(right)[0]
+            raise KeyError(
+                f"{left}*{right} lies in degree {degree} > max_degree {self.max_degree}"
+            )
         return self.products[key]
 
     def to_json(self) -> dict:

@@ -101,6 +101,12 @@ class FiniteField:
             raise FieldError(f"{a} is not an element bitmask of {self}")
         return a
 
+    def check_vector(self, vec) -> None:
+        """Raise FieldError unless every entry of vec is an element bitmask."""
+        if vec and not (0 <= min(vec) and max(vec) < self.order):
+            for a in vec:
+                self.check_bits(a)
+
     def add(self, a: int, b: int) -> int:
         return a ^ b
 

@@ -1,17 +1,22 @@
 """Exact dense linear algebra over GF(2^k).
 
-Matrices are row-major with entries stored as field bit representations.
-Over GF(2) a row is packed into a single Python int (bit j = column j) and
-stays packed from the matrix through kernels, images, subspaces and
-quotients; it is unpacked only where a caller reads a vector.  Over larger
-fields a row is a list of ints.
+Every matrix row and every vector is one Python int in which entry j fills
+bits k*j .. k*j + k - 1, its lane, as a field element bitmask; over GF(2) a
+lane is one bit.  Adding two rows is one XOR for every k, and multiplying a
+row by x acts on all of its lanes at once with shifts and masks (the packed
+GF(2^e) layout of Albrecht, "The M4RIE library", ISSAC 2012).  Rows stay
+packed from the matrix through kernels, images, subspaces and quotients;
+they are unpacked only where a caller reads a vector.
 
-The GF(2) engine eliminates each row on its lowest set bit against the
-pivots found so far, then back-substitutes once in descending pivot order.
-The larger fields use column-scan Gauss-Jordan elimination.  Both produce
-the reduced row echelon form, which is unique, so the two paths give the
-same subspaces on 0/1 inputs; the test suite checks this, and checks the
-GF(2) engine against a column-scan reference kept in the tests.
+The engine eliminates each row on its lowest set bit, as in the word-parallel
+GF(2) elimination of Albrecht, Bard and Hart (ACM TOMS 37(1), 2010).  A new
+pivot row is scaled so that its pivot entry is 1 and stored k times, as x^t
+times itself for t < k under the key s + t, where s is the bit offset of its
+pivot lane.  Its lane s then holds the single bit t, so clearing bit s + t of
+any row is one XOR with the row under that key, the same step for every k.
+One back-substitution pass in descending pivot order gives the reduced row
+echelon form, which is unique; the test suite checks it against a
+column-scan reference elimination kept in the tests.
 
 Everything here is deterministic: pivots are the leftmost nonzero entries
 of the reduced rows, subspaces are kept in reduced row echelon form, and
@@ -26,7 +31,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterable, Sequence
 
-from .field import FiniteField
+from .field import FiniteField, poly_mod
 
 _DEFAULT_ENTRY_CAP = 1_000_000
 _entry_cap = _DEFAULT_ENTRY_CAP
@@ -73,74 +78,53 @@ def check_entry_count(nrows: int, ncols: int) -> None:
 class Matrix:
     """A dense matrix over a FiniteField.  Treat instances as immutable."""
 
-    __slots__ = ("field", "nrows", "ncols", "_packed", "_rows", "_solver")
+    __slots__ = ("field", "nrows", "ncols", "_packed", "_solver")
 
-    def __init__(self, field: FiniteField, nrows: int, ncols: int, packed, rows):
+    def __init__(self, field: FiniteField, nrows: int, ncols: int, packed: list[int]):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self._packed = packed  # list[int] bitmask rows, GF(2) only
-        self._rows = rows      # list[list[int]] otherwise
-        self._solver = None    # solve()'s elimination of a GF(2) matrix, made on first use
+        self._packed = packed  # one lane-packed int per row
+        self._solver = None    # solve()'s elimination of [A | I], made on first use
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zeros(cls, field: FiniteField, nrows: int, ncols: int) -> "Matrix":
         check_entry_count(nrows, ncols)
-        if field.degree == 1:
-            return cls(field, nrows, ncols, [0] * nrows, None)
-        return cls(field, nrows, ncols, None, [[0] * ncols for _ in range(nrows)])
+        return cls(field, nrows, ncols, [0] * nrows)
 
     @classmethod
     def from_rows(
         cls, field: FiniteField, rows: Sequence[Sequence[int]], ncols: int | None = None
     ) -> "Matrix":
-        rows = [list(r) for r in rows]
+        rows = list(rows)
         if ncols is None:
             if not rows:
                 raise ValueError("ncols is required for a matrix with no rows")
             ncols = len(rows[0])
         check_entry_count(len(rows), ncols)
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            for a in r:
-                field.check_bits(a)
-        if field.degree == 1:
-            packed = [_pack_row(r) for r in rows]
-            return cls(field, len(rows), ncols, packed, None)
-        return cls(field, len(rows), ncols, None, rows)
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
+        return cls(field, len(rows), ncols, [_pack_row(r, field) for r in rows])
 
     @classmethod
     def from_packed(cls, field: FiniteField, packed: Sequence[int], ncols: int) -> "Matrix":
-        if field.degree != 1:
-            raise ValueError("packed rows are a GF(2) representation")
         check_entry_count(len(packed), ncols)
-        return cls(field, len(packed), ncols, list(packed), None)
+        return cls(field, len(packed), ncols, list(packed))
 
     @classmethod
     def identity(cls, field: FiniteField, n: int) -> "Matrix":
-        m = cls.zeros(field, n, n)
-        if m._packed is not None:
-            for i in range(n):
-                m._packed[i] = 1 << i
-        else:
-            for i in range(n):
-                m._rows[i][i] = 1
-        return m
+        return cls.from_packed(field, [1 << (field.degree * i) for i in range(n)], n)
 
     # -- access ---------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> int:
-        if self._packed is not None:
-            return (self._packed[i] >> j) & 1
-        return self._rows[i][j]
+        f = self.field
+        return (self._packed[i] >> (f.degree * j)) & (f.order - 1)
 
     def row(self, i: int) -> list[int]:
-        if self._packed is not None:
-            return _unpack_row(self._packed[i], self.ncols)
-        return list(self._rows[i])
+        return _unpack_row(self._packed[i], self.ncols, self.field)
 
     def rows(self) -> list[list[int]]:
         return [self.row(i) for i in range(self.nrows)]
@@ -149,18 +133,14 @@ class Matrix:
         return [self.entry(i, j) for i in range(self.nrows)]
 
     def is_zero(self) -> bool:
-        if self._packed is not None:
-            return all(r == 0 for r in self._packed)
-        return all(all(a == 0 for a in r) for r in self._rows)
+        return not any(self._packed)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        if (self.field, self.nrows, self.ncols) != (other.field, other.nrows, other.ncols):
-            return False
-        if self._packed is not None and other._packed is not None:
-            return self._packed == other._packed
-        return self.rows() == other.rows()
+        return (self.field, self.nrows, self.ncols, self._packed) == (
+            other.field, other.nrows, other.ncols, other._packed
+        )
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols} over GF(2^{self.field.degree}))"
@@ -169,17 +149,9 @@ class Matrix:
 
     def add(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        if self._packed is not None:
-            return Matrix(
-                self.field, self.nrows, self.ncols,
-                [a ^ b for a, b in zip(self._packed, other._packed)], None,
-            )
-        f = self.field
-        rows = [
-            [f.add(a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self._rows, other._rows)
-        ]
-        return Matrix(self.field, self.nrows, self.ncols, None, rows)
+        return Matrix(
+            self.field, self.nrows, self.ncols, [a ^ b for a, b in zip(self._packed, other._packed)]
+        )
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -189,62 +161,33 @@ class Matrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         check_entry_count(self.nrows, other.ncols)
-        if self._packed is not None:
-            out = []
-            brows = other._packed
-            for a in self._packed:
-                acc = 0
-                while a:
-                    low = a & -a
-                    acc ^= brows[low.bit_length() - 1]
-                    a ^= low
-                out.append(acc)
-            return Matrix(self.field, self.nrows, other.ncols, out, None)
         f = self.field
-        bt = other.rows()
-        out_rows = []
-        for i in range(self.nrows):
-            arow = self._rows[i]
-            acc = [0] * other.ncols
-            for k, a in enumerate(arow):
-                if a:
-                    brow = bt[k]
-                    for j in range(other.ncols):
-                        b = brow[j]
-                        if b:
-                            acc[j] = f.add(acc[j], f.mul(a, b))
-            out_rows.append(acc)
-        return Matrix(self.field, self.nrows, other.ncols, None, out_rows)
+        k = f.degree
+        tops = _tops(f, other.ncols)
+        brows = other._packed
+        out = []
+        for a in self._packed:
+            acc = 0
+            for s, c in _lanes(a, k):
+                acc ^= _scale(brows[s // k], c, f, tops)
+            out.append(acc)
+        return Matrix(f, self.nrows, other.ncols, out)
 
     def mul_vec(self, vec: Sequence[int]) -> list[int]:
         if len(vec) != self.ncols:
             raise ValueError("vector length does not match column count")
         f = self.field
-        if self._packed is not None:
-            v = _pack_row(vec)
-            return [_parity(r & v) for r in self._packed]
-        out = []
-        for r in self._rows:
-            acc = 0
-            for a, x in zip(r, vec):
-                if a and x:
-                    acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
-        return out
+        v = _pack_row(vec, f)
+        return [_dot(r, v, f) for r in self._packed]
 
     def transpose(self) -> "Matrix":
         check_entry_count(self.ncols, self.nrows)
-        if self._packed is not None:
-            cols = [0] * self.ncols
-            for i, r in enumerate(self._packed):
-                bit = 1 << i
-                while r:
-                    low = r & -r
-                    cols[low.bit_length() - 1] |= bit
-                    r ^= low
-            return Matrix(self.field, self.ncols, self.nrows, cols, None)
-        rows = [[self._rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return Matrix(self.field, self.ncols, self.nrows, None, rows)
+        k = self.field.degree
+        cols = [0] * self.ncols
+        for i, r in enumerate(self._packed):
+            for s, c in _lanes(r, k):
+                cols[s // k] |= c << (k * i)
+        return Matrix(self.field, self.ncols, self.nrows, cols)
 
     def _check_same_shape(self, other: "Matrix") -> None:
         if self.field != other.field:
@@ -253,23 +196,83 @@ class Matrix:
             raise ValueError("shape mismatch")
 
 
-# Byte translation tables for moving between bit lists and packed ints through
-# a binary string, so neither direction loops over the columns in Python.
+# -- lane arithmetic on packed rows ----------------------------------------------
+
+# Byte translation tables for moving between GF(2) entry lists and packed ints
+# through a binary string, so neither direction loops over the columns in Python.
 _ENTRY_TO_DIGIT = b"0" + b"1" * 255
 _DIGIT_TO_ENTRY = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _pack_row(row: Sequence[int]) -> int:
-    """Bit j of the result is set iff row[j] is nonzero (entries must lie in 0..255)."""
-    return int(bytes(reversed(row)).translate(_ENTRY_TO_DIGIT) or b"0", 2)
+def _pack_row(row: Sequence[int], f: FiniteField) -> int:
+    """The packed int whose lane j holds row[j]; FieldError for a non-element entry."""
+    f.check_vector(row)
+    if f.degree == 1:
+        return int(bytes(reversed(row)).translate(_ENTRY_TO_DIGIT) or b"0", 2)
+    lane = f"0{f.degree}b"
+    return int("".join([format(a, lane) for a in reversed(row)]) or "0", 2)
 
 
-def _unpack_row(mask: int, ncols: int) -> list[int]:
-    return list(format(mask, f"0{ncols}b")[::-1][:ncols].encode().translate(_DIGIT_TO_ENTRY))
+def _unpack_row(mask: int, ncols: int, f: FiniteField) -> list[int]:
+    k = f.degree
+    bits = format(mask, f"0{k * ncols}b")
+    if k == 1:
+        return list(bits[::-1][:ncols].encode().translate(_DIGIT_TO_ENTRY))
+    end = len(bits)
+    return [int(bits[end - i - k : end - i], 2) for i in range(0, k * ncols, k)]
 
 
-def _parity(x: int) -> int:
-    return x.bit_count() & 1
+def _dot(u: int, v: int, f: FiniteField) -> int:
+    """The sum over j of u_j v_j for packed rows u and v.
+
+    Field multiplication is bilinear over GF(2), so the product's coefficient
+    of x^(t+r) collects the parity of bit t of u's lanes against bit r of v's.
+    """
+    k = f.degree
+    if k == 1:
+        return (u & v).bit_count() & 1
+    lows = _tops(f, u.bit_length() // k + 1) >> (k - 1)
+    prod = 0
+    for t in range(k):
+        ut = (u >> t) & lows
+        for r in range(k):
+            prod ^= ((ut & (v >> r)).bit_count() & 1) << (t + r)
+    return poly_mod(prod, f.modulus)
+
+
+def _tops(f: FiniteField, nlanes: int) -> int:
+    """The top bit of each of nlanes lanes."""
+    return ((1 << (f.degree * nlanes)) - 1) // (f.order - 1) << (f.degree - 1)
+
+
+def _times_x(row: int, f: FiniteField, tops: int) -> int:
+    """x times every entry of a packed row; tops comes from _tops and covers the row."""
+    top = row & tops
+    return ((row ^ top) << 1) ^ (top >> (f.degree - 1)) * (f.modulus ^ f.order)
+
+
+def _scale(row: int, c: int, f: FiniteField, tops: int) -> int:
+    """c times every entry of a packed row: one _times_x per bit of c above the lowest."""
+    if c == 1:
+        return row
+    acc = 0
+    while c:
+        if c & 1:
+            acc ^= row
+        c >>= 1
+        if c:
+            row = _times_x(row, f, tops)
+    return acc
+
+
+def _lanes(row: int, k: int):
+    """(bit offset, value) of each nonzero lane of a packed row, highest first."""
+    while row:
+        s = row.bit_length() - 1
+        s -= s % k
+        c = row >> s
+        yield s, c
+        row ^= c << s
 
 
 def _set_bits(mask: int):
@@ -280,157 +283,109 @@ def _set_bits(mask: int):
         mask ^= low
 
 
-# -- elimination engines -------------------------------------------------------
+# -- the elimination engine ------------------------------------------------------
 
 
-def _echelon_packed(rows: Iterable[int]) -> dict[int, int]:
-    """Echelon rows of the span of packed rows, keyed by their lowest set bit.
+def _store_pivot(echelon: dict[int, int], q: int, s: int, f: FiniteField, tops: int) -> None:
+    """Store q, whose pivot entry at lane offset s is 1, as x^t q under key s + t for t < k."""
+    echelon[s] = q
+    for t in range(1, f.degree):
+        q = _times_x(q, f, tops)
+        echelon[s + t] = q
 
-    Each incoming row is cleared against the stored rows one lowest set bit at
-    a time until that bit is new, which makes it a pivot (the word-parallel
-    GF(2) elimination of Albrecht, Bard and Hart, ACM TOMS 37(1), 2010).
+
+def _echelon(rows: Iterable[int], ncols: int, f: FiniteField) -> dict[int, int]:
+    """Echelon rows of the span of packed rows, stored as _store_pivot keys them.
+
+    Each incoming row is cleared one lowest set bit at a time until that bit
+    has no key, which makes its lane a new pivot lane.
     """
+    k = f.degree
+    tops = _tops(f, ncols)
     echelon: dict[int, int] = {}
     for r in rows:
         while r:
-            p = (r & -r).bit_length() - 1
-            q = echelon.get(p)
+            b = (r & -r).bit_length() - 1
+            q = echelon.get(b)
             if q is None:
-                echelon[p] = r
+                s = b - b % k
+                c = f.inv((r >> s) & (f.order - 1))
+                _store_pivot(echelon, _scale(r, c, f, tops), s, f, tops)
                 break
             r ^= q
     return echelon
 
 
-def _rref_packed(rows: Iterable[int]) -> tuple[list[int], list[int]]:
-    """The reduced row echelon form of packed rows: (rows, pivots), pivots ascending.
+def _rref(rows: Iterable[int], ncols: int, f: FiniteField) -> dict[int, int]:
+    """The reduced row echelon form of packed rows, keyed as _echelon keys it, keys ascending.
 
-    Back-substitution runs in descending pivot order, so every row with a
-    higher pivot is already reduced when it is added in, and adding it clears
-    exactly one pivot bit.  The RREF of a row space is unique, so this agrees
-    with leftmost-pivot Gaussian elimination row for row.
+    Back-substitution runs in descending pivot order, so every stored row with
+    a higher pivot is already reduced when it is added in, and adding it
+    clears exactly one bit of the pivot lanes.  The RREF of a row space is
+    unique, so this agrees with leftmost-pivot Gaussian elimination row for row.
     """
-    echelon = _echelon_packed(rows)
-    pivots = sorted(echelon)
-    pivot_mask = sum(1 << p for p in pivots)
-    for p in reversed(pivots):
-        r = echelon[p]
-        for q in _set_bits((r & pivot_mask) ^ (1 << p)):
-            r ^= echelon[q]
-        echelon[p] = r
-    return [echelon[p] for p in pivots], pivots
-
-
-def _rref_generic(
-    rows: Iterable[Sequence[int]], ncols: int, f: FiniteField
-) -> tuple[list[list[int]], list[int]]:
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv_inv = f.inv(rows[r][c])
-        if piv_inv != 1:
-            rows[r] = [f.mul(piv_inv, a) for a in rows[r]]
-        piv = rows[r]
-        for i in range(nrows):
-            coeff = rows[i][c]
-            if i != r and coeff:
-                rows[i] = [f.add(a, f.mul(coeff, b)) for a, b in zip(rows[i], piv)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
-
-
-def _kernel_packed(rref_rows: list[int], pivots: list[int], ncols: int) -> list[int]:
-    """One kernel vector per free column j: e_j plus e_p for each RREF row p holding bit j."""
-    free_mask = ((1 << ncols) - 1) & ~sum(1 << p for p in pivots)
-    vecs = {j: 1 << j for j in _set_bits(free_mask)}
-    for row, p in zip(rref_rows, pivots):
-        bit = 1 << p
-        for j in _set_bits(row & free_mask):
-            vecs[j] |= bit
-    return list(vecs.values())
-
-
-def _kernel_generic(rref_rows, pivots, ncols, f: FiniteField) -> list[list[int]]:
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for j in free_cols:
-        v = [0] * ncols
-        v[j] = 1
-        for r, p in enumerate(pivots):
-            coeff = rref_rows[r][j]
-            if coeff:
-                v[p] = f.neg(coeff)
-        basis.append(v)
-    return basis
+    echelon = _echelon(rows, ncols, f)
+    tops = _tops(f, ncols)
+    keys = sorted(echelon)
+    lane_mask = sum(1 << b for b in keys)
+    for s in reversed(keys[:: f.degree]):
+        r = echelon[s]
+        for b in _set_bits((r & lane_mask) ^ (1 << s)):
+            r ^= echelon[b]
+        _store_pivot(echelon, r, s, f, tops)
+    return {b: echelon[b] for b in keys}
 
 
 class Subspace:
     """A subspace of K^n held as a reduced-row-echelon basis.
 
-    Over GF(2) the RREF rows stay packed into ints (keyed by pivot) and
-    `basis` unpacks them into tuples on first use; over larger fields the
-    rows are tuples from the start.
+    The RREF rows stay packed, stored as _rref returns them, and `basis`
+    unpacks them into tuples on first use.
     """
 
-    __slots__ = ("field", "ambient_dim", "pivots", "_packed", "_pivot_mask", "_basis")
+    __slots__ = ("field", "ambient_dim", "pivots", "_echelon", "_lane_mask", "_basis")
 
-    def __init__(self, field: FiniteField, ambient_dim: int, rows, pivots):
-        """rows: the RREF rows in pivot order, packed ints over GF(2), sequences otherwise."""
+    def __init__(self, field: FiniteField, ambient_dim: int, echelon: dict[int, int]):
+        """echelon: a reduced row echelon form as _rref returns it."""
+        keys = list(echelon)
         self.field = field
         self.ambient_dim = ambient_dim
-        self.pivots = tuple(pivots)
-        if field.degree == 1:
-            self._packed = dict(zip(self.pivots, rows))
-            self._pivot_mask = sum(1 << p for p in self.pivots)
-            self._basis = None
-        else:
-            self._packed = None
-            self._basis = tuple(tuple(v) for v in rows)
+        self.pivots = tuple(s // field.degree for s in keys[:: field.degree])
+        self._echelon = echelon
+        self._lane_mask = sum(1 << b for b in keys)
+        self._basis = None
 
     @classmethod
     def from_vectors(
         cls, field: FiniteField, vectors: Iterable[Sequence[int]], ambient_dim: int
     ) -> "Subspace":
-        vecs = [list(v) for v in vectors]
-        for v in vecs:
+        rows = []
+        for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-        if field.degree == 1:
-            rows, pivots = _rref_packed(_pack_row(v) for v in vecs)
-        else:
-            rows, pivots = _rref_generic(vecs, ambient_dim, field)
-        return cls(field, ambient_dim, rows, pivots)
+            rows.append(_pack_row(v, field))
+        return cls(field, ambient_dim, _rref(rows, ambient_dim, field))
+
+    def _packed_basis(self) -> list[int]:
+        k = self.field.degree
+        return [self._echelon[k * p] for p in self.pivots]
 
     @property
     def basis(self) -> tuple[tuple[int, ...], ...]:
         if self._basis is None:
-            n = self.ambient_dim
-            self._basis = tuple(tuple(_unpack_row(r, n)) for r in self._packed.values())
+            n, f = self.ambient_dim, self.field
+            self._basis = tuple(tuple(_unpack_row(r, n, f)) for r in self._packed_basis())
         return self._basis
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
 
-    def _residual_packed(self, v: int) -> int:
-        """v minus its combination of basis rows: RREF rows are zero at each other's pivots,
-        so the coefficient of each row is v's own bit at that row's pivot."""
-        for p in _set_bits(v & self._pivot_mask):
-            v ^= self._packed[p]
+    def _residual(self, v: int) -> int:
+        """v minus its combination of basis rows: each stored row holds one bit of
+        the pivot lanes, so each such bit of v is cleared by one XOR."""
+        for b in _set_bits(v & self._lane_mask):
+            v ^= self._echelon[b]
         return v
 
     def _check_length(self, vec: Sequence[int]) -> None:
@@ -440,77 +395,59 @@ class Subspace:
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Residual of vec after elimination against the basis (zero iff contained)."""
         self._check_length(vec)
-        if self._packed is not None:
-            return tuple(_unpack_row(self._residual_packed(_pack_row(vec)), self.ambient_dim))
         f = self.field
-        v = list(vec)
-        for row, p in zip(self._basis, self.pivots):
-            coeff = v[p]
-            if coeff:
-                v = [f.add(a, f.mul(coeff, b)) for a, b in zip(v, row)]
-        return tuple(v)
+        return tuple(_unpack_row(self._residual(_pack_row(vec, f)), self.ambient_dim, f))
 
     def contains(self, vec: Sequence[int]) -> bool:
-        if self._packed is not None:
-            self._check_length(vec)
-            return not self._residual_packed(_pack_row(vec))
-        return all(a == 0 for a in self.reduce(vec))
+        self._check_length(vec)
+        return not self._residual(_pack_row(vec, self.field))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("subspaces of different ambient spaces")
-        if self._packed is not None:
-            return not any(self._residual_packed(r) for r in other._packed.values())
-        return all(self.contains(v) for v in other.basis)
+        return not any(self._residual(r) for r in other._packed_basis())
 
     def coordinates(self, vec: Sequence[int]) -> list[int] | None:
-        """Coefficients of vec in the RREF basis, or None if not contained."""
+        """Coefficients of vec in the RREF basis, or None if not contained.
+
+        The RREF rows have entry 1 at their own pivot and 0 at the others, so
+        the coefficient of each row is vec's own entry at that row's pivot.
+        """
         self._check_length(vec)
-        if self._packed is not None:
-            v = _pack_row(vec)
-            if self._residual_packed(v):
-                return None
-            return [(v >> p) & 1 for p in self.pivots]
-        f = self.field
-        v = list(vec)
-        coords = []
-        for row, p in zip(self._basis, self.pivots):
-            coeff = v[p]
-            coords.append(coeff)
-            if coeff:
-                v = [f.add(a, f.mul(coeff, b)) for a, b in zip(v, row)]
-        if any(a != 0 for a in v):
+        if self._residual(_pack_row(vec, self.field)):
             return None
-        return coords
+        return [vec[p] for p in self.pivots]
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Subspace) or (self.field, self.ambient_dim) != (
-            other.field, other.ambient_dim
-        ):
+        if not isinstance(other, Subspace):
             return False
-        if self._packed is not None:
-            return self._packed == other._packed
-        return self._basis == other._basis
+        return (self.field, self.ambient_dim, self._echelon) == (
+            other.field, other.ambient_dim, other._echelon
+        )
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of K^{self.ambient_dim})"
 
 
 def rank(a: Matrix) -> int:
-    if a._packed is not None:
-        return len(_echelon_packed(a._packed))
-    _, pivots = _rref_generic(a._rows, a.ncols, a.field)
-    return len(pivots)
+    return len(_echelon(a._packed, a.ncols, a.field)) // a.field.degree
 
 
 def kernel_basis(a: Matrix) -> Subspace:
-    """The right kernel {v : A v = 0} as a Subspace of K^ncols."""
+    """The right kernel {v : A v = 0} as a Subspace of K^ncols.
+
+    One kernel vector per free column j: e_j plus R_pj e_p for each RREF row
+    R_p (characteristic 2, so minus is plus).
+    """
     f = a.field
-    if a._packed is not None:
-        rref, pivots = _rref_packed(a._packed)
-        return Subspace(f, a.ncols, *_rref_packed(_kernel_packed(rref, pivots, a.ncols)))
-    rref, pivots = _rref_generic(a._rows, a.ncols, f)
-    return Subspace.from_vectors(f, _kernel_generic(rref, pivots, a.ncols, f), a.ncols)
+    k = f.degree
+    echelon = _rref(a._packed, a.ncols, f)
+    free_mask = ((1 << (k * a.ncols)) - 1) & ~sum(1 << b for b in echelon)
+    vecs = {s: 1 << s for s in range(0, k * a.ncols, k) if s not in echelon}
+    for s in list(echelon)[::k]:
+        for t, c in _lanes(echelon[s] & free_mask, k):
+            vecs[t] |= c << s
+    return Subspace(f, a.ncols, _rref(vecs.values(), a.ncols, f))
 
 
 def image_basis(a: Matrix) -> Subspace:
@@ -519,56 +456,50 @@ def image_basis(a: Matrix) -> Subspace:
 
 
 def row_space(a: Matrix) -> Subspace:
-    if a._packed is not None:
-        rows, pivots = _rref_packed(a._packed)
-    else:
-        rows, pivots = _rref_generic(a._rows, a.ncols, a.field)
-    return Subspace(a.field, a.ncols, rows, pivots)
+    return Subspace(a.field, a.ncols, _rref(a._packed, a.ncols, a.field))
 
 
-def _packed_solver(a: Matrix) -> tuple[list[tuple[int, int]], list[int]]:
-    """The RREF of [A | I] split at column n, for solving A x = b over GF(2).
+def _solver(a: Matrix) -> tuple[list[tuple[int, int]], list[int]]:
+    """The RREF of [A | I] split at column n, for solving A x = b.
 
     Each row is (R_i | T_i) with T_i A = R_i, and T is invertible, so A x = b
     iff R x = T b.  Rows with R_i = 0 give the consistency conditions
     T_i . b = 0; a row with pivot p < n gives x_p = T_i . b for the solution
     that is zero on the free columns.
     """
-    n = a.ncols
-    rows, pivots = _rref_packed(r | (1 << (n + i)) for i, r in enumerate(a._packed))
-    values = [(p, r >> n) for r, p in zip(rows, pivots) if p < n]
-    checks = [r >> n for r, p in zip(rows, pivots) if p >= n]
+    f = a.field
+    k = f.degree
+    shift = k * a.ncols
+    echelon = _rref(
+        (r | (1 << (shift + k * i)) for i, r in enumerate(a._packed)), a.ncols + a.nrows, f
+    )
+    values, checks = [], []
+    for s in list(echelon)[::k]:
+        if s < shift:
+            values.append((s // k, echelon[s] >> shift))
+        else:
+            checks.append(echelon[s] >> shift)
     return values, checks
 
 
 def solve(a: Matrix, b: Sequence[int]) -> list[int] | None:
     """One solution x of A x = b (free variables set to 0), or None.
 
-    Over GF(2) the elimination of A is done on the first call and kept on
-    the matrix, so later right-hand sides cost one parity per row.
+    The elimination of A is done on the first call and kept on the matrix,
+    so later right-hand sides cost one dot product per row.
     """
     if len(b) != a.nrows:
         raise ValueError("right-hand side length does not match row count")
     f = a.field
-    n = a.ncols
-    if a._packed is not None:
-        if a._solver is None:
-            a._solver = _packed_solver(a)
-        values, checks = a._solver
-        bv = _pack_row(b)
-        if any(_parity(t & bv) for t in checks):
-            return None
-        x = [0] * n
-        for p, t in values:
-            x[p] = _parity(t & bv)
-        return x
-    aug = [row + [bi] for row, bi in zip(a._rows, b)]
-    rref, pivots = _rref_generic(aug, n + 1, f)
-    if pivots and pivots[-1] == n:
+    if a._solver is None:
+        a._solver = _solver(a)
+    values, checks = a._solver
+    bv = _pack_row(b, f)
+    if any(_dot(t, bv, f) for t in checks):
         return None
-    x = [0] * n
-    for row, p in zip(rref, pivots):
-        x[p] = row[n]
+    x = [0] * a.ncols
+    for p, t in values:
+        x[p] = _dot(t, bv, f)
     return x
 
 
@@ -579,19 +510,17 @@ def quotient_basis(z: Subspace, b: Subspace) -> list[tuple[int, ...]]:
     """
     if z.field != b.field or z.ambient_dim != b.ambient_dim:
         raise ValueError("quotient of subspaces of different ambient spaces")
+    f, n = z.field, z.ambient_dim
+    for r in b._packed_basis():
+        if z._residual(r):
+            raise ContainmentError(
+                f"denominator vector {tuple(_unpack_row(r, n, f))} is not in the numerator"
+            )
     b_pivots = set(b.pivots)
-    if z._packed is not None:
-        n = z.ambient_dim
-        for r in b._packed.values():
-            if z._residual_packed(r):
-                raise ContainmentError(
-                    f"denominator vector {tuple(_unpack_row(r, n))} is not in the numerator"
-                )
-        reps = [tuple(_unpack_row(r, n)) for p, r in z._packed.items() if p not in b_pivots]
-    else:
-        for v in b.basis:
-            if not z.contains(v):
-                raise ContainmentError(f"denominator vector {v} is not in the numerator")
-        reps = [v for v, p in zip(z.basis, z.pivots) if p not in b_pivots]
+    reps = [
+        tuple(_unpack_row(r, n, f))
+        for p, r in zip(z.pivots, z._packed_basis())
+        if p not in b_pivots
+    ]
     assert len(reps) == z.dim - b.dim
     return reps

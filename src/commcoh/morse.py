@@ -142,9 +142,9 @@ def _pair_cycle_check(cx: BasedComplex, n: int, pairs_n: list[tuple[int, int]]) 
     succs = {x: [] for x in tails}
     indeg = {x: 0 for x in tails}
     for a in tails:
-        head_row = partner[a]
+        head_row = dmat.row(partner[a])
         for x in tails:
-            if x != a and dmat.entry(head_row, x):
+            if x != a and head_row[x]:
                 succs[x].append(a)
                 indeg[a] += 1
     queue = [x for x in tails if indeg[x] == 0]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from commcoh.field import make_field
+from commcoh.field import FieldError, make_field
 from commcoh.algebra import (
     AlgebraPresentation,
     adjoint_module,
@@ -107,6 +107,18 @@ def test_from_items_roundtrip():
     assert phi.value((0, 1), 2) == 1
     assert phi.value((0, 1), 1) == 0
     assert phi.value_vector((1, 1)) == [1, 0, 0]
+
+
+def test_cochain_rejects_coefficients_outside_the_field():
+    a = heisenberg(1)
+    sp = cochain_space(a, trivial_module(a), 1)
+    with pytest.raises(FieldError):
+        sp.cochain([5, 0, 0])
+    with pytest.raises(FieldError):
+        sp.cochain([0, -1, 0])
+    with pytest.raises(FieldError):
+        sp.cochain([1, 0, 1]).scale(2)
+    assert sp.cochain([1, 0, 1]).coeffs == (1, 0, 1)
 
 
 def test_degree_cap():

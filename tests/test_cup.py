@@ -6,6 +6,7 @@ from commcoh.field import make_field, binom_mod2
 from commcoh.algebra import abelian, adjoint_module, dim2, heisenberg, trivial_module
 from commcoh.cochain import cochain_space, delta
 from commcoh.cohomology import cohomology
+from commcoh import linalg
 from commcoh.cup import cup, ring_table
 
 GF2 = make_field(1)
@@ -163,6 +164,30 @@ def test_product_orders_labels_by_degree_and_index():
     for (left, right), val in table.products.items():
         assert table.product(left, right) == val
         assert table.product(right, left) == val
+
+
+def test_product_names_an_unknown_label_or_a_degree_off_the_table():
+    table = ring_table(heisenberg(3), 3)
+    with pytest.raises(KeyError, match="unknown class label 'h9_0'"):
+        table.product("h1_0", "h9_0")
+    with pytest.raises(KeyError, match=r"degree 4 > max_degree 3"):
+        table.product("h2_2", "h2_10")
+
+
+def test_ring_table_eliminates_once_per_degree_over_gf4(monkeypatch):
+    # class_coordinates keeps its solver's elimination on the matrix, over every field
+    calls = []
+    rref = linalg._rref
+
+    def counted(*args):
+        calls.append(args[1:])
+        return rref(*args)
+
+    monkeypatch.setattr(linalg, "_rref", counted)
+    table = ring_table(heisenberg(1, make_field(2)), 4)
+    assert table.dims() == [1, 2, 4, 6, 9]
+    assert table.defects == []
+    assert 0 < len(calls) <= 20
 
 
 def test_ring_table_to_json_shape():

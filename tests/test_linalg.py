@@ -1,15 +1,16 @@
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commcoh.field import make_field
+from commcoh.field import FieldError, make_field
 from commcoh.linalg import (
     ContainmentError,
     Matrix,
     SizeCapError,
     Subspace,
-    _rref_packed,
+    _rref,
     entry_cap_override,
     image_basis,
     kernel_basis,
@@ -37,8 +38,79 @@ def random_binary_rows(rng, nrows, ncols):
 
 
 # ------------------------------------------------------------------
-# packed GF(2) path vs the generic path
+# the lane-packed engine vs column-scan references
 # ------------------------------------------------------------------
+
+
+def naive_rref(rows, ncols, f):
+    """Leftmost-pivot Gauss-Jordan elimination on entry lists, scanning columns."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv_inv = f.inv(rows[r][c])
+        rows[r] = [f.mul(piv_inv, a) for a in rows[r]]
+        piv = rows[r]
+        for i in range(nrows):
+            coeff = rows[i][c]
+            if i != r and coeff:
+                rows[i] = [f.add(a, f.mul(coeff, b)) for a, b in zip(rows[i], piv)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows[:r], pivots
+
+
+def dot(f, u, v):
+    return reduce(f.add, map(f.mul, u, v), 0)
+
+
+FIELDS = [make_field(k) for k in (1, 2, 3, 8, 16)]
+
+
+@st.composite
+def field_systems(draw):
+    """(field, rows, ncols, x): entries biased to 0, 1 and the top of the field,
+    plus scaled sums of rows so ranks drop."""
+    f = draw(st.sampled_from(FIELDS))
+    ncols = draw(st.integers(0, 12))
+    entry = st.one_of(st.just(0), st.just(1), st.just(f.order - 1), st.integers(0, f.order - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=10))
+    if rows:
+        index = st.integers(0, len(rows) - 1)
+        combos = st.tuples(index, index, st.integers(1, f.order - 1))
+        for i, j, c in draw(st.lists(combos, max_size=4)):
+            rows.append([f.add(a, f.mul(c, b)) for a, b in zip(rows[i], rows[j])])
+    x = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+    return f, draw(st.permutations(rows)), ncols, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_systems())
+def test_engine_matches_naive_rref_over_every_field(system):
+    f, rows, ncols, x = system
+    a = Matrix.from_rows(f, rows, ncols)
+    assert a.rows() == rows
+    space = row_space(a)
+    ref_rows, ref_pivots = naive_rref(rows, ncols, f)
+    assert [list(v) for v in space.basis] == ref_rows
+    assert list(space.pivots) == ref_pivots
+    assert rank(a) == len(ref_pivots)
+    ker = kernel_basis(a)
+    assert ker.dim == ncols - len(ref_pivots)
+    for v in ker.basis:
+        assert all(dot(f, row, v) == 0 for row in rows)
+    b = [dot(f, row, x) for row in rows]
+    assert a.mul_vec(x) == b
+    sol = solve(a, b)
+    assert sol is not None
+    assert [dot(f, row, sol) for row in rows] == b
 
 
 def naive_rref_packed(rows, ncols):
@@ -92,13 +164,14 @@ def packed_matrices(draw):
 def test_rref_packed_matches_column_scan(matrix):
     rows, ncols = matrix
     before = list(rows)
-    assert _rref_packed(rows) == naive_rref_packed(rows, ncols)
+    echelon = _rref(rows, ncols, GF2)  # over GF(2) the keys are the pivot columns
+    assert (list(echelon.values()), list(echelon)) == naive_rref_packed(rows, ncols)
     assert rows == before
 
 
 def test_packed_vs_generic_rank_and_kernel():
     """A 0/1 matrix has the same rank over GF(2) and GF(4), and row reduction
-    never leaves the prime subfield, so the two code paths must agree."""
+    never leaves the prime subfield, so one-bit and two-bit lanes must agree."""
     rng = random.Random(11)
     for trial in range(300):
         nrows = rng.randrange(1, 25)
@@ -315,6 +388,18 @@ def test_contains_subspace():
     other = Subspace.from_vectors(f, [[0, 0, 1]], 3)
     assert big.contains_subspace(small)
     assert not big.contains_subspace(other)
+
+
+def test_entries_outside_the_field_are_rejected():
+    # With k-bit lanes such an entry would spill into its neighbour.
+    with pytest.raises(FieldError):
+        Subspace.from_vectors(GF4, [[5, 1]], 2)
+    with pytest.raises(FieldError):
+        solve(Matrix.identity(GF4, 2), [7, 1])
+    with pytest.raises(FieldError):
+        Matrix.from_rows(GF2, [[0, 2]])
+    with pytest.raises(FieldError):
+        Subspace.from_vectors(GF8, [[1, 0]], 2).contains([-1, 0])
 
 
 # ------------------------------------------------------------------
