@@ -1,6 +1,6 @@
 """Exact cohomology for commutative Lie algebras in characteristic 2."""
 
-from .field import GF2, FiniteField, Scalar, binom_mod2, make_field
+from .field import GF2, FiniteField, binom_mod2, make_field
 from .linalg import (
     Matrix,
     SizeCapError,
@@ -19,7 +19,6 @@ from .algebra import (
     PresentationError,
     abelian,
     adjoint_module,
-    check_axioms,
     derivation_space,
     dim2,
     dual_module,
@@ -60,7 +59,6 @@ from .cohomology import (
     exact_sequence_check,
     invariants_subspace,
     outer_derivation_dim,
-    split_central_extension,
 )
 from .cup import RingTable, cup, ring_table
 from .morse import (

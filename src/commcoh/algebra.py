@@ -5,7 +5,7 @@ for basis indices i <= j the table stores [e_i, e_j] as a sparse
 coefficient vector, and [e_j, e_i] is the same element.  Diagonal entries
 [e_i, e_i] are allowed and need not vanish; an algebra with all of them
 zero is an ordinary Lie algebra (in characteristic 2 the Jacobi identity
-is required either way, and check_axioms verifies exactly that).
+is required either way, and `jacobi_violations` lists where it fails).
 
 A module is a list of action matrices rho(e_i) subject to the
 characteristic-2 axiom rho([x,y]) = rho(x)rho(y) + rho(y)rho(x), which in
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .field import GF2, FieldError, FiniteField, binom_mod2, scalar_from_hex, scalar_to_hex
@@ -37,7 +38,10 @@ class AxiomError(ValueError):
 
 
 class AlgebraPresentation:
-    """A finite-dimensional algebra with a symmetric bracket, by structure constants."""
+    """A finite-dimensional algebra with a symmetric bracket, by structure constants.
+
+    Instances are hashed into the cochain caches, so `brackets` is read-only.
+    """
 
     __slots__ = ("field", "dim", "basis_names", "brackets", "_into", "_key")
 
@@ -55,7 +59,7 @@ class AlgebraPresentation:
             raise PresentationError(f"{len(names)} basis names for dimension {dim}")
         if len(set(names)) != dim or any(not n for n in names):
             raise PresentationError("basis names must be nonempty and distinct")
-        clean: dict[tuple[int, int], dict[int, int]] = {}
+        clean = {}
         for (i, j), value in brackets.items():
             if not (0 <= i <= j < dim):
                 raise PresentationError(f"bracket pair ({i}, {j}) out of range or unordered")
@@ -67,11 +71,11 @@ class AlgebraPresentation:
                 if bits:
                     entry[s] = bits
             if entry:
-                clean[(i, j)] = entry
+                clean[(i, j)] = MappingProxyType(entry)
         self.field = field
         self.dim = dim
         self.basis_names = names
-        self.brackets = clean
+        self.brackets = MappingProxyType(clean)
         self._into = None
         self._key = None
 
@@ -246,11 +250,6 @@ class AlgebraPresentation:
         return f"AlgebraPresentation(dim {self.dim} over GF(2^{self.field.degree}))"
 
 
-def check_axioms(algebra: AlgebraPresentation) -> list[tuple[int, int, int, tuple[int, ...]]]:
-    """Jacobi violations of the presentation; an empty list means the algebra is valid."""
-    return algebra.jacobi_violations()
-
-
 # -- builders ---------------------------------------------------------------------
 
 
@@ -418,7 +417,10 @@ def import_algebra(source) -> AlgebraPresentation:
 
 
 class ModulePresentation:
-    """A module over an AlgebraPresentation, given by one action matrix per basis element."""
+    """A module over an AlgebraPresentation, given by one action matrix per basis element.
+
+    `actions` is a tuple of row tuples, read-only like the algebra's brackets.
+    """
 
     __slots__ = ("algebra", "dim", "actions", "_cols", "_key")
 
@@ -427,15 +429,13 @@ class ModulePresentation:
             raise PresentationError(
                 f"{len(actions)} action matrices for an algebra of dimension {algebra.dim}"
             )
-        mats = []
-        for a in actions:
-            rows = [list(r) for r in a]
+        mats = tuple(tuple(tuple(r) for r in a) for a in actions)
+        for rows in mats:
             if len(rows) != dim or any(len(r) != dim for r in rows):
                 raise PresentationError("action matrix is not dim x dim")
             for r in rows:
                 for bits in r:
                     algebra.field.check_bits(bits)
-            mats.append(rows)
         self.algebra = algebra
         self.dim = dim
         self.actions = mats
@@ -526,7 +526,7 @@ class ModulePresentation:
             self._key = (
                 self.algebra._content_key(),
                 self.dim,
-                tuple(tuple(tuple(r) for r in m) for m in self.actions),
+                self.actions,
             )
         return self._key
 

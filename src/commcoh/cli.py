@@ -39,11 +39,11 @@ from .cohomology import (
     NotACocycleError,
     base_change,
     central_extension,
+    coboundary_witness,
     cohomology,
     comparison_comm_to_leibniz,
     comparison_lie_to_comm,
     exact_sequence_check,
-    split_central_extension,
 )
 from .cup import ring_table
 from .field import FieldError, make_field
@@ -208,7 +208,7 @@ def cmd_cocycles2(args):
             extensions.append(
                 {
                     "dim": ext.dim,
-                    "splits": split_central_extension(algebra, rep) is not None,
+                    "splits": coboundary_witness(rep) is not None,
                 }
             )
         payload["central_extensions"] = extensions

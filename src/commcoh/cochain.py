@@ -24,8 +24,9 @@ entries contribute once per position pair, so even multiplicities cancel.
 Matrices of the differential are built column by column: the image of a
 basis cochain is enumerated directly, which also yields a sparse
 application path (`delta_items`) for spaces too large to materialize.
-The test suite cross-checks the columns against a direct multilinear
-evaluation of the defining formula.
+An alternating column is the symmetric one with the repeated-argument
+targets dropped.  The test suite cross-checks the columns against a
+direct multilinear evaluation of the defining formula.
 """
 
 from __future__ import annotations
@@ -84,59 +85,6 @@ def _check_flavor(flavor: str) -> None:
         raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
 
 
-# -- combinatorial indexing ----------------------------------------------------------
-
-
-def combination_rank(comb: Sequence[int], n_elements: int) -> int:
-    """Lexicographic rank of a strictly increasing tuple over range(n_elements)."""
-    rank = 0
-    k = len(comb)
-    prev = -1
-    for i, c in enumerate(comb):
-        for j in range(prev + 1, c):
-            rank += math.comb(n_elements - 1 - j, k - 1 - i)
-        prev = c
-    return rank
-
-
-def combination_unrank(rank: int, n_elements: int, k: int) -> tuple[int, ...]:
-    """Inverse of combination_rank."""
-    out = []
-    prev = -1
-    for i in range(k):
-        c = prev + 1
-        while True:
-            block = math.comb(n_elements - 1 - c, k - 1 - i)
-            if rank < block:
-                break
-            rank -= block
-            c += 1
-        out.append(c)
-        prev = c
-    if rank != 0:
-        raise ValueError("rank out of range")
-    return tuple(out)
-
-
-def multiset_rank(tpl: Sequence[int], d: int) -> int:
-    """Lexicographic rank of a sorted multiset over range(d) (combinatorial number system)."""
-    comb = tuple(t + i for i, t in enumerate(tpl))
-    return combination_rank(comb, d + len(tpl) - 1)
-
-
-def multiset_unrank(rank: int, d: int, n: int) -> tuple[int, ...]:
-    comb = combination_unrank(rank, d + n - 1, n)
-    return tuple(c - i for i, c in enumerate(comb))
-
-
-def sym_dim(d: int, n: int, m: int = 1) -> int:
-    """Dimension C(d+n-1, n) * m of the symmetric n-cochains, cap-checked."""
-    dim = math.comb(d + n - 1, n) * m if d > 0 else (m if n == 0 else 0)
-    if dim > get_entry_cap():
-        raise SizeCapError(f"symmetric cochain dimension {dim} exceeds the entry cap")
-    return dim
-
-
 def flavor_dim(d: int, n: int, m: int, flavor: str) -> int:
     """Uncapped dimension of the degree-n cochain space."""
     if flavor == "symmetric":
@@ -144,15 +92,6 @@ def flavor_dim(d: int, n: int, m: int, flavor: str) -> int:
     if flavor == "alternating":
         return math.comb(d, n) * m
     return d**n * m
-
-
-@lru_cache(maxsize=512)
-def _tuples_for(d: int, n: int, flavor: str) -> tuple[tuple[int, ...], ...]:
-    if flavor == "symmetric":
-        return tuple(itertools.combinations_with_replacement(range(d), n))
-    if flavor == "alternating":
-        return tuple(itertools.combinations(range(d), n))
-    return tuple(itertools.product(range(d), repeat=n))
 
 
 def _insert_sorted(tpl: tuple[int, ...], value: int) -> tuple[int, ...]:
@@ -193,7 +132,13 @@ class CochainSpace:
                 raise SizeCapError(
                     f"cochain space of dimension {self.dim} exceeds the entry cap"
                 )
-            self._tuples = _tuples_for(self.algebra.dim, self.degree, self.flavor)
+            d, n = range(self.algebra.dim), self.degree
+            if self.flavor == "symmetric":
+                self._tuples = tuple(itertools.combinations_with_replacement(d, n))
+            elif self.flavor == "alternating":
+                self._tuples = tuple(itertools.combinations(d, n))
+            else:
+                self._tuples = tuple(itertools.product(d, repeat=n))
         return self._tuples
 
     def tuple_index(self, tpl: tuple[int, ...]) -> int:
@@ -227,14 +172,12 @@ class CochainSpace:
 
     def cochain(self, coeffs: Iterable[int]) -> "Cochain":
         """The cochain with these coefficients; FieldError for one outside the field."""
-        coeffs = tuple(coeffs)
-        self.algebra.field.check_vector(coeffs)
-        return Cochain(self, coeffs)
+        return Cochain(self, tuple(coeffs))
 
     def from_items(self, items: dict[tuple[tuple[int, ...], int], int]) -> "Cochain":
         coeffs = [0] * self.dim
         for (tpl, mu), bits in items.items():
-            coeffs[self.index(tpl, mu)] = self.algebra.field.check_bits(bits)
+            coeffs[self.index(tpl, mu)] = bits
         return Cochain(self, tuple(coeffs))
 
     def __eq__(self, other) -> bool:
@@ -271,26 +214,38 @@ def cochain_space(
 
 
 class Cochain:
-    """An element of a CochainSpace, stored as a dense coefficient vector."""
+    """An element of a CochainSpace, stored as a dense coefficient vector.
+
+    FieldError for a coefficient outside the field; `_of` skips that check
+    for coefficients that are field elements by construction.
+    """
 
     __slots__ = ("space", "coeffs")
 
     def __init__(self, space: CochainSpace, coeffs: tuple[int, ...]):
         if len(coeffs) != space.dim:
             raise ValueError(f"{len(coeffs)} coefficients for a space of dimension {space.dim}")
+        space.algebra.field.check_vector(coeffs)
         self.space = space
         self.coeffs = coeffs
+
+    @classmethod
+    def _of(cls, space: CochainSpace, coeffs: tuple[int, ...]) -> "Cochain":
+        phi = cls.__new__(cls)
+        phi.space = space
+        phi.coeffs = coeffs
+        return phi
 
     def __add__(self, other: "Cochain") -> "Cochain":
         if self.space != other.space:
             raise ValueError("cochains from different spaces")
         f = self.space.algebra.field
-        return Cochain(self.space, tuple(f.add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+        return Cochain._of(self.space, tuple(f.add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
 
     def scale(self, bits: int) -> "Cochain":
         f = self.space.algebra.field
         f.check_bits(bits)
-        return Cochain(self.space, tuple(f.mul(bits, a) for a in self.coeffs))
+        return Cochain._of(self.space, tuple(f.mul(bits, a) for a in self.coeffs))
 
     def value(self, tpl: tuple[int, ...], mu: int = 0) -> int:
         return self.coeffs[self.space.index(tpl, mu)]
@@ -344,7 +299,7 @@ def _source_image_cached(algebra, module, flavor, source, nu):
     d = algebra.dim
     out: dict = {}
 
-    if flavor == "symmetric":
+    if flavor == "symmetric":  # the alternating columns are read off these in source_image
         for t in range(d):
             if (source.count(t) + 1) & 1:  # even position multiplicity cancels
                 col = module.action_col(t, nu)
@@ -369,27 +324,6 @@ def _source_image_cached(algebra, module, flavor, source, nu):
                     target = _insert_sorted(_insert_sorted(rest, u), v)
                     key = (target, nu)
                     out[key] = f.add(out.get(key, 0), coeff)
-
-    elif flavor == "alternating":
-        src_set = set(source)
-        for t in range(d):
-            if t in src_set:
-                continue
-            col = module.action_col(t, nu)
-            if col:
-                target = _insert_sorted(source, t)
-                for mu, val in col:
-                    key = (target, mu)
-                    out[key] = f.add(out.get(key, 0), val)
-        for idx, s in enumerate(source):
-            rest = source[:idx] + source[idx + 1 :]
-            rest_set = src_set - {s}
-            for u, v, coeff in algebra.bracket_into(s):
-                if u == v or u in rest_set or v in rest_set:
-                    continue  # a repeated argument kills an alternating cochain
-                target = _insert_sorted(_insert_sorted(rest, u), v)
-                key = (target, nu)
-                out[key] = f.add(out.get(key, 0), coeff)
 
     else:  # tensor: substitute at position i, delete position j, keep the order
         n = len(source)
@@ -423,10 +357,18 @@ def source_image(
     source: tuple[int, ...],
     nu: int,
 ) -> dict[tuple[tuple[int, ...], int], int]:
-    """The differential of the basis cochain dual to (source, nu), as a sparse dict."""
+    """The differential of the basis cochain dual to (source, nu), as a sparse dict.
+
+    For a repeat-free source, an action term by t has a repeat-free target iff
+    t is not in the source, and a bracket term (u, v) iff u != v and neither is
+    in the rest of the source: the alternating terms, each of multiplicity one.
+    """
     _check_flavor(flavor)
     _check_degree(len(source) + 1)
-    return _source_image_cached(algebra, module, flavor, tuple(source), nu)
+    if flavor != "alternating":
+        return _source_image_cached(algebra, module, flavor, tuple(source), nu)
+    column = _source_image_cached(algebra, module, "symmetric", tuple(source), nu)
+    return {key: val for key, val in column.items() if len(set(key[0])) == len(key[0])}
 
 
 def delta_items(
@@ -485,16 +427,6 @@ def delta(phi: Cochain) -> Cochain:
     items = {key: bits for key, bits in phi.items()}
     image = delta_items(space.algebra, space.module, space.flavor, items)
     return target.from_items(image)
-
-
-def complex_slices(
-    algebra: AlgebraPresentation,
-    module: ModulePresentation,
-    flavor: str,
-    up_to: int,
-) -> list[Matrix]:
-    """The differential matrices delta_0, ..., delta_{up_to}."""
-    return [differential_matrix(algebra, module, n, flavor) for n in range(up_to + 1)]
 
 
 # -- evaluation and Cartan operators ------------------------------------------------------

@@ -62,9 +62,9 @@ class CohomologyResult:
         self.space = space
         self.cocycles = cocycles
         self.coboundaries = coboundaries
-        # unpacked field elements, so the entry check of space.cochain is skipped
+        # unpacked field elements, so the entry check of the Cochain constructor is skipped
         self.representatives = [
-            Cochain(space, v) for v in quotient_basis(cocycles, coboundaries)
+            Cochain._of(space, v) for v in quotient_basis(cocycles, coboundaries)
         ]
         self._solver = None
 
@@ -530,11 +530,6 @@ def central_extension(algebra: AlgebraPresentation, phi: Cochain) -> AlgebraPres
     return AlgebraPresentation(
         algebra.field, d + 1, list(algebra.basis_names) + [z_name], brackets
     )
-
-
-def split_central_extension(algebra: AlgebraPresentation, phi: Cochain) -> Cochain | None:
-    """A linear map omega with d(omega) = phi (a splitting section witness), or None."""
-    return coboundary_witness(phi)
 
 
 # -- Zassenhaus-type degree-2 analysis ----------------------------------------------------

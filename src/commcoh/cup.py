@@ -7,13 +7,19 @@ subsequences.  There are no signs in characteristic 2, so this is both
 associative and commutative on the nose, satisfies the Leibniz rule
 with respect to the differential, and therefore descends to classes.
 
+On dual basis cochains this reads e*_A cup e*_B = prod_t C(a_t + b_t, a_t)
+e*_{A+B}, with a_t and b_t the multiplicities of index t in the multisets
+A and B.  By Lucas's theorem C(a + b, a) is odd exactly when a & b = 0, so
+`cup` runs over pairs of support elements and keeps those whose
+multiplicities share no bit.
+
 `ring_table` assembles the products of all class representatives up to
 a degree bound into a multiplication table with stable labels.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import AlgebraPresentation, trivial_module
@@ -39,20 +45,18 @@ def cup(phi: Cochain, psi: Cochain) -> Cochain:
     sa, sb = phi.space, psi.space
     if sa.algebra != sb.algebra or sa.module != sb.module:
         raise ValueError("cup factors live over different algebras or modules")
-    algebra = sa.algebra
-    f = algebra.field
-    p, q = sa.degree, sb.degree
-    target = cochain_space(algebra, sa.module, p + q, "symmetric")
+    f = sa.algebra.field
+    target = cochain_space(sa.algebra, sa.module, sa.degree + sb.degree, "symmetric")
+    right = [(tpl, Counter(tpl), y) for tpl, y in zip(sb.tuples, psi.coeffs) if y]
     coeffs = [0] * target.dim
-    for idx, tpl in enumerate(target.tuples):
-        acc = 0
-        for pos in itertools.combinations(range(p + q), p):
-            chosen = set(pos)
-            left = tuple(tpl[i] for i in pos)
-            right = tuple(tpl[i] for i in range(p + q) if i not in chosen)
-            acc = f.add(acc, f.mul(phi.value(left), psi.value(right)))
-        coeffs[idx] = acc
-    return target.cochain(coeffs)
+    for left, x in zip(sa.tuples, phi.coeffs):
+        if x:
+            mult = Counter(left)
+            for tpl, other, y in right:
+                if all(a & other[t] == 0 for t, a in mult.items()):
+                    i = target.tuple_index(tuple(sorted(left + tpl)))
+                    coeffs[i] = f.add(coeffs[i], f.mul(x, y))
+    return Cochain._of(target, tuple(coeffs))
 
 
 def _position(label: str) -> tuple[int, int]:

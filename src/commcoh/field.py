@@ -5,10 +5,9 @@ bit i holds the coefficient of x^i.  Arithmetic is exact; multiplication
 reduces modulo a fixed irreducible polynomial of degree k, itself encoded
 as a bitmask (so GF(4) with modulus x^2+x+1 is ``FiniteField(2, 0b111)``).
 
-The low-level field operations (`add`, `mul`, `inv`, ...) work directly on
-integer bit representations, which is what the linear algebra layer uses.
-`Scalar` wraps a bit representation together with its field for code that
-wants operator syntax and cross-field error checking.
+The field operations (`add`, `mul`, `inv`, ...) work directly on these
+integer bit representations; every layer above passes elements as plain
+ints and validates them with `check_bits` / `check_vector` where they enter.
 """
 
 from __future__ import annotations
@@ -18,10 +17,6 @@ MAX_DEGREE = 16
 
 class FieldError(ValueError):
     """Invalid field construction or use."""
-
-
-class FieldMismatchError(FieldError):
-    """Scalars from two different fields were combined."""
 
 
 def poly_degree(m: int) -> int:
@@ -151,18 +146,7 @@ class FiniteField:
     def elements(self) -> range:
         return range(self.order)
 
-    # -- wrappers and serialization ----------------------------------------
-
-    def scalar(self, bits: int) -> "Scalar":
-        return Scalar(self.check_bits(bits), self)
-
-    @property
-    def zero(self) -> "Scalar":
-        return Scalar(0, self)
-
-    @property
-    def one(self) -> "Scalar":
-        return Scalar(1, self)
+    # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
         return {"characteristic": 2, "degree": self.degree, "modulus": self.modulus}
@@ -193,70 +177,6 @@ def make_field(degree: int, modulus: int | None = None) -> FiniteField:
 
 
 GF2 = make_field(1)
-
-
-class Scalar:
-    """An element of a specific FiniteField, supporting operator syntax.
-
-    Mixing scalars of two different fields raises FieldMismatchError
-    rather than silently coercing.
-    """
-
-    __slots__ = ("bits", "field")
-
-    def __init__(self, bits: int, field: FiniteField):
-        self.bits = field.check_bits(bits)
-        self.field = field
-
-    def _same_field(self, other: "Scalar") -> "Scalar":
-        if not isinstance(other, Scalar):
-            raise TypeError(f"cannot combine Scalar with {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatchError(f"{self!r} and {other!r} live in different fields")
-        return other
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        other = self._same_field(other)
-        return Scalar(self.field.add(self.bits, other.bits), self.field)
-
-    __sub__ = __add__  # characteristic 2
-
-    def __neg__(self) -> "Scalar":
-        return self
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        other = self._same_field(other)
-        return Scalar(self.field.mul(self.bits, other.bits), self.field)
-
-    def inverse(self) -> "Scalar":
-        return Scalar(self.field.inv(self.bits), self.field)
-
-    def __truediv__(self, other: "Scalar") -> "Scalar":
-        other = self._same_field(other)
-        return self * other.inverse()
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Scalar)
-            and self.bits == other.bits
-            and self.field == other.field
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.bits, self.field))
-
-    def to_json(self) -> str:
-        return format(self.bits, "x")
-
-    @classmethod
-    def from_json(cls, text: str, field: FiniteField) -> "Scalar":
-        return cls(int(text, 16), field)
-
-    def __repr__(self) -> str:
-        return f"Scalar({format(self.bits, '#x')} in GF(2^{self.field.degree}))"
 
 
 def scalar_to_hex(bits: int) -> str:

@@ -452,11 +452,7 @@ def kernel_basis(a: Matrix) -> Subspace:
 
 def image_basis(a: Matrix) -> Subspace:
     """The column space {A v} as a Subspace of K^nrows."""
-    return row_space(a.transpose())
-
-
-def row_space(a: Matrix) -> Subspace:
-    return Subspace(a.field, a.ncols, _rref(a._packed, a.ncols, a.field))
+    return Subspace(a.field, a.nrows, _rref(a.transpose()._packed, a.nrows, a.field))
 
 
 def _solver(a: Matrix) -> tuple[list[tuple[int, int]], list[int]]:

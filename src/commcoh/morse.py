@@ -129,39 +129,41 @@ class Matching:
         ]
 
 
-def _pair_cycle_check(cx: BasedComplex, n: int, pairs_n: list[tuple[int, int]]) -> None:
+def _pair_cycle_check(cx: BasedComplex, n: int, pairs_n: list[tuple[int, int]]) -> list[int]:
     """Raise MorseError if reversing this degree's matched edges creates a cycle.
 
     A directed cycle in the modified graph alternates strictly between two
     adjacent degrees, so it is enough to look for a cycle among this degree's
     matched tails, where tail x precedes tail a whenever x hits a's head.
+    Returns the tails in that order.
     """
     dmat = cx.matrices[n]
     partner = dict(pairs_n)
     tails = list(partner)
     succs = {x: [] for x in tails}
+    preds = {x: [] for x in tails}
     indeg = {x: 0 for x in tails}
     for a in tails:
         head_row = dmat.row(partner[a])
         for x in tails:
             if x != a and head_row[x]:
                 succs[x].append(a)
+                preds[a].append(x)
                 indeg[a] += 1
     queue = [x for x in tails if indeg[x] == 0]
-    seen = 0
+    order = []
     while queue:
         x = queue.pop()
-        seen += 1
+        order.append(x)
         for a in succs[x]:
             indeg[a] -= 1
             if indeg[a] == 0:
                 queue.append(a)
-    if seen == len(tails):
-        return
+    if len(order) == len(tails):
+        return order
     # walk predecessors inside the unpeeled set: every node there still has
     # one, so the walk must revisit a node and that loop is a cycle
     remaining = {x for x in tails if indeg[x] > 0}
-    preds = {a: [x for x in tails if a in succs[x]] for a in tails}
     start = min(remaining)
     trail = [start]
     spot = {start: 0}
@@ -177,8 +179,11 @@ def _pair_cycle_check(cx: BasedComplex, n: int, pairs_n: list[tuple[int, int]]) 
         trail.append(x)
 
 
-def validate_matching(cx: BasedComplex, matching: Matching) -> None:
-    """Raise MorseError unless the matching is incidence-valid, disjoint, acyclic."""
+def validate_matching(cx: BasedComplex, matching: Matching) -> list[list[int]]:
+    """Raise MorseError unless the matching is incidence-valid, disjoint, acyclic.
+
+    Returns each degree's matched tails, x before a whenever x hits a's head.
+    """
     used: set[tuple[int, int]] = set()
     for n, i, j in matching.pairs:
         if not 0 <= n < cx.top_degree:
@@ -195,10 +200,7 @@ def validate_matching(cx: BasedComplex, matching: Matching) -> None:
                     f"cell {cx.labels[cell[0]][cell[1]]} appears in two pairs"
                 )
             used.add(cell)
-    for n in range(cx.top_degree):
-        pairs_n = matching.by_degree(n)
-        if pairs_n:
-            _pair_cycle_check(cx, n, pairs_n)
+    return [_pair_cycle_check(cx, n, matching.by_degree(n)) for n in range(cx.top_degree)]
 
 
 @dataclass
@@ -221,7 +223,7 @@ class MorseReduction:
 
 def morse_complex(cx: BasedComplex, matching: Matching) -> MorseReduction:
     """The reduced complex on unmatched cells, with path-sum differentials."""
-    validate_matching(cx, matching)
+    orders = validate_matching(cx, matching)
     f = cx.field
     tails_by_degree = [dict(matching.by_degree(n)) for n in range(cx.top_degree)]
     heads_by_degree = [
@@ -237,19 +239,21 @@ def morse_complex(cx: BasedComplex, matching: Matching) -> MorseReduction:
     reduced_mats = []
     for n in range(cx.top_degree):
         dmat = cx.matrices[n]
+        cols = dmat.transpose()
         partner_low = tails_by_degree[n]
         partner_high = heads_by_degree[n]
         upper_unmatched_pos = {j: k for k, j in enumerate(unmatched[n + 1])}
         memo: dict[int, dict[int, int]] = {}
 
         def flow(i: int) -> dict[int, int]:
-            """Weights of all zigzag paths from lower cell i to unmatched upper cells."""
-            if i in memo:
-                return memo[i]
+            """Weights of all zigzag paths from lower cell i to unmatched upper cells.
+
+            A path through a matched head goes on from its tail, whose flow
+            must already be in memo.
+            """
             out: dict[int, int] = {}
             skip = partner_low.get(i)
-            for j in range(dmat.nrows):
-                w = dmat.entry(j, i)
+            for j, w in enumerate(cols.row(i)):
                 if not w or j == skip:
                     continue
                 if j in upper_unmatched_pos:
@@ -261,15 +265,17 @@ def morse_complex(cx: BasedComplex, matching: Matching) -> MorseReduction:
                         # descends from it, so the path dies here
                         continue
                     back = f.mul(w, f.inv(dmat.entry(j, a)))
-                    for tgt, wt in flow(a).items():
+                    for tgt, wt in memo[a].items():
                         acc = f.add(out.get(tgt, 0), f.mul(back, wt))
                         if acc:
                             out[tgt] = acc
                         else:
                             out.pop(tgt, None)
-            memo[i] = out
             return out
 
+        # every tail after the tails whose heads it hits, so nothing recurses
+        for i in reversed(orders[n]):
+            memo[i] = flow(i)
         rows = [[0] * len(unmatched[n]) for _ in range(len(unmatched[n + 1]))]
         for c, i in enumerate(unmatched[n]):
             for j, w in flow(i).items():

@@ -1,9 +1,18 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from commcoh.field import make_field, binom_mod2
-from commcoh.algebra import abelian, adjoint_module, dim2, heisenberg, trivial_module
+from commcoh.algebra import (
+    AlgebraPresentation,
+    abelian,
+    adjoint_module,
+    dim2,
+    heisenberg,
+    trivial_module,
+)
 from commcoh.cochain import cochain_space, delta
 from commcoh.cohomology import cohomology
 from commcoh import linalg
@@ -62,6 +71,60 @@ def test_central_binomial_squares_vanish():
             if p == q == 0:
                 continue
             assert cup(chi(a, p, q), chi(a, p, q)).is_zero()
+
+
+# ------------------------------------------------------------------
+# the position-split definition, kept as the oracle of cup
+# ------------------------------------------------------------------
+
+
+def naive_cup(phi, psi):
+    """The cup product straight from its definition: the value on sorted
+    arguments sums, over every choice of p of the p+q positions, phi on the
+    chosen subsequence times psi on the rest."""
+    sa, sb = phi.space, psi.space
+    f = sa.algebra.field
+    p, q = sa.degree, sb.degree
+    target = cochain_space(sa.algebra, sa.module, p + q)
+    coeffs = [0] * target.dim
+    for idx, tpl in enumerate(target.tuples):
+        acc = 0
+        for pos in itertools.combinations(range(p + q), p):
+            chosen = set(pos)
+            left = tuple(tpl[i] for i in pos)
+            right = tuple(tpl[i] for i in range(p + q) if i not in chosen)
+            acc = f.add(acc, f.mul(phi.value(left), psi.value(right)))
+        coeffs[idx] = acc
+    return target.cochain(coeffs)
+
+
+def square_example(fld):
+    # [x, x] = y: a symmetric bracket that is not a Lie bracket
+    return AlgebraPresentation(fld, 3, ["x", "y", "w"], {(0, 0): {1: 1}})
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([1, 3]),
+    st.sampled_from([lambda fld: heisenberg(2, fld), square_example]),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32),
+)
+def test_cup_matches_position_split_definition(k, build, p, q, density, seed):
+    fld = make_field(k)
+    a = build(fld)
+    rng = random.Random(seed)
+
+    def draw(n):
+        sp = cochain_space(a, trivial_module(a), n)
+        return sp.cochain(
+            [rng.randrange(1, fld.order) if rng.random() < density else 0 for _ in range(sp.dim)]
+        )
+
+    phi, psi = draw(p), draw(q)
+    assert cup(phi, psi) == naive_cup(phi, psi)
 
 
 # ------------------------------------------------------------------

@@ -6,9 +6,7 @@ from hypothesis import given, strategies as st
 from commcoh.field import (
     GF2,
     FieldError,
-    FieldMismatchError,
     FiniteField,
-    Scalar,
     binom_mod2,
     default_modulus,
     find_factor,
@@ -193,26 +191,8 @@ def test_binom_central_even():
 
 
 # ------------------------------------------------------------------
-# Scalar wrapper
+# hex serialization
 # ------------------------------------------------------------------
-
-
-def test_scalar_operators():
-    f = make_field(3)
-    a = f.scalar(0b101)
-    b = f.scalar(0b011)
-    assert (a + b).bits == 0b110
-    assert (a * b) == f.scalar(f.mul(0b101, 0b011))
-    assert (a / a) == f.one
-    assert -a == a
-    assert bool(f.zero) is False and bool(a) is True
-
-
-def test_scalar_cross_field_raises():
-    a = make_field(2).scalar(1)
-    b = make_field(3).scalar(1)
-    with pytest.raises(FieldMismatchError):
-        _ = a + b
 
 
 def test_scalar_hex_roundtrip():
@@ -221,8 +201,6 @@ def test_scalar_hex_roundtrip():
         text = scalar_to_hex(bits)
         assert text == format(bits, "x")
         assert scalar_from_hex(text, f) == bits
-    s = f.scalar(0b1010)
-    assert Scalar.from_json(s.to_json(), f) == s
 
 
 def test_scalar_from_hex_validates():

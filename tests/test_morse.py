@@ -6,7 +6,7 @@ from commcoh.field import make_field
 from commcoh.algebra import dim2, heisenberg, trivial_module
 from commcoh.cochain import cochain_space
 from commcoh.cohomology import cohomology
-from commcoh.linalg import Matrix, kernel_basis
+from commcoh.linalg import Matrix, entry_cap_override, kernel_basis
 from commcoh.morse import (
     BasedComplex,
     Matching,
@@ -152,6 +152,20 @@ def test_matching_rejects_cycle_and_names_it():
     ok = Matching.from_labels(cx, [("x1", "y1")])
     red = morse_complex(cx, ok)
     assert red.reduced.dims() == [1, 1]
+
+
+def test_long_zigzag_does_not_recurse():
+    # d(a_i) = b_i + b_(i+1) with a_i matched to b_(i+1): the one critical
+    # lower cell reaches b_0 through a zigzag of n - 1 steps, deeper than
+    # the default recursion limit
+    n = 2000
+    with entry_cap_override(10**8):
+        rows = [sum(1 << j for j in (i - 1, i) if 0 <= j < n) for i in range(n + 1)]
+        mat = Matrix.from_packed(GF2, rows, n)
+        cx = BasedComplex(GF2, [mat], [[f"a{i}" for i in range(n)], [f"b{i}" for i in range(n + 1)]])
+        red = morse_complex(cx, Matching([(0, i, i + 1) for i in range(n - 1)]))
+    assert red.reduced.labels == [[f"a{n - 1}"], ["b0", f"b{n}"]]
+    assert red.reduced.matrices[0].rows() == [[1], [1]]
 
 
 def test_from_labels_rejects_unknown_and_ambiguous():
