@@ -124,12 +124,6 @@ class AlgebraPresentation:
         v[i] = 1
         return v
 
-    def name_index(self, name: str) -> int:
-        try:
-            return self.basis_names.index(name)
-        except ValueError:
-            raise PresentationError(f"unknown basis name {name!r}") from None
-
     # -- axioms -----------------------------------------------------------------
 
     def jacobi_violations(self) -> list[tuple[int, int, int, tuple[int, ...]]]:
@@ -198,7 +192,7 @@ class AlgebraPresentation:
             self.field,
             [[ideal.reduce(self.basis_vector(j))[c] for j in range(self.dim)] for c in free],
             self.dim,
-        ) if free else Matrix.zeros(self.field, 0, self.dim)
+        )
         names = [self.basis_names[c] for c in free]
         new_brackets: dict[tuple[int, int], dict[int, int]] = {}
         for a in range(r):
@@ -442,9 +436,6 @@ class ModulePresentation:
         self._cols = None
         self._key = None
 
-    def action_entry(self, t: int, mu: int, nu: int) -> int:
-        return self.actions[t][mu][nu]
-
     def action_col(self, t: int, nu: int) -> list[tuple[int, int]]:
         """Sparse column nu of rho(e_t): pairs (mu, value)."""
         if self._cols is None:
@@ -484,6 +475,7 @@ class ModulePresentation:
         f = self.algebra.field
         d = self.algebra.dim
         m = self.dim
+        mats = [Matrix.from_rows(f, rows, m) for rows in self.actions]
         violations = []
         for i in range(d):
             for j in range(i, d):
@@ -495,8 +487,7 @@ class ModulePresentation:
                         for nu in range(m):
                             if row[nu]:
                                 lrow[nu] = f.add(lrow[nu], f.mul(bits, row[nu]))
-                rhs = _mat_add(f, _mat_mul(f, self.actions[i], self.actions[j]),
-                               _mat_mul(f, self.actions[j], self.actions[i]))
+                rhs = mats[i].mul(mats[j]).add(mats[j].mul(mats[i])).rows()
                 defect = [
                     (mu, nu, lhs[mu][nu], rhs[mu][nu])
                     for mu in range(m)
@@ -532,26 +523,6 @@ class ModulePresentation:
 
     def __repr__(self) -> str:
         return f"ModulePresentation(dim {self.dim} over algebra of dim {self.algebra.dim})"
-
-
-def _mat_mul(f: FiniteField, a, b):
-    m = len(a)
-    out = [[0] * m for _ in range(m)]
-    for i in range(m):
-        arow = a[i]
-        orow = out[i]
-        for k in range(m):
-            c = arow[k]
-            if c:
-                brow = b[k]
-                for j in range(m):
-                    if brow[j]:
-                        orow[j] = f.add(orow[j], f.mul(c, brow[j]))
-    return out
-
-
-def _mat_add(f: FiniteField, a, b):
-    return [[f.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def module_from_actions(
@@ -645,13 +616,7 @@ def derivation_space(algebra: AlgebraPresentation) -> tuple[Subspace, Subspace]:
                         row[u * d + j] = f.add(row[u * d + j], c2)
                 if any(row):
                     rows.append(row)
-    if rows:
-        system = Matrix.from_rows(f, rows, d * d)
-        ders = kernel_basis(system)
-    else:
-        ders = Subspace.from_vectors(
-            f, Matrix.identity(f, d * d).rows(), d * d
-        )
+    ders = kernel_basis(Matrix.from_rows(f, rows, d * d))
     inner_vecs = []
     for i in range(d):
         ad = algebra.ad_matrix(i)

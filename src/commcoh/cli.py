@@ -223,12 +223,13 @@ def cmd_cupring(args):
 
 def cmd_morse(args):
     flavor = _flavor(args)
-    name, _, raw = args.algebra.partition(":")
-    if name == "heisenberg" and flavor == "symmetric" and args.module == "trivial":
-        ell = int(raw)
+    algebra, module = _setup(args)
+    # the collapsing matching is built on the Heisenberg algebra over GF(2)
+    ell = algebra.dim // 2
+    fast = ell >= 1 and algebra == heisenberg(ell)
+    if fast and flavor == "symmetric" and args.module == "trivial":
         cx, matching = heisenberg_matching(ell, args.max_degree)
     else:
-        algebra, module = _setup(args)
         _need_lie(algebra, flavor)
         cx = complex_from_cochains(algebra, module, flavor, args.max_degree)
         matching = greedy_matching(cx)

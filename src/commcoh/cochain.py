@@ -51,10 +51,6 @@ class DegreeCapError(ValueError):
     """A requested cochain degree exceeds the configured cap."""
 
 
-def get_degree_cap() -> int:
-    return _degree_cap
-
-
 def set_degree_cap(cap: int) -> None:
     global _degree_cap
     if cap < 0:

@@ -163,10 +163,6 @@ def invariants_subspace(algebra: AlgebraPresentation, module: ModulePresentation
     rows = []
     for i in range(algebra.dim):
         rows.extend(module.actions[i])
-    if not rows:
-        return Subspace.from_vectors(
-            algebra.field, Matrix.identity(algebra.field, module.dim).rows(), module.dim
-        )
     return kernel_basis(Matrix.from_rows(algebra.field, rows, module.dim))
 
 
@@ -309,10 +305,6 @@ def alternating_invariant_forms(algebra: AlgebraPresentation) -> Subspace:
                         row[idx] = f.add(row[idx], bits)
                 if any(row):
                     rows.append(row)
-    if not rows or n_unknowns == 0:
-        return Subspace.from_vectors(
-            f, Matrix.identity(f, n_unknowns).rows() if n_unknowns else [], n_unknowns
-        )
     return kernel_basis(Matrix.from_rows(f, rows, n_unknowns))
 
 

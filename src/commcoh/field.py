@@ -105,11 +105,6 @@ class FiniteField:
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
-    sub = add  # characteristic 2
-
-    def neg(self, a: int) -> int:
-        return a  # characteristic 2
-
     def mul(self, a: int, b: int) -> int:
         if self.degree == 1:
             return a & b

@@ -129,9 +129,6 @@ class Matrix:
     def rows(self) -> list[list[int]]:
         return [self.row(i) for i in range(self.nrows)]
 
-    def col(self, j: int) -> list[int]:
-        return [self.entry(i, j) for i in range(self.nrows)]
-
     def is_zero(self) -> bool:
         return not any(self._packed)
 

@@ -9,6 +9,12 @@ unmatched cells carry a reduced complex with the same cohomology in
 degrees 0 through T-1, with differential given by summing weights over
 zigzag paths.
 
+`validate_matching` checks acyclicity one degree at a time by ordering the
+matched tails with `graphlib`, and names the cells of a cycle when there is
+one.  `greedy_matching` scans the cells in index order and keeps a pair
+unless it closes a cycle through itself, which is the only cycle it can
+close.
+
 `heisenberg_matching` builds the explicit matching that collapses the
 symmetric complex of a Heisenberg algebra with trivial coefficients to
 zero differential, and `heisenberg_unmatched_cells` is its closed-form
@@ -18,6 +24,7 @@ critical-cell description, kept separate so the two can be compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 
 from .algebra import AlgebraPresentation, ModulePresentation, heisenberg, trivial_module
 from .cochain import cochain_space, differential_matrix
@@ -129,60 +136,13 @@ class Matching:
         ]
 
 
-def _pair_cycle_check(cx: BasedComplex, n: int, pairs_n: list[tuple[int, int]]) -> list[int]:
-    """Raise MorseError if reversing this degree's matched edges creates a cycle.
-
-    A directed cycle in the modified graph alternates strictly between two
-    adjacent degrees, so it is enough to look for a cycle among this degree's
-    matched tails, where tail x precedes tail a whenever x hits a's head.
-    Returns the tails in that order.
-    """
-    dmat = cx.matrices[n]
-    partner = dict(pairs_n)
-    tails = list(partner)
-    succs = {x: [] for x in tails}
-    preds = {x: [] for x in tails}
-    indeg = {x: 0 for x in tails}
-    for a in tails:
-        head_row = dmat.row(partner[a])
-        for x in tails:
-            if x != a and head_row[x]:
-                succs[x].append(a)
-                preds[a].append(x)
-                indeg[a] += 1
-    queue = [x for x in tails if indeg[x] == 0]
-    order = []
-    while queue:
-        x = queue.pop()
-        order.append(x)
-        for a in succs[x]:
-            indeg[a] -= 1
-            if indeg[a] == 0:
-                queue.append(a)
-    if len(order) == len(tails):
-        return order
-    # walk predecessors inside the unpeeled set: every node there still has
-    # one, so the walk must revisit a node and that loop is a cycle
-    remaining = {x for x in tails if indeg[x] > 0}
-    start = min(remaining)
-    trail = [start]
-    spot = {start: 0}
-    x = start
-    while True:
-        x = next(p for p in preds[x] if p in remaining)
-        if x in spot:
-            cycle = trail[spot[x]:]
-            cycle.reverse()
-            names = [cx.labels[n][i] for i in cycle]
-            raise MorseError(f"matching is cyclic in degree {n}: {' -> '.join(names)}")
-        spot[x] = len(trail)
-        trail.append(x)
-
-
 def validate_matching(cx: BasedComplex, matching: Matching) -> list[list[int]]:
     """Raise MorseError unless the matching is incidence-valid, disjoint, acyclic.
 
-    Returns each degree's matched tails, x before a whenever x hits a's head.
+    A directed cycle in the modified graph alternates strictly between two
+    adjacent degrees, so it is enough to look for a cycle among each degree's
+    matched tails, where tail x comes before tail a whenever x hits a's head.
+    Returns each degree's matched tails in that order.
     """
     used: set[tuple[int, int]] = set()
     for n, i, j in matching.pairs:
@@ -200,7 +160,19 @@ def validate_matching(cx: BasedComplex, matching: Matching) -> list[list[int]]:
                     f"cell {cx.labels[cell[0]][cell[1]]} appears in two pairs"
                 )
             used.add(cell)
-    return [_pair_cycle_check(cx, n, matching.by_degree(n)) for n in range(cx.top_degree)]
+    orders = []
+    for n in range(cx.top_degree):
+        partner = dict(matching.by_degree(n))
+        before = {}
+        for a, j in partner.items():
+            head_row = cx.matrices[n].row(j)
+            before[a] = [x for x in partner if x != a and head_row[x]]
+        try:
+            orders.append(list(TopologicalSorter(before).static_order()))
+        except CycleError as exc:
+            names = " -> ".join(cx.labels[n][i] for i in exc.args[1])
+            raise MorseError(f"matching is cyclic in degree {n}: {names}") from None
+    return orders
 
 
 @dataclass
@@ -290,29 +262,46 @@ def morse_complex(cx: BasedComplex, matching: Matching) -> MorseReduction:
 
 
 def greedy_matching(cx: BasedComplex) -> Matching:
-    """A maximal-by-inclusion acyclic matching found by greedy scanning."""
+    """A maximal-by-inclusion acyclic matching found by greedy scanning.
+
+    Each degree's matched tails stay acyclic, so a tentative pair (i, j)
+    closes a cycle exactly when it passes through i: when a walk from i,
+    over the tails whose heads it hits, reaches a tail that hits j.
+    """
     pairs: list[tuple[int, int, int]] = []
-    used: set[tuple[int, int]] = set()
+    below: dict[int, int] = {}  # cells of degree n matched as heads in degree n - 1
     for n in range(cx.top_degree):
-        dmat = cx.matrices[n]
-        pairs_n: list[tuple[int, int]] = []
-        for i in range(dmat.ncols):
-            if (n, i) in used:
+        cols = cx.matrices[n].transpose()
+        hits: dict[int, list[int]] = {}  # matched tail -> the cells it hits
+        heads: dict[int, int] = {}       # matched head -> its tail
+        for i in range(cols.nrows):
+            if i in below:
                 continue
-            for j in range(dmat.nrows):
-                if (n + 1, j) in used or not dmat.entry(j, i):
-                    continue
-                pairs_n.append((i, j))
-                try:
-                    _pair_cycle_check(cx, n, pairs_n)
-                except MorseError:
-                    pairs_n.pop()
-                    continue
-                used.add((n, i))
-                used.add((n + 1, j))
-                pairs.append((n, i, j))
-                break
+            hits_i = [j for j, w in enumerate(cols.row(i)) if w]
+            for j in hits_i:
+                if j not in heads and not _closes_cycle(cols, hits, heads, i, j, hits_i):
+                    hits[i] = hits_i
+                    heads[j] = i
+                    pairs.append((n, i, j))
+                    break
+        below = heads
     return Matching(pairs)
+
+
+def _closes_cycle(cols: Matrix, hits, heads, i: int, j: int, hits_i: list[int]) -> bool:
+    """Whether some tail reachable from i hits j (cols holds d's columns)."""
+    seen = {i}
+    stack = [hits_i]
+    while stack:
+        for h in stack.pop():
+            a = heads.get(h)
+            if a is None or a in seen:
+                continue
+            if cols.entry(a, j):
+                return True
+            seen.add(a)
+            stack.append(hits[a])
+    return False
 
 
 # -- the Heisenberg collapse ------------------------------------------------------------

@@ -308,7 +308,7 @@ def test_dual_module_pairing():
     for i in range(a.dim):
         for mu in range(a.dim):
             for nu in range(a.dim):
-                assert dual.action_entry(i, mu, nu) == adj.action_entry(i, nu, mu)
+                assert dual.actions[i][mu][nu] == adj.actions[i][nu][mu]
 
 
 def test_module_from_actions_rejects_bad_action():

@@ -4,6 +4,7 @@ import subprocess
 
 import pytest
 
+from commcoh import cli
 from commcoh.cli import main, parse_algebra, render_text
 from commcoh.field import make_field
 from commcoh.algebra import AlgebraPresentation
@@ -87,6 +88,21 @@ def test_morse_heisenberg_fast_path(capsys):
     assert payload["agrees"] is True
     assert payload["reduced_dims"][:4] == [1, 2, 4, 6]
     assert "matching" not in payload  # gated behind --reps
+
+
+def test_morse_checks_field_degree(capsys, monkeypatch):
+    # the Heisenberg matching is built over GF(2); every other field parses
+    # like any algebra and goes through the greedy matching
+    for bad in ("17", "0"):
+        code, _, err = run(capsys, "morse", "--algebra", "heisenberg:1", "--field-degree", bad)
+        assert code == 1 and "field degree" in err
+    fast = []
+    real = cli.heisenberg_matching
+    monkeypatch.setattr(cli, "heisenberg_matching", lambda *a: fast.append(a) or real(*a))
+    for degree in ("2", "1"):
+        code, _, _ = run(capsys, "morse", "--algebra", "heisenberg:1", "--field-degree", degree)
+        assert code == 0
+    assert fast == [(1, 3)]
 
 
 def test_morse_reps_includes_matching(capsys):

