@@ -9,7 +9,8 @@ reduction (morse).
 Exit codes: 0 on success, 1 when the computation could not be carried
 out (bad input, size caps), 2 when a validation or consistency check
 failed on an otherwise well-formed input, 3 on an internal failure: a
-fault in commcoh itself, not in what it was given.
+fault in commcoh itself, not in what it was given.  A reader that closes
+the output early (``| head``) gets the command's own code and no traceback.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -418,14 +420,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    stack = contextlib.ExitStack()
-    if args.cap is not None:
-        stack.enter_context(entry_cap_override(args.cap))
-    if args.degree_cap is not None:
-        stack.enter_context(degree_cap_override(args.degree_cap))
     try:
-        with stack:
+        with contextlib.ExitStack() as stack:
+            if args.cap is not None:
+                stack.enter_context(entry_cap_override(args.cap))
+            if args.degree_cap is not None:
+                stack.enter_context(degree_cap_override(args.degree_cap))
             payload, code = args.handler(args)
+        if args.out:
+            Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+        if args.format == "json":
+            text = json.dumps(payload, indent=2)
+        else:
+            text = "\n".join(render_text(payload))
     except (AxiomError, MorseError, NotACocycleError) as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return 2
@@ -443,12 +450,12 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(render_text(payload)))
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; send the interpreter's final flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -34,46 +34,41 @@ from __future__ import annotations
 import itertools
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .algebra import AlgebraPresentation, ModulePresentation
 from .field import scalar_to_hex
-from .linalg import Matrix, SizeCapError, check_entry_count, get_entry_cap
+from .linalg import Matrix, check_entry_count
 
 FLAVORS = ("symmetric", "alternating", "tensor")
 
-_DEFAULT_DEGREE_CAP = 8
-_degree_cap = _DEFAULT_DEGREE_CAP
+_degree_cap: ContextVar[int] = ContextVar("degree_cap", default=8)
 
 
 class DegreeCapError(ValueError):
     """A requested cochain degree exceeds the configured cap."""
 
 
-def set_degree_cap(cap: int) -> None:
-    global _degree_cap
-    if cap < 0:
-        raise ValueError("degree cap must be nonnegative")
-    _degree_cap = cap
-
-
 @contextmanager
 def degree_cap_override(cap: int):
-    global _degree_cap
-    old = _degree_cap
-    set_degree_cap(cap)
+    """Raise or lower the degree cap in the current context."""
+    if cap < 0:
+        raise ValueError("degree cap must be nonnegative")
+    token = _degree_cap.set(cap)
     try:
         yield
     finally:
-        _degree_cap = old
+        _degree_cap.reset(token)
 
 
 def _check_degree(n: int) -> None:
     if n < 0:
         raise ValueError(f"cochain degree must be nonnegative, got {n}")
-    if n > _degree_cap:
-        raise DegreeCapError(f"degree {n} exceeds the cap {_degree_cap}")
+    cap = _degree_cap.get()
+    if n > cap:
+        raise DegreeCapError(f"degree {n} exceeds the cap {cap}")
 
 
 def _check_flavor(flavor: str) -> None:
@@ -124,10 +119,7 @@ class CochainSpace:
     @property
     def tuples(self) -> tuple[tuple[int, ...], ...]:
         if self._tuples is None:
-            if self.dim > get_entry_cap():
-                raise SizeCapError(
-                    f"cochain space of dimension {self.dim} exceeds the entry cap"
-                )
+            check_entry_count(self.dim, 1)
             d, n = range(self.algebra.dim), self.degree
             if self.flavor == "symmetric":
                 self._tuples = tuple(itertools.combinations_with_replacement(d, n))

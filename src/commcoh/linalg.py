@@ -22,19 +22,23 @@ Everything here is deterministic: pivots are the leftmost nonzero entries
 of the reduced rows, subspaces are kept in reduced row echelon form, and
 quotient bases are the pivot-complement vectors of the numerator.
 
-A module-level entry cap (rows * cols) turns runaway size requests into
-errors instead of memory exhaustion; see set_entry_cap / entry_cap_override.
+Callers outside this module place entries by shifting, pass packed rows to
+`Matrix.from_packed`, read a row's nonzero entries with `Matrix.nonzeros` and
+multiply a packed row by a field element with `scale_packed`.
+
+An entry cap (rows * cols), held in a context variable, turns runaway size
+requests into errors instead of memory exhaustion; see entry_cap_override.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterable, Sequence
 
 from .field import FiniteField, poly_mod
 
-_DEFAULT_ENTRY_CAP = 1_000_000
-_entry_cap = _DEFAULT_ENTRY_CAP
+_entry_cap: ContextVar[int] = ContextVar("entry_cap", default=1_000_000)
 
 
 class SizeCapError(ValueError):
@@ -45,34 +49,22 @@ class ContainmentError(ValueError):
     """A subspace inclusion that an operation requires does not hold."""
 
 
-def get_entry_cap() -> int:
-    return _entry_cap
-
-
-def set_entry_cap(cap: int) -> None:
-    global _entry_cap
-    if cap < 1:
-        raise ValueError(f"entry cap must be positive, got {cap}")
-    _entry_cap = cap
-
-
 @contextmanager
 def entry_cap_override(cap: int):
-    """Temporarily raise or lower the entry cap (used by tests and the CLI)."""
-    global _entry_cap
-    old = _entry_cap
-    set_entry_cap(cap)
+    """Raise or lower the entry cap in the current context (used by tests and the CLI)."""
+    if cap < 1:
+        raise ValueError(f"entry cap must be positive, got {cap}")
+    token = _entry_cap.set(cap)
     try:
         yield
     finally:
-        _entry_cap = old
+        _entry_cap.reset(token)
 
 
 def check_entry_count(nrows: int, ncols: int) -> None:
-    if nrows * ncols > _entry_cap:
-        raise SizeCapError(
-            f"{nrows} x {ncols} = {nrows * ncols} entries exceeds the cap {_entry_cap}"
-        )
+    cap = _entry_cap.get()
+    if nrows * ncols > cap:
+        raise SizeCapError(f"{nrows} x {ncols} = {nrows * ncols} entries exceeds the cap {cap}")
 
 
 class Matrix:
@@ -125,6 +117,11 @@ class Matrix:
 
     def row(self, i: int) -> list[int]:
         return _unpack_row(self._packed[i], self.ncols, self.field)
+
+    def nonzeros(self, i: int) -> list[tuple[int, int]]:
+        """(column, entry) of each nonzero entry of row i, columns ascending."""
+        k = self.field.degree
+        return [(s // k, c) for s, c in _lanes(self._packed[i], k)][::-1]
 
     def rows(self) -> list[list[int]]:
         return [self.row(i) for i in range(self.nrows)]
@@ -260,6 +257,13 @@ def _scale(row: int, c: int, f: FiniteField, tops: int) -> int:
         if c:
             row = _times_x(row, f, tops)
     return acc
+
+
+def scale_packed(row: int, c: int, f: FiniteField) -> int:
+    """c times every entry of a packed row, as Matrix.from_packed lays rows out."""
+    if c == 1:
+        return row
+    return _scale(row, c, f, _tops(f, row.bit_length() // f.degree + 1))
 
 
 def _lanes(row: int, k: int):

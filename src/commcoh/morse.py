@@ -13,7 +13,11 @@ zigzag paths.
 matched tails with `graphlib`, and names the cells of a cycle when there is
 one.  `greedy_matching` scans the cells in index order and keeps a pair
 unless it closes a cycle through itself, which is the only cycle it can
-close.
+close.  Both read incidences with `Matrix.nonzeros`, never as dense rows.
+
+`morse_complex` keeps the path sums from each lower cell as one packed row
+over the unmatched upper cells: a direct incidence sets one lane, and a path
+through a matched head adds a multiple (`scale_packed`) of its tail's row.
 
 `heisenberg_matching` builds the explicit matching that collapses the
 symmetric complex of a Heisenberg algebra with trivial coefficients to
@@ -29,7 +33,7 @@ from graphlib import CycleError, TopologicalSorter
 from .algebra import AlgebraPresentation, ModulePresentation, heisenberg, trivial_module
 from .cochain import cochain_space, differential_matrix
 from .field import FiniteField
-from .linalg import Matrix, rank as matrix_rank
+from .linalg import Matrix, rank as matrix_rank, scale_packed
 
 
 class MorseError(ValueError):
@@ -68,12 +72,8 @@ class BasedComplex:
 
     def cohomology_dims(self) -> list[int]:
         """dim H^n for n = 0 .. top_degree - 1 (the top degree needs the next matrix)."""
-        out = []
-        for n in range(self.top_degree):
-            z = len(self.labels[n]) - matrix_rank(self.matrices[n])
-            b = 0 if n == 0 else matrix_rank(self.matrices[n - 1])
-            out.append(z - b)
-        return out
+        ranks = [0] + [matrix_rank(mat) for mat in self.matrices]
+        return [len(self.labels[n]) - ranks[n + 1] - ranks[n] for n in range(self.top_degree)]
 
 
 def complex_from_cochains(
@@ -163,10 +163,10 @@ def validate_matching(cx: BasedComplex, matching: Matching) -> list[list[int]]:
     orders = []
     for n in range(cx.top_degree):
         partner = dict(matching.by_degree(n))
-        before = {}
-        for a, j in partner.items():
-            head_row = cx.matrices[n].row(j)
-            before[a] = [x for x in partner if x != a and head_row[x]]
+        before = {
+            a: [x for x, _ in cx.matrices[n].nonzeros(j) if x != a and x in partner]
+            for a, j in partner.items()
+        }
         try:
             orders.append(list(TopologicalSorter(before).static_order()))
         except CycleError as exc:
@@ -208,51 +208,45 @@ def morse_complex(cx: BasedComplex, matching: Matching) -> MorseReduction:
             taken |= set(heads_by_degree[n - 1])
         unmatched.append([i for i in range(len(cx.labels[n])) if i not in taken])
 
+    k = f.degree
     reduced_mats = []
     for n in range(cx.top_degree):
-        dmat = cx.matrices[n]
-        cols = dmat.transpose()
+        cols = cx.matrices[n].transpose()
         partner_low = tails_by_degree[n]
         partner_high = heads_by_degree[n]
-        upper_unmatched_pos = {j: k for k, j in enumerate(unmatched[n + 1])}
-        memo: dict[int, dict[int, int]] = {}
+        upper_unmatched_pos = {j: p for p, j in enumerate(unmatched[n + 1])}
+        memo: dict[int, int] = {}
 
-        def flow(i: int) -> dict[int, int]:
-            """Weights of all zigzag paths from lower cell i to unmatched upper cells.
+        def flow(i: int) -> int:
+            """Weights of all zigzag paths from lower cell i to unmatched upper cells,
+            packed with the weight at unmatched[n + 1][p] in lane p.
 
             A path through a matched head goes on from its tail, whose flow
             must already be in memo.
             """
-            out: dict[int, int] = {}
+            out = 0
             skip = partner_low.get(i)
-            for j, w in enumerate(cols.row(i)):
-                if not w or j == skip:
+            for j, w in cols.nonzeros(i):
+                if j == skip:
                     continue
-                if j in upper_unmatched_pos:
-                    out[j] = f.add(out.get(j, 0), w)
-                else:
-                    a = partner_high.get(j)
-                    if a is None:
-                        # j is matched upward as a tail; no reversed edge
-                        # descends from it, so the path dies here
-                        continue
-                    back = f.mul(w, f.inv(dmat.entry(j, a)))
-                    for tgt, wt in memo[a].items():
-                        acc = f.add(out.get(tgt, 0), f.mul(back, wt))
-                        if acc:
-                            out[tgt] = acc
-                        else:
-                            out.pop(tgt, None)
+                p = upper_unmatched_pos.get(j)
+                if p is not None:
+                    out ^= w << (k * p)
+                    continue
+                a = partner_high.get(j)
+                if a is None:
+                    # j is matched upward as a tail; no reversed edge
+                    # descends from it, so the path dies here
+                    continue
+                back = f.mul(w, f.inv(cols.entry(a, j)))
+                out ^= scale_packed(memo[a], back, f)
             return out
 
         # every tail after the tails whose heads it hits, so nothing recurses
         for i in reversed(orders[n]):
             memo[i] = flow(i)
-        rows = [[0] * len(unmatched[n]) for _ in range(len(unmatched[n + 1]))]
-        for c, i in enumerate(unmatched[n]):
-            for j, w in flow(i).items():
-                rows[upper_unmatched_pos[j]][c] = w
-        reduced_mats.append(Matrix.from_rows(f, rows, len(unmatched[n])))
+        flows = Matrix.from_packed(f, [flow(i) for i in unmatched[n]], len(unmatched[n + 1]))
+        reduced_mats.append(flows.transpose())
 
     reduced_labels = [
         [cx.labels[n][i] for i in unmatched[n]] for n in range(cx.top_degree + 1)
@@ -277,9 +271,9 @@ def greedy_matching(cx: BasedComplex) -> Matching:
         for i in range(cols.nrows):
             if i in below:
                 continue
-            hits_i = [j for j, w in enumerate(cols.row(i)) if w]
+            hits_i = [j for j, _ in cols.nonzeros(i)]
             for j in hits_i:
-                if j not in heads and not _closes_cycle(cols, hits, heads, i, j, hits_i):
+                if j not in heads and not _closes_cycle(hits, heads, i, j, hits_i):
                     hits[i] = hits_i
                     heads[j] = i
                     pairs.append((n, i, j))
@@ -288,8 +282,8 @@ def greedy_matching(cx: BasedComplex) -> Matching:
     return Matching(pairs)
 
 
-def _closes_cycle(cols: Matrix, hits, heads, i: int, j: int, hits_i: list[int]) -> bool:
-    """Whether some tail reachable from i hits j (cols holds d's columns)."""
+def _closes_cycle(hits, heads, i: int, j: int, hits_i: list[int]) -> bool:
+    """Whether some tail reachable from i hits j."""
     seen = {i}
     stack = [hits_i]
     while stack:
@@ -297,7 +291,7 @@ def _closes_cycle(cols: Matrix, hits, heads, i: int, j: int, hits_i: list[int]) 
             a = heads.get(h)
             if a is None or a in seen:
                 continue
-            if cols.entry(a, j):
+            if j in hits[a]:
                 return True
             seen.add(a)
             stack.append(hits[a])

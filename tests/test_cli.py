@@ -1,6 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -224,6 +227,31 @@ def test_degree_cap_blocks(capsys):
     )
     assert code == 1
     assert "degree" in err.lower()
+
+
+def test_bad_cap_and_unwritable_out_exit_1(capsys, tmp_path):
+    code, _, err = run(capsys, "cohomology", "--algebra", "dim2", "--cap", "0")
+    assert (code, err) == (1, "error: entry cap must be positive, got 0\n")
+    code, _, err = run(capsys, "cohomology", "--algebra", "dim2", "--degree-cap", "-1")
+    assert code == 1 and "degree cap" in err
+    out = tmp_path / "missing" / "out.json"
+    code, _, err = run(capsys, "cohomology", "--algebra", "dim2", "--out", str(out))
+    assert code == 1 and err.startswith("error: ")
+
+
+def test_closed_pipe_exits_quietly():
+    # the reader is gone before the command prints, as with `| head -0`
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "commcoh.cli", "cupring", "--algebra", "heisenberg:1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")
 
 
 def test_missing_file_exits_1(capsys):

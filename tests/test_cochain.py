@@ -1,3 +1,4 @@
+import contextvars
 import math
 import random
 
@@ -16,6 +17,7 @@ from commcoh.algebra import (
 )
 from commcoh.cochain import (
     Cochain,
+    CochainSpace,
     DegreeCapError,
     cochain_space,
     contract,
@@ -28,6 +30,7 @@ from commcoh.cochain import (
     inclusion_matrix,
     lie_derivative,
 )
+from commcoh.linalg import SizeCapError, entry_cap_override
 
 GF2 = make_field(1)
 
@@ -121,6 +124,25 @@ def test_degree_cap():
         with pytest.raises(DegreeCapError):
             cochain_space(a, m, 4)
     cochain_space(a, m, 4)
+
+
+def test_degree_cap_is_per_context():
+    a = dim2()
+    m = trivial_module(a)
+    with degree_cap_override(20):
+        cochain_space(a, m, 9)
+        # a fresh context, such as a new thread's, starts from the default cap
+        with pytest.raises(DegreeCapError):
+            contextvars.Context().run(cochain_space, a, m, 9)
+
+
+def test_space_tuples_respect_the_entry_cap():
+    a = dim2()
+    space = CochainSpace(a, trivial_module(a), 5, "symmetric")  # dimension 6
+    with entry_cap_override(5):
+        with pytest.raises(SizeCapError, match="6 x 1"):
+            space.tuples
+    assert len(space.tuples) == 6
 
 
 # ------------------------------------------------------------------

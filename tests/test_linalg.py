@@ -1,3 +1,4 @@
+import contextvars
 import random
 from functools import reduce
 
@@ -16,6 +17,7 @@ from commcoh.linalg import (
     kernel_basis,
     quotient_basis,
     rank,
+    scale_packed,
     solve,
 )
 
@@ -409,6 +411,17 @@ def test_entry_cap_blocks_large_alloc():
     Matrix.zeros(GF2, 101, 1)  # restored afterwards
 
 
+def test_entry_cap_is_per_context():
+    with entry_cap_override(100):
+        with pytest.raises(SizeCapError):
+            Matrix.zeros(GF2, 101, 1)
+        # a fresh context, such as a new thread's, starts from the default cap
+        contextvars.Context().run(Matrix.zeros, GF2, 101, 1)
+    with pytest.raises(ValueError, match="positive"):
+        with entry_cap_override(0):
+            pass
+
+
 @settings(max_examples=60)
 @given(st.integers(0, 2**30 - 1), st.integers(1, 6), st.integers(1, 6))
 def test_solve_always_verifies(seed, nrows, ncols):
@@ -420,3 +433,21 @@ def test_solve_always_verifies(seed, nrows, ncols):
         assert not image_basis(a).contains(b)
     else:
         assert a.mul_vec(sol) == b
+
+
+def test_nonzeros_and_scale_packed_agree_with_entries():
+    rng = random.Random(5)
+    for k in (1, 2, 3, 8):
+        f = make_field(k)
+        for _ in range(10):
+            ncols = rng.randrange(0, 40)
+            rows = [
+                [rng.choice(f.elements()) if rng.random() < 0.3 else 0 for _ in range(ncols)]
+                for _ in range(3)
+            ]
+            a = Matrix.from_rows(f, rows, ncols)
+            for i, row in enumerate(rows):
+                assert a.nonzeros(i) == [(j, w) for j, w in enumerate(row) if w]
+                c = rng.choice(f.elements())
+                scaled = Matrix.from_packed(f, [scale_packed(a._packed[i], c, f)], ncols)
+                assert scaled.row(0) == [f.mul(c, w) for w in row]

@@ -2,11 +2,19 @@ import random
 
 import pytest
 
+from commcoh import morse
 from commcoh.field import make_field
-from commcoh.algebra import adjoint_module, dim2, heisenberg, trivial_module, zassenhaus_e
+from commcoh.algebra import (
+    adjoint_module,
+    dim2,
+    heisenberg,
+    trivial_module,
+    zassenhaus_e,
+    zassenhaus_f,
+)
 from commcoh.cochain import cochain_space
 from commcoh.cohomology import cohomology
-from commcoh.linalg import Matrix, entry_cap_override, kernel_basis
+from commcoh.linalg import Matrix, entry_cap_override, kernel_basis, rank, solve
 from commcoh.morse import (
     BasedComplex,
     Matching,
@@ -328,6 +336,77 @@ def test_greedy_matching_is_nontrivial_on_cochain_complexes():
     assert len(matching) > 0
     red = morse_complex(cx, matching)
     assert red.reduced.cohomology_dims() == cx.cohomology_dims()
+
+
+def schur_complement(cx, matching, n, unmatched):
+    """D[U', U] + D[U', T] D[H, T]^-1 D[H, U] for degree n, by block elimination.
+
+    U and U' are the unmatched cells of degrees n and n + 1, T the matched
+    tails of degree n and H their heads, so this is the reduced differential
+    without any zigzag path (characteristic 2, so no signs).
+    """
+    f = cx.field
+    d = cx.matrices[n]
+    tails = [i for i, _ in matching.by_degree(n)]
+    heads = [j for _, j in matching.by_degree(n)]
+    low, up = unmatched[n], unmatched[n + 1]
+
+    def block(rows, cols):
+        return Matrix.from_rows(f, [[d.entry(r, c) for c in cols] for r in rows], len(cols))
+
+    direct = block(up, low)
+    if not tails:
+        return direct
+    square = block(heads, tails)
+    inverse_cols = []
+    for r in range(len(tails)):
+        x = solve(square, [int(r == c) for c in range(len(tails))])
+        assert x is not None
+        inverse_cols.append(x)
+    inverse = Matrix.from_rows(f, inverse_cols, len(tails)).transpose()
+    return direct.add(block(up, tails).mul(inverse).mul(block(heads, low)))
+
+
+def test_reduced_differential_is_the_schur_complement():
+    cases = []
+    for k in (1, 2, 3):
+        field = make_field(k)
+        rng = random.Random(k * 1000 + 3)
+        for _ in range(30):
+            cx = random_complex(field, rng, [rng.randrange(1, 10) for _ in range(3)])
+            cases.append((cx, greedy_matching(cx)))
+    e2 = zassenhaus_e(2)
+    f2 = zassenhaus_f(2)
+    for cx in (
+        complex_from_cochains(e2, adjoint_module(e2), "symmetric", 4),
+        complex_from_cochains(f2, adjoint_module(f2), "symmetric", 3),
+    ):
+        cases.append((cx, greedy_matching(cx)))
+    checked = chained = 0
+    for cx, matching in cases:
+        red = morse_complex(cx, matching)
+        for n, mat in enumerate(red.reduced.matrices):
+            assert mat == schur_complement(cx, matching, n, red.unmatched), (cx.labels, n)
+            checked += 1
+            chained += len(matching.by_degree(n)) > 1
+    assert checked == 187
+    # many degrees invert a matched block of two pairs or more
+    assert chained > checked // 3
+
+
+def test_cohomology_dims_ranks_each_matrix_once(monkeypatch):
+    calls = []
+
+    def counting_rank(mat):
+        calls.append(mat)
+        return rank(mat)
+
+    monkeypatch.setattr(morse, "matrix_rank", counting_rank)
+    a = dim2()
+    k = trivial_module(a)
+    cx = complex_from_cochains(a, k, "symmetric", 5)
+    assert cx.cohomology_dims() == [cohomology(a, k, n).dim_H for n in range(5)]
+    assert len(calls) == cx.top_degree
 
 
 def test_reduction_to_json():
