@@ -6,8 +6,9 @@ comparison maps between flavors (compare), the four-term sequence
 (sequence), extension of scalars (basechange), and discrete Morse
 reduction (morse).
 
-Exit codes: 0 on success, 1 when the computation could not be carried
-out (bad input, size caps), 2 when a validation or consistency check
+Each subcommand takes only the options it reads (`READS`).  Exit codes:
+0 on success, 1 when the computation could not be carried out (a usage
+error, bad input, size caps), 2 when a validation or consistency check
 failed on an otherwise well-formed input, 3 on an internal failure: a
 fault in commcoh itself, not in what it was given.  A reader that closes
 the output early (``| head``) gets the command's own code and no traceback.
@@ -95,13 +96,16 @@ def parse_algebra(text: str, field_degree: int):
 
 
 def parse_module(text: str, algebra):
-    if text == "trivial":
-        return trivial_module(algebra)
-    if text == "adjoint":
-        return adjoint_module(algebra)
-    if text == "dual":
-        return dual_module(algebra)
-    return import_module(algebra, text)
+    """trivial, adjoint, dual, or a JSON file path."""
+    builders = {"trivial": trivial_module, "adjoint": adjoint_module, "dual": dual_module}
+    if text in builders:
+        return builders[text](algebra)
+    path = Path(text)
+    if path.exists() or path.suffix == ".json":
+        return import_module(algebra, path)
+    raise ValueError(
+        f"unknown module {text!r}; expected trivial, adjoint, dual, or a JSON file path"
+    )
 
 
 def _flavor(args) -> str:
@@ -218,7 +222,7 @@ def cmd_cocycles2(args):
 
 
 def cmd_cupring(args):
-    algebra, _ = _setup(args)
+    algebra = parse_algebra(args.algebra, args.field_degree)
     table = ring_table(algebra, args.max_degree)
     return table.to_json(), 2 if table.defects else 0
 
@@ -369,6 +373,43 @@ def render_text(obj, indent: int = 0) -> list[str]:
 # -- entry point --------------------------------------------------------------------------
 
 
+def _degree(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected a degree 0, 1, 2, ..., got {text!r}")
+    return int(text)
+
+
+# the options that only some subcommands read
+OPTIONS = {
+    "module": (
+        "--module",
+        dict(default="trivial", help="trivial, adjoint, dual, or a JSON file path"),
+    ),
+    "flavor": (
+        "--flavor",
+        dict(
+            default="comm",
+            choices=sorted(FLAVORS),
+            help="cochain flavor; comm = symmetric, alt = alternating, leibniz = tensor",
+        ),
+    ),
+    "max-degree": ("--max-degree", dict(type=_degree, default=3)),
+    "reps": ("--reps", dict(action="store_true", help="include representative cochains")),
+}
+# which of OPTIONS each subcommand reads, besides the common options
+READS = {
+    "check": "module",
+    "cohomology": "module flavor max-degree reps",
+    "cocycles2": "module flavor",
+    "cupring": "max-degree",
+    "morse": "module flavor max-degree reps",
+    "sequence": "",
+    "compare": "module max-degree",
+    "basechange": "module flavor max-degree",
+    "scan": "module max-degree",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -377,22 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="builder name (dim2, abelian:d, heisenberg:l, zassenhaus-e:n, "
         "zassenhaus-f:n) or JSON file path",
     )
-    common.add_argument(
-        "--module",
-        default="trivial",
-        help="trivial, adjoint, dual, or a JSON file path",
-    )
-    common.add_argument(
-        "--flavor",
-        default="comm",
-        choices=sorted(FLAVORS),
-        help="cochain flavor; comm = symmetric, alt = alternating, leibniz = tensor",
-    )
-    common.add_argument("--max-degree", type=int, default=3)
     common.add_argument("--field-degree", type=int, default=1, help="work over GF(2^k)")
     common.add_argument("--cap", type=int, help="override the matrix entry cap")
     common.add_argument("--degree-cap", type=int, help="override the cochain degree cap")
-    common.add_argument("--reps", action="store_true", help="include representative cochains")
     common.add_argument("--out", help="also write the JSON payload to this file")
     common.add_argument("--format", default="text", choices=["text", "json"])
 
@@ -414,12 +442,19 @@ def build_parser() -> argparse.ArgumentParser:
     ]
     for name, handler, help_text in commands:
         p = sub.add_parser(name, parents=[common], help=help_text)
+        for option in READS[name].split():
+            flag, kwargs = OPTIONS[option]
+            p.add_argument(flag, **kwargs)
         p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, a code kept for failed checks
+        return 1 if exc.code == 2 else exc.code
     try:
         with contextlib.ExitStack() as stack:
             if args.cap is not None:

@@ -99,9 +99,7 @@ class CohomologyResult:
             vec = list(vec.coeffs)
         if self._solver is None:
             cols = [rep.coeffs for rep in self.representatives] + list(self.coboundaries.basis)
-            self._solver = Matrix.from_rows(
-                self.space.algebra.field, cols, self.space.dim
-            ).transpose()
+            self._solver = _matrix_from_cols(self.space.algebra.field, cols, self.space.dim)
         sol = solve(self._solver, vec)
         if sol is None:
             return None
@@ -449,8 +447,7 @@ def exact_sequence_check(algebra: AlgebraPresentation) -> ExactSequenceReport:
 
 
 def _matrix_from_cols(f: FiniteField, cols: list[list[int]], nrows: int) -> Matrix:
-    rows = [[col[i] for col in cols] for i in range(nrows)]
-    return Matrix.from_rows(f, rows, len(cols))
+    return Matrix.from_rows(f, cols, nrows).transpose()
 
 
 # -- base change -----------------------------------------------------------------------

@@ -9,15 +9,19 @@ unmatched cells carry a reduced complex with the same cohomology in
 degrees 0 through T-1, with differential given by summing weights over
 zigzag paths.
 
+Every function here reads d_n as it is stored, one row per upper cell, with
+`Matrix.nonzeros`: never as dense rows, never transposed.
 `validate_matching` checks acyclicity one degree at a time by ordering the
-matched tails with `graphlib`, and names the cells of a cycle when there is
-one.  `greedy_matching` scans the cells in index order and keeps a pair
-unless it closes a cycle through itself, which is the only cycle it can
-close.  Both read incidences with `Matrix.nonzeros`, never as dense rows.
+matched tails with `graphlib`, names the cells of a cycle when there is one,
+and returns each degree's matching as one {head: tail} dict in that order.
+`greedy_matching` collects the cells each lower cell hits in one pass over
+the rows, scans the lower cells in index order, and keeps a pair unless it
+closes a cycle through itself, which is the only cycle it can close.
 
-`morse_complex` keeps the path sums from each lower cell as one packed row
-over the unmatched upper cells: a direct incidence sets one lane, and a path
-through a matched head adds a multiple (`scale_packed`) of its tail's row.
+`morse_complex` keeps the path sums into each upper cell as one packed row
+over the unmatched lower cells, so the reduced d_n comes out row by row: a
+direct incidence sets one lane, and a path through a matched tail adds a
+multiple (`scale_packed`) of the row kept for that tail's head.
 
 `heisenberg_matching` builds the explicit matching that collapses the
 symmetric complex of a Heisenberg algebra with trivial coefficients to
@@ -136,13 +140,13 @@ class Matching:
         ]
 
 
-def validate_matching(cx: BasedComplex, matching: Matching) -> list[list[int]]:
+def validate_matching(cx: BasedComplex, matching: Matching) -> list[dict[int, int]]:
     """Raise MorseError unless the matching is incidence-valid, disjoint, acyclic.
 
     A directed cycle in the modified graph alternates strictly between two
     adjacent degrees, so it is enough to look for a cycle among each degree's
     matched tails, where tail x comes before tail a whenever x hits a's head.
-    Returns each degree's matched tails in that order.
+    Returns one {head: tail} dict per degree, its heads in that order of tails.
     """
     used: set[tuple[int, int]] = set()
     for n, i, j in matching.pairs:
@@ -160,7 +164,7 @@ def validate_matching(cx: BasedComplex, matching: Matching) -> list[list[int]]:
                     f"cell {cx.labels[cell[0]][cell[1]]} appears in two pairs"
                 )
             used.add(cell)
-    orders = []
+    heads = []
     for n in range(cx.top_degree):
         partner = dict(matching.by_degree(n))
         before = {
@@ -168,11 +172,11 @@ def validate_matching(cx: BasedComplex, matching: Matching) -> list[list[int]]:
             for a, j in partner.items()
         }
         try:
-            orders.append(list(TopologicalSorter(before).static_order()))
+            heads.append({partner[a]: a for a in TopologicalSorter(before).static_order()})
         except CycleError as exc:
             names = " -> ".join(cx.labels[n][i] for i in exc.args[1])
             raise MorseError(f"matching is cyclic in degree {n}: {names}") from None
-    return orders
+    return heads
 
 
 @dataclass
@@ -195,58 +199,47 @@ class MorseReduction:
 
 def morse_complex(cx: BasedComplex, matching: Matching) -> MorseReduction:
     """The reduced complex on unmatched cells, with path-sum differentials."""
-    orders = validate_matching(cx, matching)
+    heads = validate_matching(cx, matching)
     f = cx.field
-    tails_by_degree = [dict(matching.by_degree(n)) for n in range(cx.top_degree)]
-    heads_by_degree = [
-        {j: i for i, j in matching.by_degree(n)} for n in range(cx.top_degree)
-    ]
+    k = f.degree
     unmatched: list[list[int]] = []
     for n in range(cx.top_degree + 1):
-        taken = set(tails_by_degree[n]) if n < cx.top_degree else set()
+        taken = set(heads[n].values()) if n < cx.top_degree else set()
         if n > 0:
-            taken |= set(heads_by_degree[n - 1])
+            taken.update(heads[n - 1])
         unmatched.append([i for i in range(len(cx.labels[n])) if i not in taken])
 
-    k = f.degree
     reduced_mats = []
+    below: dict[int, int] = {}  # cells of degree n matched as heads in degree n - 1
     for n in range(cx.top_degree):
-        cols = cx.matrices[n].transpose()
-        partner_low = tails_by_degree[n]
-        partner_high = heads_by_degree[n]
-        upper_unmatched_pos = {j: p for p, j in enumerate(unmatched[n + 1])}
-        memo: dict[int, int] = {}
+        d = cx.matrices[n]
+        pos = {x: p for p, x in enumerate(unmatched[n])}
+        memo: dict[int, tuple[int, int]] = {}
 
-        def flow(i: int) -> int:
-            """Weights of all zigzag paths from lower cell i to unmatched upper cells,
-            packed with the weight at unmatched[n + 1][p] in lane p.
+        def flow(j: int, skip: int | None = None) -> int:
+            """Weights of all zigzag paths from unmatched lower cells into upper
+            cell j, packed with the weight from unmatched[n][p] in lane p.
 
-            A path through a matched head goes on from its tail, whose flow
-            must already be in memo.
+            A path through a matched tail x comes down from x's head h, whose
+            paths memo[x] already holds with 1 / d[h][x].
             """
             out = 0
-            skip = partner_low.get(i)
-            for j, w in cols.nonzeros(i):
-                if j == skip:
-                    continue
-                p = upper_unmatched_pos.get(j)
+            for x, w in d.nonzeros(j):
+                p = pos.get(x)
                 if p is not None:
                     out ^= w << (k * p)
-                    continue
-                a = partner_high.get(j)
-                if a is None:
-                    # j is matched upward as a tail; no reversed edge
-                    # descends from it, so the path dies here
-                    continue
-                back = f.mul(w, f.inv(cols.entry(a, j)))
-                out ^= scale_packed(memo[a], back, f)
+                # no path reaches a head matched downward from this degree
+                elif x != skip and x not in below:
+                    row, back = memo[x]
+                    out ^= scale_packed(row, f.mul(w, back), f)
             return out
 
-        # every tail after the tails whose heads it hits, so nothing recurses
-        for i in reversed(orders[n]):
-            memo[i] = flow(i)
-        flows = Matrix.from_packed(f, [flow(i) for i in unmatched[n]], len(unmatched[n + 1]))
-        reduced_mats.append(flows.transpose())
+        # every tail after the tails that hit its head, so nothing recurses
+        for h, x in heads[n].items():
+            memo[x] = flow(h, x), f.inv(d.entry(h, x))
+        flows = [flow(j) for j in unmatched[n + 1]]
+        reduced_mats.append(Matrix.from_packed(f, flows, len(unmatched[n])))
+        below = heads[n]
 
     reduced_labels = [
         [cx.labels[n][i] for i in unmatched[n]] for n in range(cx.top_degree + 1)
@@ -265,16 +258,17 @@ def greedy_matching(cx: BasedComplex) -> Matching:
     pairs: list[tuple[int, int, int]] = []
     below: dict[int, int] = {}  # cells of degree n matched as heads in degree n - 1
     for n in range(cx.top_degree):
-        cols = cx.matrices[n].transpose()
-        hits: dict[int, list[int]] = {}  # matched tail -> the cells it hits
-        heads: dict[int, int] = {}       # matched head -> its tail
-        for i in range(cols.nrows):
+        d = cx.matrices[n]
+        hit_by: list[list[int]] = [[] for _ in range(d.ncols)]  # the cells each cell hits
+        for j in range(d.nrows):
+            for x, _ in d.nonzeros(j):
+                hit_by[x].append(j)
+        heads: dict[int, int] = {}  # matched head -> its tail
+        for i, hits_i in enumerate(hit_by):
             if i in below:
                 continue
-            hits_i = [j for j, _ in cols.nonzeros(i)]
             for j in hits_i:
-                if j not in heads and not _closes_cycle(hits, heads, i, j, hits_i):
-                    hits[i] = hits_i
+                if j not in heads and not _closes_cycle(hit_by, heads, i, j):
                     heads[j] = i
                     pairs.append((n, i, j))
                     break
@@ -282,19 +276,19 @@ def greedy_matching(cx: BasedComplex) -> Matching:
     return Matching(pairs)
 
 
-def _closes_cycle(hits, heads, i: int, j: int, hits_i: list[int]) -> bool:
+def _closes_cycle(hit_by, heads, i: int, j: int) -> bool:
     """Whether some tail reachable from i hits j."""
     seen = {i}
-    stack = [hits_i]
+    stack = [hit_by[i]]
     while stack:
         for h in stack.pop():
             a = heads.get(h)
             if a is None or a in seen:
                 continue
-            if j in hits[a]:
+            if j in hit_by[a]:
                 return True
             seen.add(a)
-            stack.append(hits[a])
+            stack.append(hit_by[a])
     return False
 
 

@@ -302,6 +302,57 @@ def test_bad_inputs_exit_1_as_user_errors(capsys, tmp_path):
         assert err.startswith("error:"), argv
 
 
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    for argv, reason in (
+        (["cohomology", "--max-degree", "x"], "argument --max-degree"),
+        (["cohomology", "--bogus"], "unrecognized arguments: --bogus"),
+        (["morse", "--max-degree", "-1"], "argument --max-degree"),
+        (["nosuch"], "invalid choice"),
+        ([], "required: command"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert reason in err, argv
+    for argv in (["--help"], ["morse", "--help"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "usage:" in out, argv
+
+
+# every option a subcommand used to parse and then ignore
+IGNORED = {
+    "check": ("--flavor", "--max-degree", "--reps"),
+    "cocycles2": ("--max-degree", "--reps"),
+    "cupring": ("--module", "--flavor", "--reps"),
+    "sequence": ("--module", "--flavor", "--max-degree", "--reps"),
+    "compare": ("--flavor", "--reps"),
+    "basechange": ("--reps",),
+    "scan": ("--flavor", "--reps"),
+}
+OPTION_VALUES = {"--module": ["adjoint"], "--flavor": ["leibniz"], "--max-degree": ["2"], "--reps": []}
+
+
+def test_each_subcommand_rejects_the_options_it_does_not_read(capsys):
+    assert sum(len(options) for options in IGNORED.values()) == 17
+    for command, options in IGNORED.items():
+        for option in options:
+            argv = [command, "--algebra", "dim2", option, *OPTION_VALUES[option]]
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, ""), argv
+            assert f"unrecognized arguments: {option}" in err, argv
+
+
+def test_unknown_and_missing_modules_say_what_they_are(capsys, tmp_path):
+    code, _, err = run(capsys, "cohomology", "--module", "nosuch")
+    assert code == 1
+    assert err == (
+        "error: unknown module 'nosuch'; expected trivial, adjoint, dual, or a JSON file path\n"
+    )
+    missing = tmp_path / "missing.json"
+    code, _, err = run(capsys, "cohomology", "--module", str(missing))
+    assert code == 1
+    assert err.startswith("error: ") and "No such file" in err and str(missing) in err
+
+
 def test_internal_key_error_is_not_blamed_on_the_user(capsys, monkeypatch):
     def broken(args):
         raise KeyError("h2_10")

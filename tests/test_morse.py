@@ -394,6 +394,26 @@ def test_reduced_differential_is_the_schur_complement():
     assert chained > checked // 3
 
 
+def test_matching_and_reduction_read_rows_without_transposing(monkeypatch):
+    e2 = zassenhaus_e(2)
+    cases = [complex_from_cochains(e2, adjoint_module(e2), "symmetric", 4)]
+    rng = random.Random(47)
+    for _ in range(10):
+        cases.append(random_complex(make_field(2), rng, [rng.randrange(1, 10) for _ in range(3)]))
+    want = [naive_greedy_matching(cx)[0] for cx in cases]
+
+    def refuse(self):
+        raise AssertionError("Matrix.transpose called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Matrix, "transpose", refuse)
+        reductions = [morse_complex(cx, greedy_matching(cx)) for cx in cases]
+    for red, pairs in zip(reductions, want):
+        assert red.matching.pairs == pairs
+        for n, mat in enumerate(red.reduced.matrices):
+            assert mat == schur_complement(red.original, red.matching, n, red.unmatched)
+
+
 def test_cohomology_dims_ranks_each_matrix_once(monkeypatch):
     calls = []
 
