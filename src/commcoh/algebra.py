@@ -24,6 +24,9 @@ from .linalg import Matrix, Subspace, kernel_basis
 
 Vec = Sequence[int]
 
+# a cochain label reads "(name,name,...)|mu", so basis names avoid these characters
+LABEL_DELIMITERS = ",()|"
+
 
 class PresentationError(ValueError):
     """A structurally invalid algebra or module presentation."""
@@ -59,6 +62,12 @@ class AlgebraPresentation:
             raise PresentationError(f"{len(names)} basis names for dimension {dim}")
         if len(set(names)) != dim or any(not n for n in names):
             raise PresentationError("basis names must be nonempty and distinct")
+        for name in names:
+            if any(c in LABEL_DELIMITERS for c in name):
+                raise PresentationError(
+                    f"basis name {name!r} contains one of {' '.join(LABEL_DELIMITERS)}, "
+                    "which delimit cochain labels"
+                )
         clean = {}
         for (i, j), value in brackets.items():
             if not (0 <= i <= j < dim):
@@ -416,7 +425,7 @@ class ModulePresentation:
     `actions` is a tuple of row tuples, read-only like the algebra's brackets.
     """
 
-    __slots__ = ("algebra", "dim", "actions", "_cols", "_key")
+    __slots__ = ("algebra", "dim", "actions", "_packed", "_key")
 
     def __init__(self, algebra: AlgebraPresentation, dim: int, actions: Sequence[Sequence[Sequence[int]]]):
         if len(actions) != algebra.dim:
@@ -433,20 +442,25 @@ class ModulePresentation:
         self.algebra = algebra
         self.dim = dim
         self.actions = mats
-        self._cols = None
+        self._packed = None
         self._key = None
 
-    def action_col(self, t: int, nu: int) -> list[tuple[int, int]]:
-        """Sparse column nu of rho(e_t): pairs (mu, value)."""
-        if self._cols is None:
-            self._cols = [
+    def packed_action(self) -> tuple[list[int], list[list[tuple[int, int]]]]:
+        """(acting, rows): the indices t with rho(e_t) != 0, ascending, and for each
+        t the pairs (mu, row mu of rho(e_t)) of its nonzero rows, lane-packed over nu
+        as in linalg."""
+        if self._packed is None:
+            k = self.algebra.field.degree
+            rows = [
                 [
-                    [(mu, rows[mu][nu]) for mu in range(self.dim) if rows[mu][nu]]
-                    for nu in range(self.dim)
+                    (mu, sum(bits << (k * nu) for nu, bits in enumerate(row)))
+                    for mu, row in enumerate(mat)
+                    if any(row)
                 ]
-                for rows in self.actions
+                for mat in self.actions
             ]
-        return self._cols[t][nu]
+            self._packed = [t for t, r in enumerate(rows) if r], rows
+        return self._packed
 
     def act_basis(self, t: int, vec: Vec) -> list[int]:
         """rho(e_t) applied to a module vector."""

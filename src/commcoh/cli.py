@@ -37,7 +37,7 @@ from .algebra import (
     zassenhaus_e,
     zassenhaus_f,
 )
-from .cochain import DegreeCapError, degree_cap_override
+from .cochain import DegreeCapError, check_degree, degree_cap_override
 from .cohomology import (
     NotACocycleError,
     base_change,
@@ -124,6 +124,22 @@ def _need_lie(algebra, flavor: str) -> None:
             "the alternating complex needs an ordinary Lie algebra; "
             "this input has nonzero squares or Jacobi failures"
         )
+
+
+def _check_degree_cap(args) -> None:
+    """Fail before any work when the top degree needs cochains above the degree cap:
+    H^N needs degree N + 1, and the Morse complex to degree N needs degree N."""
+    top = args.max_degree
+    if args.command == "morse":
+        what, degree = f"the complex to degree {top}", top
+    else:
+        what, degree = f"H^{top}", top + 1
+    try:
+        check_degree(degree)
+    except DegreeCapError as exc:
+        raise DegreeCapError(
+            f"{what} needs cochains of degree {degree}, but {exc}; raise it with --degree-cap"
+        ) from None
 
 
 def _degree_block(algebra, module, flavor, n, with_reps):
@@ -240,13 +256,10 @@ def cmd_morse(args):
         cx = complex_from_cochains(algebra, module, flavor, args.max_degree)
         matching = greedy_matching(cx)
     red = morse_complex(cx, matching)
-    payload = red.to_json()
+    payload = red.to_json(cells=args.reps)
     payload["original_cohomology_dims"] = cx.cohomology_dims()
     agrees = payload["cohomology_dims"] == payload["original_cohomology_dims"]
     payload["agrees"] = agrees
-    if not args.reps:
-        del payload["matching"]
-        del payload["unmatched_labels"]
     return payload, 0 if agrees else 2
 
 
@@ -461,6 +474,8 @@ def main(argv=None) -> int:
                 stack.enter_context(entry_cap_override(args.cap))
             if args.degree_cap is not None:
                 stack.enter_context(degree_cap_override(args.degree_cap))
+            if "max-degree" in READS[args.command]:
+                _check_degree_cap(args)
             payload, code = args.handler(args)
         if args.out:
             Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")

@@ -21,18 +21,26 @@ argument order; the other flavors re-sort, and the alternating flavor
 drops any term with a repeated argument).  On a basis multiset, repeated
 entries contribute once per position pair, so even multiplicities cancel.
 
-Matrices of the differential are built column by column: the image of a
-basis cochain is enumerated directly, which also yields a sparse
-application path (`delta_items`) for spaces too large to materialize.
-An alternating column is the symmetric one with the repeated-argument
-targets dropped.  The test suite cross-checks the columns against a
-direct multilinear evaluation of the defining formula.
+One private generator enumerates the terms of d on a source tuple once for
+every module index nu: the bracket terms, which land at mu = nu with the
+same coefficient for every nu, and the action terms by each basis vector
+that acts nontrivially.  Targets come out as ranks in the next space: a
+symmetric or alternating target through that space's index, a tensor target
+as a base-d numeral, the order of `itertools.product`.  Alternating terms
+are the symmetric terms with repeat-free targets.  The matrix is assembled
+straight into lane-packed rows (see linalg): a bracket term XORs its
+coefficient into row (target, nu), and an action term XORs a packed row of
+rho(e_t) in at the source's lanes, so even multiplicities cancel in place.
+`source_image`, `delta_items` and `delta` read the same terms as sparse
+dicts, without building a matrix.  The test suite checks both the matrices
+and `delta` against a direct multilinear evaluation of the defining formula.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
@@ -63,7 +71,8 @@ def degree_cap_override(cap: int):
         _degree_cap.reset(token)
 
 
-def _check_degree(n: int) -> None:
+def check_degree(n: int) -> None:
+    """DegreeCapError when cochains of degree n are above the degree cap."""
     if n < 0:
         raise ValueError(f"cochain degree must be nonnegative, got {n}")
     cap = _degree_cap.get()
@@ -86,10 +95,8 @@ def flavor_dim(d: int, n: int, m: int, flavor: str) -> int:
 
 
 def _insert_sorted(tpl: tuple[int, ...], value: int) -> tuple[int, ...]:
-    for i, t in enumerate(tpl):
-        if value <= t:
-            return tpl[:i] + (value,) + tpl[i:]
-    return tpl + (value,)
+    i = bisect_left(tpl, value)
+    return tpl[:i] + (value,) + tpl[i:]
 
 
 # -- spaces and cochains ---------------------------------------------------------------
@@ -130,16 +137,27 @@ class CochainSpace:
         return self._tuples
 
     def tuple_index(self, tpl: tuple[int, ...]) -> int:
+        return self._ranks()[tpl]
+
+    def _ranks(self) -> dict[tuple[int, ...], int]:
         if self._index is None:
             self._index = {t: i for i, t in enumerate(self.tuples)}
-        return self._index[tpl]
+        return self._index
 
     def index(self, tpl: tuple[int, ...], mu: int = 0) -> int:
         return self.tuple_index(tpl) * self.module.dim + mu
 
     def unindex(self, flat: int) -> tuple[tuple[int, ...], int]:
-        m = self.module.dim
-        return self.tuples[flat // m], flat % m
+        rank, mu = divmod(flat, self.module.dim)
+        if self.flavor != "tensor":
+            return self.tuples[rank], mu
+        # a tensor rank is a base-d numeral, so the space need not be listed
+        d = self.algebra.dim
+        digits = []
+        for _ in range(self.degree):
+            rank, t = divmod(rank, d)
+            digits.append(t)
+        return tuple(reversed(digits)), mu
 
     def label(self, flat: int) -> str:
         tpl, mu = self.unindex(flat)
@@ -194,7 +212,7 @@ def cochain_space(
 ) -> CochainSpace:
     # cap checks stay outside the cache so they apply on every call,
     # not just the first one per argument tuple
-    _check_degree(degree)
+    check_degree(degree)
     _check_flavor(flavor)
     if module.algebra != algebra:
         raise ValueError("module is over a different algebra")
@@ -281,61 +299,80 @@ class Cochain:
 # -- the differential --------------------------------------------------------------------
 
 
+def _source_terms(algebra, module, dst, source):
+    """The terms of d on the basis cochains (source, nu), for every nu at once.
+
+    Returns (bracket, action).  `bracket` maps a target rank in `dst` to the
+    coefficient with which the bracket terms land at mu = nu, the same for every
+    nu; `action` lists (target rank, t), one term landing through rho(e_t), for
+    the e_t that act nontrivially, and a pair listed twice cancels.
+    """
+    acting = module.packed_action()[0]
+    n = len(source)
+    bracket: dict[int, int] = {}
+    if dst.flavor == "tensor":
+        # ranks are base-d numerals, the order of itertools.product: slot[q] is
+        # the rank of the source with a digit 0 inserted at position q
+        d = algebra.dim
+        pw = [d**e for e in range(n + 2)]
+        rank = 0
+        for t in source:
+            rank = rank * d + t
+        slot = [rank // pw[n - q] * pw[n - q + 1] + rank % pw[n - q] for q in range(n + 1)]
+        # an action term inserts t at position p
+        action = [(slot[p] + t * pw[n - p], t) for p in range(n + 1) for t in acting]
+        # a bracket term puts a in place of the source's s at position p and
+        # inserts b at a position q > p, keeping the order
+        for p, s in enumerate(source):
+            for u, v, coeff in algebra.bracket_into(s):
+                for a, b in ((u, v),) if u == v else ((u, v), (v, u)):
+                    sub = (a - s) * pw[n - p]
+                    for q in range(p + 1, n + 1):
+                        key = slot[q] + sub + b * pw[n - q]
+                        bracket[key] = bracket.get(key, 0) ^ coeff
+        return bracket, action
+
+    # symmetric: on a multiset, even position multiplicities cancel.  Alternating:
+    # the symmetric terms with repeat-free targets.  For a repeat-free source, an
+    # action term by t has one iff t is not in the source, and a bracket term
+    # (u, v) iff u != v and neither is in the rest; each has multiplicity one.
+    strict = dst.flavor == "alternating"
+    index = dst._ranks()
+    action = [
+        (index[_insert_sorted(source, t)], t)
+        for t in acting
+        if not (source.count(t) if strict else source.count(t) & 1)
+    ]
+    for p, s in enumerate(source):
+        if p and source[p - 1] == s:
+            continue
+        rest = source[:p] + source[p + 1 :]
+        for u, v, coeff in algebra.bracket_into(s):
+            cu = rest.count(u)
+            if u == v:
+                mult = 0 if strict else ((cu + 2) * (cu + 1) // 2) & 1
+            else:
+                cv = rest.count(v)
+                mult = not (cu or cv) if strict else ((cu + 1) * (cv + 1)) & 1
+            if mult:
+                key = index[_insert_sorted(_insert_sorted(rest, u), v)]
+                bracket[key] = bracket.get(key, 0) ^ coeff
+    return bracket, action
+
+
 @lru_cache(maxsize=100_000)
 def _source_image_cached(algebra, module, flavor, source, nu):
-    f = algebra.field
-    d = algebra.dim
-    out: dict = {}
-
-    if flavor == "symmetric":  # the alternating columns are read off these in source_image
-        for t in range(d):
-            if (source.count(t) + 1) & 1:  # even position multiplicity cancels
-                col = module.action_col(t, nu)
-                if col:
-                    target = _insert_sorted(source, t)
-                    for mu, val in col:
-                        key = (target, mu)
-                        out[key] = f.add(out.get(key, 0), val)
-        seen = set()
-        for idx, s in enumerate(source):
-            if s in seen:
-                continue
-            seen.add(s)
-            rest = source[:idx] + source[idx + 1 :]
-            for u, v, coeff in algebra.bracket_into(s):
-                if u == v:
-                    cnt = rest.count(u) + 2
-                    mult = (cnt * (cnt - 1) // 2) & 1
-                else:
-                    mult = ((rest.count(u) + 1) * (rest.count(v) + 1)) & 1
-                if mult:
-                    target = _insert_sorted(_insert_sorted(rest, u), v)
-                    key = (target, nu)
-                    out[key] = f.add(out.get(key, 0), coeff)
-
-    else:  # tensor: substitute at position i, delete position j, keep the order
-        n = len(source)
-        for p in range(n + 1):
-            head, tail = source[:p], source[p:]
-            for t in range(d):
-                col = module.action_col(t, nu)
-                if col:
-                    target = head + (t,) + tail
-                    for mu, val in col:
-                        key = (target, mu)
-                        out[key] = f.add(out.get(key, 0), val)
-        for p in range(n):
-            s = source[p]
-            for u, v, coeff in algebra.bracket_into(s):
-                pairs = ((u, v),) if u == v else ((u, v), (v, u))
-                for a, b in pairs:
-                    base = source[:p] + (a,) + source[p + 1 :]
-                    for q in range(p + 1, n + 1):
-                        target = base[:q] + (b,) + base[q:]
-                        key = (target, nu)
-                        out[key] = f.add(out.get(key, 0), coeff)
-
-    return {k: v for k, v in out.items() if v}
+    dst = _space_cached(algebra, module, len(source) + 1, flavor)
+    shift, lane = algebra.field.degree * nu, algebra.field.order - 1
+    m = module.dim
+    rho = module.packed_action()[1]
+    bracket, action = _source_terms(algebra, module, dst, source)
+    out = {r * m + nu: c for r, c in bracket.items()}
+    for r, t in action:
+        for mu, packed in rho[t]:
+            key = r * m + mu
+            out[key] = out.get(key, 0) ^ ((packed >> shift) & lane)
+    return {dst.unindex(flat): val for flat, val in out.items() if val}
 
 
 def source_image(
@@ -345,18 +382,10 @@ def source_image(
     source: tuple[int, ...],
     nu: int,
 ) -> dict[tuple[tuple[int, ...], int], int]:
-    """The differential of the basis cochain dual to (source, nu), as a sparse dict.
-
-    For a repeat-free source, an action term by t has a repeat-free target iff
-    t is not in the source, and a bracket term (u, v) iff u != v and neither is
-    in the rest of the source: the alternating terms, each of multiplicity one.
-    """
+    """The differential of the basis cochain dual to (source, nu), as a sparse dict."""
     _check_flavor(flavor)
-    _check_degree(len(source) + 1)
-    if flavor != "alternating":
-        return _source_image_cached(algebra, module, flavor, tuple(source), nu)
-    column = _source_image_cached(algebra, module, "symmetric", tuple(source), nu)
-    return {key: val for key, val in column.items() if len(set(key[0])) == len(key[0])}
+    check_degree(len(source) + 1)
+    return _source_image_cached(algebra, module, flavor, tuple(source), nu)
 
 
 def delta_items(
@@ -365,7 +394,11 @@ def delta_items(
     flavor: str,
     items: dict[tuple[tuple[int, ...], int], int],
 ) -> dict[tuple[tuple[int, ...], int], int]:
-    """Apply the differential to a sparse cochain without materializing the space."""
+    """Apply the differential to a sparse cochain without building a matrix.
+
+    A symmetric or alternating target space is listed to rank its tuples; a
+    tensor target space is not listed at all, so any degree under the cap works.
+    """
     f = algebra.field
     out: dict = {}
     for (source, nu), c in items.items():
@@ -397,15 +430,20 @@ def differential_matrix(
 def _differential_matrix_cached(algebra, module, degree, flavor) -> Matrix:
     src = cochain_space(algebra, module, degree, flavor)
     dst = cochain_space(algebra, module, degree + 1, flavor)
-    f = algebra.field
+    k = algebra.field.degree
     m = module.dim
+    rho = module.packed_action()[1]
     rows = [0] * dst.dim
-    for ti, tpl in enumerate(src.tuples):
-        for nu in range(m):
-            shift = f.degree * (ti * m + nu)
-            for (target, mu), val in source_image(algebra, module, flavor, tpl, nu).items():
-                rows[dst.index(target, mu)] |= val << shift
-    return Matrix.from_packed(f, rows, src.dim)
+    for ti, source in enumerate(src.tuples):
+        base = k * m * ti  # lane of (source, nu = 0)
+        bracket, action = _source_terms(algebra, module, dst, source)
+        for r, c in bracket.items():
+            for nu in range(m):
+                rows[r * m + nu] ^= c << (base + k * nu)
+        for r, t in action:
+            for mu, packed in rho[t]:
+                rows[r * m + mu] ^= packed << base
+    return Matrix.from_packed(algebra.field, rows, src.dim)
 
 
 def delta(phi: Cochain) -> Cochain:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
+from typing import Callable
 
 from .algebra import AlgebraPresentation, ModulePresentation, heisenberg, trivial_module
 from .cochain import cochain_space, differential_matrix
@@ -45,39 +46,62 @@ class MorseError(ValueError):
 
 
 class BasedComplex:
-    """Labeled coordinate spaces C^0..C^T and matrices d_n: C^n -> C^{n+1}."""
+    """Labeled coordinate spaces C^0..C^T and matrices d_n: C^n -> C^{n+1}.
 
-    __slots__ = ("field", "matrices", "labels")
+    `labels` holds one list of distinct cell names per degree.  Or it is a
+    function from a degree to that list, given with `dims`, the number of cells
+    in each degree: it is called only when a label is first read, and its names
+    are not checked, so it must give distinct ones.
+    """
 
-    def __init__(self, field: FiniteField, matrices: list[Matrix], labels: list[list[str]]):
-        if len(labels) != len(matrices) + 1:
+    __slots__ = ("field", "matrices", "_dims", "_labels")
+
+    def __init__(
+        self,
+        field: FiniteField,
+        matrices: list[Matrix],
+        labels: list[list[str]] | Callable[[int], list[str]],
+        dims: list[int] | None = None,
+    ):
+        if dims is None:
+            labels = [list(row) for row in labels]
+            dims = [len(row) for row in labels]
+        if len(dims) != len(matrices) + 1:
             raise ValueError("need one label list per degree, one more than matrices")
         for n, mat in enumerate(matrices):
-            if mat.ncols != len(labels[n]) or mat.nrows != len(labels[n + 1]):
+            if mat.ncols != dims[n] or mat.nrows != dims[n + 1]:
                 raise ValueError(f"matrix {n} has shape {mat.nrows}x{mat.ncols}, labels disagree")
             if mat.field != field:
                 raise ValueError("matrix field mismatch")
-        for n, row in enumerate(labels):
-            if len(set(row)) != len(row):
-                raise ValueError(f"labels in degree {n} are not distinct")
+        if not callable(labels):
+            for n, row in enumerate(labels):
+                if len(set(row)) != len(row):
+                    raise ValueError(f"labels in degree {n} are not distinct")
         for n in range(len(matrices) - 1):
             if not matrices[n + 1].mul(matrices[n]).is_zero():
                 raise ValueError(f"d_{n + 1} d_{n} != 0; not a complex")
         self.field = field
         self.matrices = list(matrices)
-        self.labels = [list(row) for row in labels]
+        self._dims = list(dims)
+        self._labels = labels
+
+    @property
+    def labels(self) -> list[list[str]]:
+        if callable(self._labels):
+            self._labels = [self._labels(n) for n in range(len(self._dims))]
+        return self._labels
 
     @property
     def top_degree(self) -> int:
-        return len(self.labels) - 1
+        return len(self._dims) - 1
 
     def dims(self) -> list[int]:
-        return [len(row) for row in self.labels]
+        return list(self._dims)
 
     def cohomology_dims(self) -> list[int]:
         """dim H^n for n = 0 .. top_degree - 1 (the top degree needs the next matrix)."""
         ranks = [0] + [matrix_rank(mat) for mat in self.matrices]
-        return [len(self.labels[n]) - ranks[n + 1] - ranks[n] for n in range(self.top_degree)]
+        return [self._dims[n] - ranks[n + 1] - ranks[n] for n in range(self.top_degree)]
 
 
 def complex_from_cochains(
@@ -86,15 +110,18 @@ def complex_from_cochains(
     flavor: str,
     top_degree: int,
 ) -> BasedComplex:
-    """The cochain complex in degrees 0..top_degree as a based complex."""
+    """The cochain complex in degrees 0..top_degree as a based complex.
+
+    Basis names hold no label delimiter, so each space's labels are distinct;
+    they are made only when read.
+    """
     matrices = [
         differential_matrix(algebra, module, n, flavor) for n in range(top_degree)
     ]
-    labels = [
-        cochain_space(algebra, module, n, flavor).labels()
-        for n in range(top_degree + 1)
-    ]
-    return BasedComplex(algebra.field, matrices, labels)
+    spaces = [cochain_space(algebra, module, n, flavor) for n in range(top_degree + 1)]
+    return BasedComplex(
+        algebra.field, matrices, lambda n: spaces[n].labels(), [sp.dim for sp in spaces]
+    )
 
 
 class Matching:
@@ -148,11 +175,12 @@ def validate_matching(cx: BasedComplex, matching: Matching) -> list[dict[int, in
     matched tails, where tail x comes before tail a whenever x hits a's head.
     Returns one {head: tail} dict per degree, its heads in that order of tails.
     """
+    dims = cx.dims()
     used: set[tuple[int, int]] = set()
     for n, i, j in matching.pairs:
         if not 0 <= n < cx.top_degree:
             raise MorseError(f"pair degree {n} outside 0..{cx.top_degree - 1}")
-        if not (0 <= i < len(cx.labels[n]) and 0 <= j < len(cx.labels[n + 1])):
+        if not (0 <= i < dims[n] and 0 <= j < dims[n + 1]):
             raise MorseError(f"pair ({n}, {i}, {j}) indexes nonexistent cells")
         if not cx.matrices[n].entry(j, i):
             raise MorseError(
@@ -186,15 +214,18 @@ class MorseReduction:
     reduced: BasedComplex
     unmatched: list[list[int]]
 
-    def to_json(self) -> dict:
-        return {
+    def to_json(self, cells: bool = True) -> dict:
+        """The reduction's report; without `cells`, no matching and no label."""
+        out = {
             "original_dims": self.original.dims(),
             "reduced_dims": self.reduced.dims(),
             "matching_size": len(self.matching),
-            "matching": self.matching.to_json(self.original),
-            "unmatched_labels": self.reduced.labels,
-            "cohomology_dims": self.reduced.cohomology_dims(),
         }
+        if cells:
+            out["matching"] = self.matching.to_json(self.original)
+            out["unmatched_labels"] = self.reduced.labels
+        out["cohomology_dims"] = self.reduced.cohomology_dims()
+        return out
 
 
 def morse_complex(cx: BasedComplex, matching: Matching) -> MorseReduction:
@@ -203,11 +234,11 @@ def morse_complex(cx: BasedComplex, matching: Matching) -> MorseReduction:
     f = cx.field
     k = f.degree
     unmatched: list[list[int]] = []
-    for n in range(cx.top_degree + 1):
+    for n, dim in enumerate(cx.dims()):
         taken = set(heads[n].values()) if n < cx.top_degree else set()
         if n > 0:
             taken.update(heads[n - 1])
-        unmatched.append([i for i in range(len(cx.labels[n])) if i not in taken])
+        unmatched.append([i for i in range(dim) if i not in taken])
 
     reduced_mats = []
     below: dict[int, int] = {}  # cells of degree n matched as heads in degree n - 1
@@ -241,10 +272,12 @@ def morse_complex(cx: BasedComplex, matching: Matching) -> MorseReduction:
         reduced_mats.append(Matrix.from_packed(f, flows, len(unmatched[n])))
         below = heads[n]
 
-    reduced_labels = [
-        [cx.labels[n][i] for i in unmatched[n]] for n in range(cx.top_degree + 1)
-    ]
-    reduced = BasedComplex(f, reduced_mats, reduced_labels)
+    reduced = BasedComplex(
+        f,
+        reduced_mats,
+        lambda n: [cx.labels[n][i] for i in unmatched[n]],
+        [len(cells) for cells in unmatched],
+    )
     return MorseReduction(cx, matching, reduced, unmatched)
 
 

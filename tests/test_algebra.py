@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -235,6 +236,13 @@ def test_presentation_validation():
         AlgebraPresentation(GF2, 2, ["a", "b"], {(0, 5): {0: 1}})
     with pytest.raises(PresentationError):
         AlgebraPresentation(GF2, 2, ["a"], {})
+
+
+def test_basis_names_hold_no_label_delimiter():
+    for bad in ("a,b", "(a", "a)", "a|0"):
+        with pytest.raises(PresentationError, match=re.escape(repr(bad))):
+            AlgebraPresentation(GF2, 2, [bad, "c"], {})
+    assert AlgebraPresentation(GF2, 2, ["e-1", "x_0"], {}).basis_names == ("e-1", "x_0")
 
 
 def test_presentations_are_read_only():

@@ -11,6 +11,7 @@ from commcoh import cli
 from commcoh.cli import main, parse_algebra, render_text
 from commcoh.field import make_field
 from commcoh.algebra import AlgebraPresentation
+from commcoh.cochain import CochainSpace
 
 GF2 = make_field(1)
 
@@ -106,6 +107,36 @@ def test_morse_checks_field_degree(capsys, monkeypatch):
         code, _, _ = run(capsys, "morse", "--algebra", "heisenberg:1", "--field-degree", degree)
         assert code == 0
     assert fast == [(1, 3)]
+
+
+def test_morse_without_reps_reads_no_label(capsys, monkeypatch):
+    argv = ["morse", "--algebra", "zassenhaus-e:2", "--module", "adjoint", "--format", "json"]
+    code, with_reps, _ = run(capsys, *argv, "--reps")
+    assert code == 0
+    full = json.loads(with_reps)
+
+    def no_label(self, flat):
+        raise AssertionError("a label was made but never printed")
+
+    monkeypatch.setattr(CochainSpace, "label", no_label)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    del full["matching"], full["unmatched_labels"]
+    assert out == json.dumps(full, indent=2) + "\n"
+
+
+def test_basis_names_may_not_hold_label_delimiters(capsys, tmp_path):
+    data = {
+        "field": GF2.to_json(),
+        "dim": 4,
+        "basis": ["a,b", "c", "a", "b,c"],
+        "brackets": [],
+    }
+    path = tmp_path / "commas.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "morse", "--algebra", str(path), "--max-degree", "3")
+    assert code == 1
+    assert err.startswith("error: basis name 'a,b' contains one of")
 
 
 def test_morse_reps_includes_matching(capsys):
@@ -227,6 +258,40 @@ def test_degree_cap_blocks(capsys):
     )
     assert code == 1
     assert "degree" in err.lower()
+
+
+def test_degree_cap_fails_before_any_work(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work began before the degree cap was checked")
+
+    for name in ("cohomology", "ring_table", "base_change", "comparison_comm_to_leibniz",
+                 "complex_from_cochains", "heisenberg_matching"):
+        monkeypatch.setattr(cli, name, no_work)
+    h8 = (
+        "error: H^8 needs cochains of degree 9, but degree 9 exceeds the cap 8; "
+        "raise it with --degree-cap\n"
+    )
+    for argv, want in (
+        (["cohomology", "--algebra", "heisenberg:1", "--flavor", "leibniz", "--max-degree", "8"],
+         h8),
+        (["cohomology", "--algebra", "zassenhaus-e:3", "--max-degree", "8"], h8),
+        (["cupring", "--algebra", "heisenberg:1", "--max-degree", "8"], h8),
+        (["scan", "--max-degree", "8"], h8),
+        (["compare", "--max-degree", "8"], h8),
+        (["basechange", "--field-degree", "2", "--max-degree", "8"], h8),
+        (
+            ["cohomology", "--max-degree", "4", "--degree-cap", "4"],
+            "error: H^4 needs cochains of degree 5, but degree 5 exceeds the cap 4; "
+            "raise it with --degree-cap\n",
+        ),
+        (
+            ["morse", "--algebra", "heisenberg:1", "--max-degree", "9"],
+            "error: the complex to degree 9 needs cochains of degree 9, but degree 9 exceeds "
+            "the cap 8; raise it with --degree-cap\n",
+        ),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", want), argv
 
 
 def test_bad_cap_and_unwritable_out_exit_1(capsys, tmp_path):

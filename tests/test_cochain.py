@@ -16,6 +16,7 @@ from commcoh.algebra import (
     zassenhaus_f,
 )
 from commcoh.cochain import (
+    FLAVORS,
     Cochain,
     CochainSpace,
     DegreeCapError,
@@ -29,6 +30,7 @@ from commcoh.cochain import (
     include_cochain,
     inclusion_matrix,
     lie_derivative,
+    _source_image_cached,
 )
 from commcoh.linalg import SizeCapError, entry_cap_override
 
@@ -211,6 +213,50 @@ def test_delta_matches_naive_formula(flavor):
                     else:
                         args = [[rng.randrange(q) for _ in range(d)] for _ in range(n + 1)]
                     assert evaluate(dphi, args) == naive_delta_eval(phi, args, flavor)
+
+
+@pytest.mark.parametrize("flavor", ["symmetric", "alternating", "tensor"])
+def test_differential_matrix_matches_naive_formula(flavor):
+    """Each assembled matrix against the defining sum, over GF(2), GF(4) and GF(8)."""
+    rng = random.Random(38)
+    cases = [
+        (heisenberg(1), trivial_module),
+        (heisenberg(1), adjoint_module),
+        (square_example(), adjoint_module),
+        (zassenhaus_e(2), dual_module),
+        (zassenhaus_f(2), adjoint_module),
+    ]
+    if flavor == "tensor":
+        # dimension 7 over GF(8): the target ranks are base-7 numerals of up to 3 digits
+        cases.append((zassenhaus_f(3), adjoint_module))
+    for algebra, make_mod in cases:
+        distinct = flavor == "alternating" and not algebra.is_lie()
+        mod = make_mod(algebra)
+        d = algebra.dim
+        q = algebra.field.order
+        for n in range(0, 3):
+            sp = cochain_space(algebra, mod, n, flavor)
+            up = cochain_space(algebra, mod, n + 1, flavor)
+            mat = differential_matrix(algebra, mod, n, flavor)
+            for _ in range(3):
+                phi = sp.cochain([rng.randrange(q) for _ in range(sp.dim)])
+                dphi = up.cochain(mat.mul_vec(list(phi.coeffs)))
+                for _ in range(4):
+                    if distinct:
+                        args = [algebra.basis_vector(i) for i in rng.sample(range(d), n + 1)]
+                    else:
+                        args = [[rng.randrange(q) for _ in range(d)] for _ in range(n + 1)]
+                    assert evaluate(dphi, args) == naive_delta_eval(phi, args, flavor)
+
+
+def test_differential_matrix_does_not_fill_the_source_image_cache():
+    # a presentation no other test uses, so no matrix of it is cached yet
+    a = AlgebraPresentation(make_field(2), 3, ["p0", "p1", "p2"], {(1, 2): {0: 3}})
+    before = _source_image_cached.cache_info()
+    for flavor in FLAVORS:
+        for n in range(3):
+            differential_matrix(a, adjoint_module(a), n, flavor)
+    assert _source_image_cached.cache_info() == before
 
 
 def test_delta_agrees_with_matrix():
