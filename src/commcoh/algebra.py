@@ -361,6 +361,15 @@ def span_subalgebra(
     return AlgebraPresentation(algebra.field, r, names, brackets), span
 
 
+def _read_json(source):
+    """The parsed JSON of a file path, of JSON text, or a parsed value as it is."""
+    if isinstance(source, str) and not Path(source).exists():
+        return json.loads(source)
+    if isinstance(source, (str, Path)):
+        return json.loads(Path(source).read_text())
+    return source
+
+
 def import_algebra(source) -> AlgebraPresentation:
     """Load an algebra from a JSON file path, JSON text, or parsed dict.
 
@@ -370,14 +379,7 @@ def import_algebra(source) -> AlgebraPresentation:
     duplicate pairs are an error, omitted pairs are zero.  The imported
     presentation must satisfy the Jacobi identity.
     """
-    if isinstance(source, Path):
-        data = json.loads(source.read_text())
-    elif isinstance(source, str) and Path(source).exists():
-        data = json.loads(Path(source).read_text())
-    elif isinstance(source, str):
-        data = json.loads(source)
-    else:
-        data = source
+    data = _read_json(source)
     try:
         f = FiniteField.from_json(data["field"])
         dim = data["dim"]
@@ -579,14 +581,7 @@ def dual_module(algebra: AlgebraPresentation) -> ModulePresentation:
 
 def import_module(algebra: AlgebraPresentation, source) -> ModulePresentation:
     """Load a module from a JSON file path or dict: {"dim": m, "actions": [d m x m hex matrices]}."""
-    if isinstance(source, Path):
-        data = json.loads(source.read_text())
-    elif isinstance(source, str) and Path(source).exists():
-        data = json.loads(Path(source).read_text())
-    elif isinstance(source, str):
-        data = json.loads(source)
-    else:
-        data = source
+    data = _read_json(source)
     f = algebra.field
     try:
         actions = [

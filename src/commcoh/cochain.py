@@ -382,10 +382,23 @@ def source_image(
     source: tuple[int, ...],
     nu: int,
 ) -> dict[tuple[tuple[int, ...], int], int]:
-    """The differential of the basis cochain dual to (source, nu), as a sparse dict."""
+    """The differential of the basis cochain dual to (source, nu), as a sparse dict.
+
+    ValueError unless nu is a module index and source a basis tuple of the
+    flavor: algebra indices, non-decreasing if symmetric, increasing if alternating.
+    """
     _check_flavor(flavor)
     check_degree(len(source) + 1)
-    return _source_image_cached(algebra, module, flavor, tuple(source), nu)
+    source = tuple(source)
+    if not 0 <= nu < module.dim:
+        raise ValueError(f"module index {nu} is not in range({module.dim})")
+    in_range = all(0 <= i < algebra.dim for i in source)
+    steps = zip(source, source[1:]) if flavor != "tensor" else ()
+    if not in_range or any(a > b or a == b and flavor == "alternating" for a, b in steps):
+        raise ValueError(
+            f"{source} is not a basis tuple of the {flavor} flavor in dimension {algebra.dim}"
+        )
+    return _source_image_cached(algebra, module, flavor, source, nu)
 
 
 def delta_items(
@@ -398,11 +411,12 @@ def delta_items(
 
     A symmetric or alternating target space is listed to rank its tuples; a
     tensor target space is not listed at all, so any degree under the cap works.
+    FieldError for a coefficient that is not a field element.
     """
     f = algebra.field
     out: dict = {}
     for (source, nu), c in items.items():
-        if not c:
+        if not f.check_bits(c):
             continue
         for key, val in source_image(algebra, module, flavor, source, nu).items():
             acc = f.add(out.get(key, 0), f.mul(c, val))

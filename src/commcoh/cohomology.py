@@ -33,6 +33,7 @@ from .field import FiniteField, make_field
 from .linalg import (
     Matrix,
     Subspace,
+    check_contains,
     image_basis,
     kernel_basis,
     quotient_basis,
@@ -56,17 +57,25 @@ class NotACocycleError(ValueError):
 class CohomologyResult:
     """Cocycles, coboundaries, and representatives in one degree and flavor."""
 
-    __slots__ = ("space", "cocycles", "coboundaries", "representatives", "_solver")
+    __slots__ = ("space", "cocycles", "coboundaries", "_representatives", "_solver")
 
     def __init__(self, space: CochainSpace, cocycles: Subspace, coboundaries: Subspace):
+        check_contains(cocycles, coboundaries)
         self.space = space
         self.cocycles = cocycles
         self.coboundaries = coboundaries
-        # unpacked field elements, so the entry check of the Cochain constructor is skipped
-        self.representatives = [
-            Cochain._of(space, v) for v in quotient_basis(cocycles, coboundaries)
-        ]
+        self._representatives = None
         self._solver = None
+
+    @property
+    def representatives(self) -> list[Cochain]:
+        """The classes' representatives, unpacked on first read."""
+        if self._representatives is None:
+            # unpacked field elements, so the entry check of the Cochain constructor is skipped
+            self._representatives = [
+                Cochain._of(self.space, v) for v in quotient_basis(self.cocycles, self.coboundaries)
+            ]
+        return self._representatives
 
     @property
     def degree(self) -> int:
@@ -93,7 +102,7 @@ class CohomologyResult:
 
         None if the vector is not a cocycle.  Coboundaries map to all zeros.
         The [representatives | coboundaries] matrix is built once per result,
-        and over GF(2) `solve` eliminates it once and reuses that for every query.
+        and `solve` eliminates it once and reuses that for every query.
         """
         if isinstance(vec, Cochain):
             vec = list(vec.coeffs)
@@ -103,17 +112,7 @@ class CohomologyResult:
         sol = solve(self._solver, vec)
         if sol is None:
             return None
-        return sol[: len(self.representatives)]
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "flavor": self.flavor,
-            "dimZ": self.dim_Z,
-            "dimB": self.dim_B,
-            "dimH": self.dim_H,
-            "representatives": [rep.to_json() for rep in self.representatives],
-        }
+        return sol[: self.dim_H]
 
     def __repr__(self) -> str:
         return (

@@ -18,6 +18,12 @@ One back-substitution pass in descending pivot order gives the reduced row
 echelon form, which is unique; the test suite checks it against a
 column-scan reference elimination kept in the tests.
 
+The rest is built from one product (`Matrix.mul`; `mul_vec` is a
+one-column product), that elimination (`_echelon`, `_rref`) and one
+reduction against a stored RREF (`Subspace._residual`).  `solve` reduces the
+right-hand side against the RREF of A's columns, each column tagged with a
+unit vector, and reads the solution off the tags of the residual.
+
 Everything here is deterministic: pivots are the leftmost nonzero entries
 of the reduced rows, subspaces are kept in reduced row echelon form, and
 quotient bases are the pivot-complement vectors of the numerator.
@@ -36,7 +42,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterable, Sequence
 
-from .field import FiniteField, poly_mod
+from .field import FiniteField
 
 _entry_cap: ContextVar[int] = ContextVar("entry_cap", default=1_000_000)
 
@@ -77,7 +83,7 @@ class Matrix:
         self.nrows = nrows
         self.ncols = ncols
         self._packed = packed  # one lane-packed int per row
-        self._solver = None    # solve()'s elimination of [A | I], made on first use
+        self._solver = None    # solve()'s subspace of tagged columns, made on first use
 
     # -- constructors --------------------------------------------------------
 
@@ -142,7 +148,8 @@ class Matrix:
     # -- arithmetic -------------------------------------------------------------
 
     def add(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
+        if (self.field, self.nrows, self.ncols) != (other.field, other.nrows, other.ncols):
+            raise ValueError("field or shape mismatch in matrix sum")
         return Matrix(
             self.field, self.nrows, self.ncols, [a ^ b for a, b in zip(self._packed, other._packed)]
         )
@@ -168,11 +175,7 @@ class Matrix:
         return Matrix(f, self.nrows, other.ncols, out)
 
     def mul_vec(self, vec: Sequence[int]) -> list[int]:
-        if len(vec) != self.ncols:
-            raise ValueError("vector length does not match column count")
-        f = self.field
-        v = _pack_row(vec, f)
-        return [_dot(r, v, f) for r in self._packed]
+        return self.mul(Matrix.from_rows(self.field, [[v] for v in vec], 1))._packed
 
     def transpose(self) -> "Matrix":
         check_entry_count(self.ncols, self.nrows)
@@ -182,12 +185,6 @@ class Matrix:
             for s, c in _lanes(r, k):
                 cols[s // k] |= c << (k * i)
         return Matrix(self.field, self.ncols, self.nrows, cols)
-
-    def _check_same_shape(self, other: "Matrix") -> None:
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
 
 
 # -- lane arithmetic on packed rows ----------------------------------------------
@@ -214,24 +211,6 @@ def _unpack_row(mask: int, ncols: int, f: FiniteField) -> list[int]:
         return list(bits[::-1][:ncols].encode().translate(_DIGIT_TO_ENTRY))
     end = len(bits)
     return [int(bits[end - i - k : end - i], 2) for i in range(0, k * ncols, k)]
-
-
-def _dot(u: int, v: int, f: FiniteField) -> int:
-    """The sum over j of u_j v_j for packed rows u and v.
-
-    Field multiplication is bilinear over GF(2), so the product's coefficient
-    of x^(t+r) collects the parity of bit t of u's lanes against bit r of v's.
-    """
-    k = f.degree
-    if k == 1:
-        return (u & v).bit_count() & 1
-    lows = _tops(f, u.bit_length() // k + 1) >> (k - 1)
-    prod = 0
-    for t in range(k):
-        ut = (u >> t) & lows
-        for r in range(k):
-            prod ^= ((ut & (v >> r)).bit_count() & 1) << (t + r)
-    return poly_mod(prod, f.modulus)
 
 
 def _tops(f: FiniteField, nlanes: int) -> int:
@@ -456,48 +435,40 @@ def image_basis(a: Matrix) -> Subspace:
     return Subspace(a.field, a.nrows, _rref(a.transpose()._packed, a.nrows, a.field))
 
 
-def _solver(a: Matrix) -> tuple[list[tuple[int, int]], list[int]]:
-    """The RREF of [A | I] split at column n, for solving A x = b.
-
-    Each row is (R_i | T_i) with T_i A = R_i, and T is invertible, so A x = b
-    iff R x = T b.  Rows with R_i = 0 give the consistency conditions
-    T_i . b = 0; a row with pivot p < n gives x_p = T_i . b for the solution
-    that is zero on the free columns.
-    """
-    f = a.field
-    k = f.degree
-    shift = k * a.ncols
-    echelon = _rref(
-        (r | (1 << (shift + k * i)) for i, r in enumerate(a._packed)), a.ncols + a.nrows, f
-    )
-    values, checks = [], []
-    for s in list(echelon)[::k]:
-        if s < shift:
-            values.append((s // k, echelon[s] >> shift))
-        else:
-            checks.append(echelon[s] >> shift)
-    return values, checks
-
-
 def solve(a: Matrix, b: Sequence[int]) -> list[int] | None:
     """One solution x of A x = b (free variables set to 0), or None.
 
-    The elimination of A is done on the first call and kept on the matrix,
-    so later right-hand sides cost one dot product per row.
+    On the first call the columns of A are eliminated once, column j tagged
+    with e_j in lane ncols - 1 - j after the nrows lanes of the column, and
+    the subspace is kept on the matrix.  Each row of its RREF is A y | y
+    reversed for some y, so b's residual against it is b + A y | y reversed:
+    b is in the image iff the residual has no entry in the column lanes, and
+    then A y = b.  The tags are reversed so that a column depending on the
+    columns before it is the pivot of a kernel row, which leaves y zero there.
     """
     if len(b) != a.nrows:
         raise ValueError("right-hand side length does not match row count")
     f = a.field
     if a._solver is None:
-        a._solver = _solver(a)
-    values, checks = a._solver
-    bv = _pack_row(b, f)
-    if any(_dot(t, bv, f) for t in checks):
+        width = a.nrows + a.ncols
+        top = f.degree * (width - 1)
+        tagged = (c | 1 << (top - f.degree * j) for j, c in enumerate(a.transpose()._packed))
+        a._solver = Subspace(f, width, _rref(tagged, width, f))
+    shift = f.degree * a.nrows
+    r = a._solver._residual(_pack_row(b, f))
+    if r & ((1 << shift) - 1):
         return None
-    x = [0] * a.ncols
-    for p, t in values:
-        x[p] = _dot(t, bv, f)
-    return x
+    return _unpack_row(r >> shift, a.ncols, f)[::-1]
+
+
+def check_contains(z: Subspace, b: Subspace) -> None:
+    """Raise ContainmentError naming a basis vector of B that is not in Z."""
+    if z.field != b.field or z.ambient_dim != b.ambient_dim:
+        raise ValueError("subspaces of different ambient spaces")
+    for r in b._packed_basis():
+        if z._residual(r):
+            vec = tuple(_unpack_row(r, z.ambient_dim, z.field))
+            raise ContainmentError(f"denominator vector {vec} is not in the numerator")
 
 
 def quotient_basis(z: Subspace, b: Subspace) -> list[tuple[int, ...]]:
@@ -505,14 +476,8 @@ def quotient_basis(z: Subspace, b: Subspace) -> list[tuple[int, ...]]:
 
     Requires B <= Z; raises ContainmentError naming an offending vector otherwise.
     """
-    if z.field != b.field or z.ambient_dim != b.ambient_dim:
-        raise ValueError("quotient of subspaces of different ambient spaces")
+    check_contains(z, b)
     f, n = z.field, z.ambient_dim
-    for r in b._packed_basis():
-        if z._residual(r):
-            raise ContainmentError(
-                f"denominator vector {tuple(_unpack_row(r, n, f))} is not in the numerator"
-            )
     b_pivots = set(b.pivots)
     reps = [
         tuple(_unpack_row(r, n, f))

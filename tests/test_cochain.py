@@ -24,12 +24,14 @@ from commcoh.cochain import (
     contract,
     degree_cap_override,
     delta,
+    delta_items,
     differential_matrix,
     evaluate,
     flavor_dim,
     include_cochain,
     inclusion_matrix,
     lie_derivative,
+    source_image,
     _source_image_cached,
 )
 from commcoh.linalg import SizeCapError, entry_cap_override
@@ -257,6 +259,36 @@ def test_differential_matrix_does_not_fill_the_source_image_cache():
         for n in range(3):
             differential_matrix(a, adjoint_module(a), n, flavor)
     assert _source_image_cached.cache_info() == before
+
+
+def test_source_image_rejects_a_module_index_out_of_range():
+    a = dim2(make_field(2))
+    with pytest.raises(ValueError, match=r"module index 1 is not in range\(1\)"):
+        source_image(a, trivial_module(a), "symmetric", (0,), 1)
+
+
+def test_source_image_rejects_a_repeat_in_an_alternating_source():
+    a = zassenhaus_e(3)
+    with pytest.raises(ValueError, match=r"\(1, 1\) is not a basis tuple"):
+        source_image(a, trivial_module(a), "alternating", (1, 1), 0)
+
+
+def test_source_image_rejects_an_unsorted_symmetric_source():
+    a = zassenhaus_e(3)
+    with pytest.raises(ValueError, match=r"\(0, 3, 2\) is not a basis tuple"):
+        source_image(a, trivial_module(a), "symmetric", (0, 3, 2), 0)
+
+
+def test_source_image_rejects_a_tensor_index_out_of_range():
+    a = zassenhaus_e(3)
+    with pytest.raises(ValueError, match=r"\(0, 9\) is not a basis tuple"):
+        source_image(a, trivial_module(a), "tensor", (0, 9), 0)
+
+
+def test_delta_items_rejects_a_coefficient_outside_the_field():
+    a = dim2(make_field(2))
+    with pytest.raises(FieldError, match="9 is not an element"):
+        delta_items(a, trivial_module(a), "symmetric", {((0,), 0): 9})
 
 
 def test_delta_agrees_with_matrix():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from commcoh import linalg
 from commcoh.field import make_field
 from commcoh.algebra import (
     AlgebraPresentation,
@@ -17,8 +18,9 @@ from commcoh.algebra import (
     zassenhaus_f,
 )
 from commcoh.cochain import cochain_space, delta
-from commcoh.linalg import Subspace
+from commcoh.linalg import ContainmentError, Subspace, entry_cap_override, quotient_basis
 from commcoh.cohomology import (
+    CohomologyResult,
     NotACocycleError,
     abelianization_dual_dim,
     alternating_invariant_forms,
@@ -197,6 +199,29 @@ def test_cocycles_are_cocycles_and_coboundaries_vanish():
             for i, rep in enumerate(res.representatives):
                 coords = res.class_coordinates(rep)
                 assert coords == [1 if j == i else 0 for j in range(res.dim_H)]
+
+
+def test_representatives_are_unpacked_on_first_read(monkeypatch):
+    widths = []
+    unpack = linalg._unpack_row
+    monkeypatch.setattr(linalg, "_unpack_row", lambda *args: widths.append(args[1]) or unpack(*args))
+    a = heisenberg(1)
+    with entry_cap_override(20_000_000):
+        res = cohomology(a, trivial_module(a), 7, "tensor")
+    assert widths == []
+    reps = res.representatives
+    assert widths == [res.space.dim] * res.dim_H == [2187] * 408
+    assert res.representatives is reps
+    assert [rep.coeffs for rep in reps] == quotient_basis(res.cocycles, res.coboundaries)
+
+
+def test_result_checks_coboundaries_lie_in_cocycles():
+    a = dim2()
+    res = cohomology(a, trivial_module(a), 1)
+    outside = Subspace.from_vectors(GF2, [[1, 1]], 2)
+    assert not res.cocycles.contains_subspace(outside)
+    with pytest.raises(ContainmentError, match=r"denominator vector \(1, 1\)"):
+        CohomologyResult(res.space, res.cocycles, outside)
 
 
 def test_class_coordinates_rejects_non_cocycle():

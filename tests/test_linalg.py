@@ -75,27 +75,58 @@ def dot(f, u, v):
 FIELDS = [make_field(k) for k in (1, 2, 3, 8, 16)]
 
 
+def naive_solve(a, b):
+    """The [A | I] solver: x zero on the free columns, or None.
+
+    The RREF of [A | I] has rows (R_i | T_i) with T_i A = R_i and T invertible,
+    so A x = b iff R x = T b.  A row with R_i = 0 is the condition T_i . b = 0;
+    a row with pivot p < ncols gives x_p = T_i . b.
+    """
+    f, n = a.field, a.ncols
+    tagged = [row + [int(i == j) for j in range(a.nrows)] for i, row in enumerate(a.rows())]
+    echelon, pivots = naive_rref(tagged, n + a.nrows, f)
+    x = [0] * n
+    for row, p in zip(echelon, pivots):
+        value = dot(f, row[n:], b)
+        if p < n:
+            x[p] = value
+        elif value:
+            return None
+    return x
+
+
 @st.composite
 def field_systems(draw):
-    """(field, rows, ncols, x): entries biased to 0, 1 and the top of the field,
-    plus scaled sums of rows so ranks drop."""
+    """(field, rows, ncols, x, rhs): entries biased to 0, 1 and the top of the
+    field, repeated columns and scaled sums of columns, then scaled sums of
+    rows so ranks drop, and rhs a random right-hand side."""
     f = draw(st.sampled_from(FIELDS))
     ncols = draw(st.integers(0, 12))
     entry = st.one_of(st.just(0), st.just(1), st.just(f.order - 1), st.integers(0, f.order - 1))
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=10))
+    if ncols:
+        index = st.integers(0, ncols - 1)
+        combos = st.tuples(index, index, st.integers(0, f.order - 1))
+        for i, j, c in draw(st.lists(combos, max_size=4)):
+            for row in rows:
+                row.append(f.add(row[i], f.mul(c, row[j])))
+            ncols += 1
+        order = draw(st.permutations(range(ncols)))
+        rows = [[row[j] for j in order] for row in rows]
     if rows:
         index = st.integers(0, len(rows) - 1)
         combos = st.tuples(index, index, st.integers(1, f.order - 1))
         for i, j, c in draw(st.lists(combos, max_size=4)):
             rows.append([f.add(a, f.mul(c, b)) for a, b in zip(rows[i], rows[j])])
     x = draw(st.lists(entry, min_size=ncols, max_size=ncols))
-    return f, draw(st.permutations(rows)), ncols, x
+    rhs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    return f, draw(st.permutations(rows)), ncols, x, rhs
 
 
 @settings(max_examples=300, deadline=None)
 @given(field_systems())
 def test_engine_matches_naive_rref_over_every_field(system):
-    f, rows, ncols, x = system
+    f, rows, ncols, x, rhs = system
     a = Matrix.from_rows(f, rows, ncols)
     assert a.rows() == rows
     space = image_basis(a.transpose())
@@ -112,6 +143,8 @@ def test_engine_matches_naive_rref_over_every_field(system):
     sol = solve(a, b)
     assert sol is not None
     assert [dot(f, row, sol) for row in rows] == b
+    assert sol == naive_solve(a, b)
+    assert solve(a, rhs) == naive_solve(a, rhs)
 
 
 def naive_rref_packed(rows, ncols):
