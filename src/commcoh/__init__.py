@@ -45,21 +45,7 @@ from .cochain import (
     inclusion_matrix,
     lie_derivative,
 )
-from .cohomology import (
-    CohomologyResult,
-    NotACocycleError,
-    abelianization_dual_dim,
-    alternating_invariant_forms,
-    base_change,
-    central_extension,
-    coboundary_witness,
-    cohomology,
-    comparison_comm_to_leibniz,
-    comparison_lie_to_comm,
-    exact_sequence_check,
-    invariants_subspace,
-    outer_derivation_dim,
-)
+from .cohomology import CohomologyResult, NotACocycleError, coboundary_witness, cohomology
 from .cup import RingTable, cup, ring_table
 from .morse import (
     BasedComplex,
@@ -73,4 +59,31 @@ from .morse import (
     validate_matching,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the structure maps, loaded on first access (PEP 562) so that importing the
+# package does not compile them
+_STRUCTURE = (
+    "abelianization_dual_dim",
+    "alternating_invariant_forms",
+    "base_change",
+    "central_extension",
+    "comparison_comm_to_leibniz",
+    "comparison_lie_to_comm",
+    "exact_sequence_check",
+    "invariants_subspace",
+    "outer_derivation_dim",
+)
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_STRUCTURE))
+
+
+def __getattr__(name):
+    if name not in _STRUCTURE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import structure
+
+    value = globals()[name] = getattr(structure, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_STRUCTURE))

@@ -15,9 +15,9 @@ particular forces every square [x,x] to act trivially.
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import os
+from collections.abc import Iterable, Sequence
 from types import MappingProxyType
-from typing import Iterable, Sequence
 
 from .field import GF2, FieldError, FiniteField, binom_mod2, scalar_from_hex, scalar_to_hex
 from .linalg import Matrix, Subspace, kernel_basis
@@ -363,10 +363,11 @@ def span_subalgebra(
 
 def _read_json(source):
     """The parsed JSON of a file path, of JSON text, or a parsed value as it is."""
-    if isinstance(source, str) and not Path(source).exists():
+    if isinstance(source, str) and not os.path.exists(source):
         return json.loads(source)
-    if isinstance(source, (str, Path)):
-        return json.loads(Path(source).read_text())
+    if isinstance(source, (str, os.PathLike)):
+        with open(source) as fh:
+            return json.load(fh)
     return source
 
 

@@ -21,7 +21,6 @@ import contextlib
 import json
 import os
 import sys
-from pathlib import Path
 
 from .algebra import (
     AxiomError,
@@ -38,16 +37,7 @@ from .algebra import (
     zassenhaus_f,
 )
 from .cochain import DegreeCapError, check_degree, degree_cap_override
-from .cohomology import (
-    NotACocycleError,
-    base_change,
-    central_extension,
-    coboundary_witness,
-    cohomology,
-    comparison_comm_to_leibniz,
-    comparison_lie_to_comm,
-    exact_sequence_check,
-)
+from .cohomology import NotACocycleError, coboundary_witness, cohomology
 from .cup import ring_table
 from .field import FieldError, make_field
 from .linalg import SizeCapError, entry_cap_override
@@ -69,13 +59,24 @@ FLAVORS = {
 }
 
 
+def _is_json_path(text: str) -> bool:
+    return os.path.exists(text) or os.path.splitext(text)[1] == ".json"
+
+
+def _load_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def parse_algebra(text: str, field_degree: int):
     """A builder name like heisenberg:2 or zassenhaus-e:3, or a JSON file path."""
-    path = Path(text)
-    if path.exists() or path.suffix == ".json":
-        return import_algebra(path)
+    if _is_json_path(text):
+        return import_algebra(_load_json(text))
     name, _, raw = text.partition(":")
-    params = [int(p) for p in raw.split(",") if p != ""]
+    try:
+        params = [int(p) for p in raw.split(",") if p != ""]
+    except ValueError:
+        name = None  # a parameter that is not an integer names no builder
     fld = make_field(field_degree)
     if name == "dim2" and not params:
         return dim2(fld)
@@ -100,9 +101,8 @@ def parse_module(text: str, algebra):
     builders = {"trivial": trivial_module, "adjoint": adjoint_module, "dual": dual_module}
     if text in builders:
         return builders[text](algebra)
-    path = Path(text)
-    if path.exists() or path.suffix == ".json":
-        return import_module(algebra, path)
+    if _is_json_path(text):
+        return import_module(algebra, _load_json(text))
     raise ValueError(
         f"unknown module {text!r}; expected trivial, adjoint, dual, or a JSON file path"
     )
@@ -210,6 +210,8 @@ def cmd_cohomology(args):
 
 
 def cmd_cocycles2(args):
+    from .structure import central_extension
+
     algebra, module = _setup(args)
     flavor = _flavor(args)
     _need_lie(algebra, flavor)
@@ -264,12 +266,16 @@ def cmd_morse(args):
 
 
 def cmd_sequence(args):
+    from .structure import exact_sequence_check
+
     algebra = parse_algebra(args.algebra, args.field_degree)
     report = exact_sequence_check(algebra)
     return report.to_json(), 2 if report.defects else 0
 
 
 def cmd_compare(args):
+    from .structure import comparison_comm_to_leibniz, comparison_lie_to_comm
+
     algebra, module = _setup(args)
     rows = []
     for n in range(args.max_degree + 1):
@@ -284,6 +290,8 @@ def cmd_compare(args):
 
 
 def cmd_basechange(args):
+    from .structure import base_change
+
     if args.field_degree < 2:
         raise ValueError("basechange needs --field-degree 2 or more")
     algebra = parse_algebra(args.algebra, 1)
@@ -478,7 +486,8 @@ def main(argv=None) -> int:
                 _check_degree_cap(args)
             payload, code = args.handler(args)
         if args.out:
-            Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+            with open(args.out, "w") as fh:
+                fh.write(json.dumps(payload, indent=2) + "\n")
         if args.format == "json":
             text = json.dumps(payload, indent=2)
         else:

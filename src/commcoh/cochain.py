@@ -41,10 +41,10 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
+from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 from .algebra import AlgebraPresentation, ModulePresentation
 from .field import scalar_to_hex

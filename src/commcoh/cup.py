@@ -20,7 +20,6 @@ a degree bound into a multiplication table with stable labels.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .algebra import AlgebraPresentation, trivial_module
 from .cochain import Cochain, cochain_space
@@ -65,7 +64,6 @@ def _position(label: str) -> tuple[int, int]:
     return int(degree), int(index)
 
 
-@dataclass
 class RingTable:
     """Multiplication table of cohomology classes up to a degree bound.
 
@@ -74,12 +72,23 @@ class RingTable:
     the coordinates of the product, stored sparsely as label -> bits.
     """
 
-    algebra: AlgebraPresentation
-    max_degree: int
-    results: list[CohomologyResult]
-    labels: list[list[str]]
-    products: dict[tuple[str, str], dict[str, int]]
-    defects: list[str]
+    __slots__ = ("algebra", "max_degree", "results", "labels", "products", "defects")
+
+    def __init__(
+        self,
+        algebra: AlgebraPresentation,
+        max_degree: int,
+        results: list[CohomologyResult],
+        labels: list[list[str]],
+        products: dict[tuple[str, str], dict[str, int]],
+        defects: list[str],
+    ):
+        self.algebra = algebra
+        self.max_degree = max_degree
+        self.results = results
+        self.labels = labels
+        self.products = products
+        self.defects = defects
 
     def dims(self) -> list[int]:
         return [r.dim_H for r in self.results]

@@ -38,9 +38,9 @@ requests into errors instead of memory exhaustion; see entry_cap_override.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterable, Sequence
 
 from .field import FiniteField
 
@@ -76,7 +76,7 @@ def check_entry_count(nrows: int, ncols: int) -> None:
 class Matrix:
     """A dense matrix over a FiniteField.  Treat instances as immutable."""
 
-    __slots__ = ("field", "nrows", "ncols", "_packed", "_solver")
+    __slots__ = ("field", "nrows", "ncols", "_packed", "_solver", "_source")
 
     def __init__(self, field: FiniteField, nrows: int, ncols: int, packed: list[int]):
         self.field = field
@@ -84,6 +84,7 @@ class Matrix:
         self.ncols = ncols
         self._packed = packed  # one lane-packed int per row
         self._solver = None    # solve()'s subspace of tagged columns, made on first use
+        self._source = None    # the matrix this one is the transpose of
 
     # -- constructors --------------------------------------------------------
 
@@ -178,13 +179,18 @@ class Matrix:
         return self.mul(Matrix.from_rows(self.field, [[v] for v in vec], 1))._packed
 
     def transpose(self) -> "Matrix":
+        """The transpose; a matrix made by `transpose` gives back its source with no work."""
+        if self._source is not None:
+            return self._source
         check_entry_count(self.ncols, self.nrows)
         k = self.field.degree
         cols = [0] * self.ncols
         for i, r in enumerate(self._packed):
             for s, c in _lanes(r, k):
                 cols[s // k] |= c << (k * i)
-        return Matrix(self.field, self.ncols, self.nrows, cols)
+        out = Matrix(self.field, self.ncols, self.nrows, cols)
+        out._source = self
+        return out
 
 
 # -- lane arithmetic on packed rows ----------------------------------------------

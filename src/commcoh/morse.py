@@ -31,9 +31,8 @@ critical-cell description, kept separate so the two can be compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from graphlib import CycleError, TopologicalSorter
-from typing import Callable
 
 from .algebra import AlgebraPresentation, ModulePresentation, heisenberg, trivial_module
 from .cochain import cochain_space, differential_matrix
@@ -207,12 +206,22 @@ def validate_matching(cx: BasedComplex, matching: Matching) -> list[dict[int, in
     return heads
 
 
-@dataclass
 class MorseReduction:
-    original: BasedComplex
-    matching: Matching
-    reduced: BasedComplex
-    unmatched: list[list[int]]
+    """A complex, an acyclic matching on it, and the reduced complex on the unmatched cells."""
+
+    __slots__ = ("original", "matching", "reduced", "unmatched")
+
+    def __init__(
+        self,
+        original: BasedComplex,
+        matching: Matching,
+        reduced: BasedComplex,
+        unmatched: list[list[int]],
+    ):
+        self.original = original
+        self.matching = matching
+        self.reduced = reduced
+        self.unmatched = unmatched
 
     def to_json(self, cells: bool = True) -> dict:
         """The reduction's report; without `cells`, no matching and no label."""

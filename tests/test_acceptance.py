@@ -26,8 +26,8 @@ from commcoh.cochain import (
     differential_matrix,
     lie_derivative,
 )
-from commcoh.cohomology import (
-    cohomology,
+from commcoh.cohomology import cohomology
+from commcoh.structure import (
     comparison_comm_to_leibniz,
     comparison_lie_to_comm,
     base_change,

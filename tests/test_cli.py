@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from commcoh import cli
+from commcoh import cli, structure
 from commcoh.cli import main, parse_algebra, render_text
 from commcoh.field import make_field
 from commcoh.algebra import AlgebraPresentation
@@ -225,6 +225,16 @@ def test_unknown_builder_exits_1(capsys):
     assert "unknown algebra" in err
 
 
+def test_non_integer_builder_parameter_is_an_unknown_algebra(capsys):
+    expected = (
+        "error: unknown algebra {!r}; expected dim2, abelian:d, heisenberg:l, "
+        "zassenhaus-e:n, zassenhaus-f:n, or a JSON file path\n"
+    )
+    for text in ("heisenberg:1,2", "heisenberg:x", "abelian:2,x"):
+        code, out, err = run(capsys, "cohomology", "--algebra", text)
+        assert (code, out, err) == (1, "", expected.format(text)), text
+
+
 def test_jacobi_violation_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "cohomology", "--algebra", broken_file(tmp_path))
     assert code == 2
@@ -264,9 +274,11 @@ def test_degree_cap_fails_before_any_work(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("work began before the degree cap was checked")
 
-    for name in ("cohomology", "ring_table", "base_change", "comparison_comm_to_leibniz",
-                 "complex_from_cochains", "heisenberg_matching"):
+    for name in ("cohomology", "ring_table", "complex_from_cochains", "heisenberg_matching"):
         monkeypatch.setattr(cli, name, no_work)
+    # the handlers import the structure maps when they run
+    for name in ("base_change", "comparison_comm_to_leibniz"):
+        monkeypatch.setattr(structure, name, no_work)
     h8 = (
         "error: H^8 needs cochains of degree 9, but degree 9 exceeds the cap 8; "
         "raise it with --degree-cap\n"
@@ -462,3 +474,61 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "dimH" in proc.stdout
+
+
+# ------------------------------------------------------------------
+# what importing the package loads
+# ------------------------------------------------------------------
+
+# commcoh.__all__ before the structure maps were loaded on first access
+PUBLIC_NAMES = {
+    "AlgebraPresentation", "AxiomError", "BasedComplex", "Cochain", "CochainSpace",
+    "CohomologyResult", "DegreeCapError", "FiniteField", "GF2", "Matching", "Matrix",
+    "ModulePresentation", "MorseError", "NotACocycleError", "PresentationError", "RingTable",
+    "SizeCapError", "Subspace", "abelian", "abelianization_dual_dim", "adjoint_module",
+    "algebra", "alternating_invariant_forms", "base_change", "binom_mod2", "central_extension",
+    "coboundary_witness", "cochain", "cochain_space", "cohomology",
+    "comparison_comm_to_leibniz", "comparison_lie_to_comm", "complex_from_cochains",
+    "contract", "cup", "degree_cap_override", "delta", "derivation_space",
+    "differential_matrix", "dim2", "dual_module", "entry_cap_override", "evaluate",
+    "exact_sequence_check", "field", "greedy_matching", "heisenberg", "heisenberg_matching",
+    "heisenberg_unmatched_cells", "image_basis", "import_algebra", "import_module",
+    "include_cochain", "inclusion_matrix", "invariants_subspace", "kernel_basis",
+    "lie_derivative", "linalg", "make_field", "module_from_actions", "morse",
+    "morse_complex", "outer_derivation_dim", "quotient_basis", "rank", "ring_table", "solve",
+    "span_subalgebra", "trivial_module", "validate_matching", "zassenhaus_e", "zassenhaus_f",
+}
+
+
+def run_fresh(code: str) -> str:
+    """Standard output of `code` in a new interpreter without site-packages."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return proc.stdout
+
+
+def test_cli_start_up_loads_no_unused_module():
+    loaded = run_fresh(
+        "import commcoh.cli, sys; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing', 'pathlib', "
+        "'commcoh.structure') if m in sys.modules))"
+    )
+    assert loaded.split() == []
+
+
+def test_every_public_name_resolves():
+    out = run_fresh(
+        "import json, sys, commcoh; "
+        "before = 'commcoh.structure' in sys.modules; "
+        "attrs = [n for n in commcoh.__all__ if getattr(commcoh, n, None) is not None]; "
+        "star = {}; exec('from commcoh import *', star); "
+        "print(json.dumps([before, commcoh.__all__, attrs, sorted(star), dir(commcoh)]))"
+    )
+    before, names, attrs, star, listed = json.loads(out)
+    assert not before
+    assert set(names) == PUBLIC_NAMES and len(names) == len(PUBLIC_NAMES)
+    assert set(attrs) == PUBLIC_NAMES
+    assert set(star) - {"__builtins__"} == PUBLIC_NAMES
+    assert PUBLIC_NAMES <= set(listed)

@@ -22,12 +22,14 @@ from commcoh.linalg import ContainmentError, Subspace, entry_cap_override, quoti
 from commcoh.cohomology import (
     CohomologyResult,
     NotACocycleError,
+    coboundary_witness,
+    cohomology,
+)
+from commcoh.structure import (
     abelianization_dual_dim,
     alternating_invariant_forms,
     base_change,
     central_extension,
-    coboundary_witness,
-    cohomology,
     comparison_comm_to_leibniz,
     comparison_lie_to_comm,
     exact_sequence_check,
@@ -319,7 +321,7 @@ def test_empty_systems_give_the_whole_space():
 
 def test_heisenberg_invariant_form_is_the_pairing():
     # the unique form pairs b with c and kills the center
-    from commcoh.cohomology import form_pairs, form_entry
+    from commcoh.structure import form_pairs, form_entry
 
     a = heisenberg(1)
     forms = alternating_invariant_forms(a)

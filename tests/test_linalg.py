@@ -5,6 +5,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from commcoh import linalg
 from commcoh.field import FieldError, make_field
 from commcoh.linalg import (
     ContainmentError,
@@ -484,3 +485,16 @@ def test_nonzeros_and_scale_packed_agree_with_entries():
                 c = rng.choice(f.elements())
                 scaled = Matrix.from_packed(f, [scale_packed(a._packed[i], c, f)], ncols)
                 assert scaled.row(0) == [f.mul(c, w) for w in row]
+
+
+def test_transposing_a_transpose_gives_back_its_source(monkeypatch):
+    m = Matrix.from_rows(GF4, [[1, 2, 0], [0, 3, 1]])
+    t = m.transpose()
+    assert t.rows() == [[1, 0], [2, 3], [0, 1]]
+
+    def no_work(*args):
+        raise AssertionError("the second transpose did work")
+
+    monkeypatch.setattr(linalg, "_lanes", no_work)
+    monkeypatch.setattr(linalg, "check_entry_count", no_work)
+    assert t.transpose() is m
