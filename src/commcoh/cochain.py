@@ -31,9 +31,20 @@ are the symmetric terms with repeat-free targets.  The matrix is assembled
 straight into lane-packed rows (see linalg): a bracket term XORs its
 coefficient into row (target, nu), and an action term XORs a packed row of
 rho(e_t) in at the source's lanes, so even multiplicities cancel in place.
+
+For the tensor flavor the generator gives only the first-argument terms
+(i = 1 above).  Every other term of d_n on a source (x_1, ...) keeps x_1 in
+front, and behind it is a term of d_{n-1} on the tail, at a target and a
+source shifted by x_1 times the sizes of the spaces below.  So the rows of
+d_n are d shifted copies of the rows of d_{n-1} with the first-argument
+terms XORed in, and neither space is listed.  The symmetric and alternating
+flavors re-sort their targets, so their terms are not shifts of the degree
+below and each matrix is assembled from all of its terms.
 `source_image`, `delta_items` and `delta` read the same terms as sparse
-dicts, without building a matrix.  The test suite checks both the matrices
-and `delta` against a direct multilinear evaluation of the defining formula.
+dicts, without building a matrix; for a tensor source they put each prefix
+of the source in front of the first-argument terms of the rest.  The test
+suite checks both the matrices and `delta` against a direct multilinear
+evaluation of the defining formula.
 """
 
 from __future__ import annotations
@@ -306,29 +317,37 @@ def _source_terms(algebra, module, dst, source):
     coefficient with which the bracket terms land at mu = nu, the same for every
     nu; `action` lists (target rank, t), one term landing through rho(e_t), for
     the e_t that act nontrivially, and a pair listed twice cancels.
+
+    For the tensor flavor these are only the first-argument terms, those with
+    x_1 in the bracket or acting; `dst` is then read for its flavor alone, and
+    the ranks are in the space one degree above the source.  Every other term
+    keeps x_1 = source[0] in front, behind which it is a first-argument term of
+    a shorter tail (see `_source_image_cached` and `_tensor_rows`).
     """
     acting = module.packed_action()[0]
     n = len(source)
     bracket: dict[int, int] = {}
     if dst.flavor == "tensor":
-        # ranks are base-d numerals, the order of itertools.product: slot[q] is
-        # the rank of the source with a digit 0 inserted at position q
+        # ranks are base-d numerals, the order of itertools.product.  The action
+        # term puts t in front of the source; a bracket term puts a in front of
+        # the rest and inserts b at a position q of it, where e_s is in [e_a, e_b]
+        # for s = source[0]
         d = algebra.dim
-        pw = [d**e for e in range(n + 2)]
+        top = d**n
         rank = 0
         for t in source:
             rank = rank * d + t
-        slot = [rank // pw[n - q] * pw[n - q + 1] + rank % pw[n - q] for q in range(n + 1)]
-        # an action term inserts t at position p
-        action = [(slot[p] + t * pw[n - p], t) for p in range(n + 1) for t in acting]
-        # a bracket term puts a in place of the source's s at position p and
-        # inserts b at a position q > p, keeping the order
-        for p, s in enumerate(source):
-            for u, v, coeff in algebra.bracket_into(s):
+        action = [(t * top + rank, t) for t in acting]
+        into = algebra.bracket_into(source[0]) if n else ()
+        if into:
+            rest = rank % d ** (n - 1)
+            # slot[q] is the rank of the rest with a digit 0 inserted at position q
+            pw = [d ** (n - 1 - q) for q in range(n)]
+            slot = [rest // w * w * d + rest % w for w in pw]
+            for u, v, coeff in into:
                 for a, b in ((u, v),) if u == v else ((u, v), (v, u)):
-                    sub = (a - s) * pw[n - p]
-                    for q in range(p + 1, n + 1):
-                        key = slot[q] + sub + b * pw[n - q]
+                    for q in range(n):
+                        key = a * top + slot[q] + b * pw[q]
                         bracket[key] = bracket.get(key, 0) ^ coeff
         return bracket, action
 
@@ -364,14 +383,24 @@ def _source_terms(algebra, module, dst, source):
 def _source_image_cached(algebra, module, flavor, source, nu):
     dst = _space_cached(algebra, module, len(source) + 1, flavor)
     shift, lane = algebra.field.degree * nu, algebra.field.order - 1
-    m = module.dim
+    d, n, m = algebra.dim, len(source), module.dim
     rho = module.packed_action()[1]
-    bracket, action = _source_terms(algebra, module, dst, source)
-    out = {r * m + nu: c for r, c in bracket.items()}
-    for r, t in action:
-        for mu, packed in rho[t]:
-            key = r * m + mu
-            out[key] = out.get(key, 0) ^ ((packed >> shift) & lane)
+    out: dict[int, int] = {}
+    # a tensor term that keeps source[:i] in front is a first-argument term of
+    # source[i:] behind that prefix, whose rank scales by d^(n + 1 - i)
+    prefix = 0
+    for i in range(n + 1 if flavor == "tensor" else 1):
+        if i:
+            prefix = prefix * d + source[i - 1]
+        offset = prefix * d ** (n + 1 - i)
+        bracket, action = _source_terms(algebra, module, dst, source[i:])
+        for r, c in bracket.items():
+            key = (offset + r) * m + nu
+            out[key] = out.get(key, 0) ^ c
+        for r, t in action:
+            for mu, packed in rho[t]:
+                key = (offset + r) * m + mu
+                out[key] = out.get(key, 0) ^ ((packed >> shift) & lane)
     return {dst.unindex(flat): val for flat, val in out.items() if val}
 
 
@@ -444,11 +473,19 @@ def differential_matrix(
 def _differential_matrix_cached(algebra, module, degree, flavor) -> Matrix:
     src = cochain_space(algebra, module, degree, flavor)
     dst = cochain_space(algebra, module, degree + 1, flavor)
+    if flavor == "tensor":
+        rows = _tensor_rows(algebra, module, degree)
+    else:
+        rows = _add_terms(algebra, module, dst, src.tuples, [0] * dst.dim)
+    return Matrix.from_packed(algebra.field, rows, src.dim)
+
+
+def _add_terms(algebra, module, dst, sources, rows):
+    """XOR the `_source_terms` of each source, the i-th at column i * m, into packed rows."""
     k = algebra.field.degree
     m = module.dim
     rho = module.packed_action()[1]
-    rows = [0] * dst.dim
-    for ti, source in enumerate(src.tuples):
+    for ti, source in enumerate(sources):
         base = k * m * ti  # lane of (source, nu = 0)
         bracket, action = _source_terms(algebra, module, dst, source)
         for r, c in bracket.items():
@@ -457,7 +494,40 @@ def _differential_matrix_cached(algebra, module, degree, flavor) -> Matrix:
         for r, t in action:
             for mu, packed in rho[t]:
                 rows[r * m + mu] ^= packed << base
-    return Matrix.from_packed(algebra.field, rows, src.dim)
+    return rows
+
+
+# set while a tensor matrix reads the one below it, so that read never recurses
+_reading_below: ContextVar[bool] = ContextVar("reading_below", default=False)
+
+
+def _tensor_rows(algebra, module, degree):
+    """Packed rows of the tensor d_degree, built up from those of the degree below.
+
+    Row (x_1, r) of d_n holds every term that keeps x_1 in front as row r of
+    d_{n-1} does, at the same lanes shifted by x_1 * d^(n-1) * m columns, so
+    d_n is d shifted copies of d_{n-1} plus the first-argument terms of each
+    source.  d_{-1} has m zero rows and no columns.  d_{n-1} is read through
+    the matrix cache; a read that misses builds upward from d_0 in a loop
+    (an lru_cache cannot say which lower degree it holds), so no degree
+    recurses deeper than one call.
+    """
+    d, m, k = algebra.dim, module.dim, algebra.field.degree
+    if degree and not _reading_below.get():
+        token = _reading_below.set(True)
+        try:
+            below = _differential_matrix_cached(algebra, module, degree - 1, "tensor")
+        finally:
+            _reading_below.reset(token)
+        start, rows = degree, below.packed_rows()
+    else:
+        start, rows = 0, [0] * m
+    for n in range(start, degree + 1):
+        width = k * m * d ** (n - 1) if n else 0  # bits of the sources with one x_1
+        rows = [r << (x * width) for x in range(d) for r in rows]
+        dst = _space_cached(algebra, module, n + 1, "tensor")
+        _add_terms(algebra, module, dst, itertools.product(range(d), repeat=n), rows)
+    return rows
 
 
 def delta(phi: Cochain) -> Cochain:

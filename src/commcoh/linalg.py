@@ -29,8 +29,9 @@ of the reduced rows, subspaces are kept in reduced row echelon form, and
 quotient bases are the pivot-complement vectors of the numerator.
 
 Callers outside this module place entries by shifting, pass packed rows to
-`Matrix.from_packed`, read a row's nonzero entries with `Matrix.nonzeros` and
-multiply a packed row by a field element with `scale_packed`.
+`Matrix.from_packed`, read them back with `Matrix.packed_rows`, read a row's
+nonzero entries with `Matrix.nonzeros` and multiply a packed row by a field
+element with `scale_packed`.
 
 An entry cap (rows * cols), held in a context variable, turns runaway size
 requests into errors instead of memory exhaustion; see entry_cap_override.
@@ -124,6 +125,10 @@ class Matrix:
 
     def row(self, i: int) -> list[int]:
         return _unpack_row(self._packed[i], self.ncols, self.field)
+
+    def packed_rows(self) -> list[int]:
+        """The lane-packed rows as stored; the caller must not modify the list."""
+        return self._packed
 
     def nonzeros(self, i: int) -> list[tuple[int, int]]:
         """(column, entry) of each nonzero entry of row i, columns ascending."""

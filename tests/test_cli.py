@@ -69,6 +69,26 @@ def test_cohomology_json_matches_text_run(capsys):
     assert [b["dimH"] for b in payload["degrees"]] == [1, 2, 4, 6]
 
 
+@pytest.mark.parametrize(
+    "algebra, flavor, dims",
+    [
+        ("abelian:0", "comm", [1, 0, 0, 0]),
+        ("abelian:0", "alt", [1, 0, 0, 0]),
+        ("abelian:0", "leibniz", [1, 0, 0, 0]),
+        ("abelian:1", "comm", [1, 1, 1, 1]),
+        ("abelian:1", "alt", [1, 1, 0, 0]),
+        ("abelian:1", "leibniz", [1, 1, 1, 1]),
+    ],
+)
+def test_cohomology_of_dimension_zero_and_one(capsys, algebra, flavor, dims):
+    code, out, _ = run(
+        capsys, "cohomology", "--algebra", algebra, "--flavor", flavor,
+        "--max-degree", "3", "--format", "json",
+    )
+    assert code == 0
+    assert [b["dimH"] for b in json.loads(out)["degrees"]] == dims
+
+
 def test_cocycles2_lists_extensions(capsys):
     code, out, _ = run(capsys, "cocycles2", "--algebra", "heisenberg:1", "--format", "json")
     assert code == 0

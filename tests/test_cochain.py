@@ -7,6 +7,7 @@ import pytest
 from commcoh.field import FieldError, make_field
 from commcoh.algebra import (
     AlgebraPresentation,
+    abelian,
     adjoint_module,
     dim2,
     dual_module,
@@ -32,6 +33,7 @@ from commcoh.cochain import (
     inclusion_matrix,
     lie_derivative,
     source_image,
+    _differential_matrix_cached,
     _source_image_cached,
 )
 from commcoh.linalg import SizeCapError, entry_cap_override
@@ -296,12 +298,83 @@ def test_delta_agrees_with_matrix():
     a = heisenberg(1)
     m = adjoint_module(a)
     for flavor in ("symmetric", "alternating", "tensor"):
-        for n in range(3):
+        # tensor d_4 (2187 x 729) is four shifts deep and over the default cap
+        for n in range(5 if flavor == "tensor" else 3):
             sp = cochain_space(a, m, n, flavor)
-            mat = differential_matrix(a, m, n, flavor)
+            with entry_cap_override(2_000_000):
+                mat = differential_matrix(a, m, n, flavor)
             for _ in range(5):
                 phi = sp.cochain([rng.randrange(2) for _ in range(sp.dim)])
                 assert list(delta(phi).coeffs) == mat.mul_vec(list(phi.coeffs))
+
+
+def test_tensor_differentials_match_naive_formula_where_shifts_nest():
+    """Tensor d_3 and d_4, each row built from the row below it, against the defining sum."""
+    rng = random.Random(39)
+    cases = [
+        (heisenberg(1), adjoint_module),
+        (square_example(), adjoint_module),
+        (zassenhaus_e(2), dual_module),
+        (zassenhaus_f(2), adjoint_module),
+    ]
+    for algebra, make_mod in cases:
+        mod = make_mod(algebra)
+        d = algebra.dim
+        q = algebra.field.order
+        for n in (3, 4):
+            sp = cochain_space(algebra, mod, n, "tensor")
+            up = cochain_space(algebra, mod, n + 1, "tensor")
+            with entry_cap_override(2_000_000):
+                mat = differential_matrix(algebra, mod, n, "tensor")
+            for _ in range(2):
+                phi = sp.cochain([rng.randrange(q) for _ in range(sp.dim)])
+                dphi = up.cochain(mat.mul_vec(list(phi.coeffs)))
+                assert delta(phi) == dphi
+                for _ in range(3):
+                    args = [[rng.randrange(q) for _ in range(d)] for _ in range(n + 1)]
+                    assert evaluate(dphi, args) == naive_delta_eval(phi, args, "tensor")
+
+
+def test_tensor_matrix_built_cold_equals_the_one_built_upward():
+    cases = [
+        (heisenberg(1), adjoint_module),
+        (square_example(), adjoint_module),
+        (zassenhaus_f(2), adjoint_module),
+    ]
+    with entry_cap_override(2_000_000):
+        for algebra, make_mod in cases:
+            mod = make_mod(algebra)
+            _differential_matrix_cached.cache_clear()
+            cold = differential_matrix(algebra, mod, 4, "tensor")
+            _differential_matrix_cached.cache_clear()
+            for n in range(4):
+                differential_matrix(algebra, mod, n, "tensor")
+            assert differential_matrix(algebra, mod, 4, "tensor") == cold
+
+
+def test_tensor_matrix_of_a_high_degree_does_not_recurse():
+    a = abelian(1)
+    _differential_matrix_cached.cache_clear()
+    with degree_cap_override(2000):
+        mat = differential_matrix(a, trivial_module(a), 1500, "tensor")
+    assert (mat.nrows, mat.ncols, mat.is_zero()) == (1, 1, True)
+
+
+def test_tensor_matrices_list_no_tuples(monkeypatch):
+    listed = CochainSpace.tuples
+
+    def guarded(self):
+        if self.flavor == "tensor":
+            raise AssertionError("tensor space listed")
+        return listed.fget(self)
+
+    a = heisenberg(1)
+    m = adjoint_module(a)
+    with monkeypatch.context() as patch, entry_cap_override(2_000_000):
+        patch.setattr(CochainSpace, "tuples", property(guarded))
+        _differential_matrix_cached.cache_clear()
+        shapes = [differential_matrix(a, m, n, "tensor").nrows for n in range(6)]
+    assert shapes == [3 ** (n + 2) for n in range(6)]
 
 
 # ------------------------------------------------------------------
