@@ -142,15 +142,14 @@ def _check_degree_cap(args) -> None:
         ) from None
 
 
+def _dims(res) -> dict:
+    """The dimensions of Z, B and H in one degree of a cohomology result."""
+    return {"dimZ": res.dim_Z, "dimB": res.dim_B, "dimH": res.dim_H}
+
+
 def _degree_block(algebra, module, flavor, n, with_reps):
     res = cohomology(algebra, module, n, flavor)
-    block = {
-        "degree": n,
-        "dimC": res.space.dim,
-        "dimZ": res.dim_Z,
-        "dimB": res.dim_B,
-        "dimH": res.dim_H,
-    }
+    block = {"degree": n, "dimC": res.space.dim, **_dims(res)}
     if with_reps:
         block["representatives"] = [rep.to_json() for rep in res.representatives]
     return block
@@ -220,9 +219,7 @@ def cmd_cocycles2(args):
         "algebra": args.algebra,
         "module": args.module,
         "flavor": flavor,
-        "dimZ": res.dim_Z,
-        "dimB": res.dim_B,
-        "dimH": res.dim_H,
+        **_dims(res),
         "representatives": [rep.to_json() for rep in res.representatives],
     }
     if flavor == "symmetric" and module.dim == 1 and args.module == "trivial":
@@ -302,18 +299,11 @@ def cmd_basechange(args):
     rows = []
     all_match = True
     for n in range(args.max_degree + 1):
-        small = cohomology(algebra, module, n, flavor)
-        big = cohomology(big_algebra, big_module, n, flavor)
-        match = (small.dim_Z, small.dim_B) == (big.dim_Z, big.dim_B)
+        base = _dims(cohomology(algebra, module, n, flavor))
+        extended = _dims(cohomology(big_algebra, big_module, n, flavor))
+        match = base == extended
         all_match = all_match and match
-        rows.append(
-            {
-                "degree": n,
-                "base": {"dimZ": small.dim_Z, "dimB": small.dim_B, "dimH": small.dim_H},
-                "extended": {"dimZ": big.dim_Z, "dimB": big.dim_B, "dimH": big.dim_H},
-                "match": match,
-            }
-        )
+        rows.append({"degree": n, "base": base, "extended": extended, "match": match})
     payload = {
         "algebra": args.algebra,
         "field_degree": args.field_degree,
@@ -332,12 +322,7 @@ def cmd_scan(args):
         row = {"degree": n}
         for flavor in ("symmetric", "tensor") + (("alternating",) if lie else ()):
             res = cohomology(algebra, module, n, flavor)
-            row[flavor] = {
-                "dimC": res.space.dim,
-                "dimZ": res.dim_Z,
-                "dimB": res.dim_B,
-                "dimH": res.dim_H,
-            }
+            row[flavor] = {"dimC": res.space.dim, **_dims(res)}
         rows.append(row)
     payload = {
         "algebra": args.algebra,

@@ -26,18 +26,21 @@ every module index nu: the bracket terms, which land at mu = nu with the
 same coefficient for every nu, and the action terms by each basis vector
 that acts nontrivially.  Targets come out as ranks in the next space: a
 symmetric or alternating target through that space's index, a tensor target
-as a base-d numeral, the order of `itertools.product`.  Alternating terms
-are the symmetric terms with repeat-free targets.  The matrix is assembled
-straight into lane-packed rows (see linalg): a bracket term XORs its
-coefficient into row (target, nu), and an action term XORs a packed row of
-rho(e_t) in at the source's lanes, so even multiplicities cancel in place.
+as a base-d numeral, the order of `itertools.product`.  `tuple_index` ranks
+a tensor tuple by the same numeral and `unindex` reads it back, so no tensor
+space is listed.  Alternating terms are the symmetric terms with repeat-free
+targets.  The matrix is assembled straight into lane-packed rows (see
+linalg): a bracket term XORs its coefficient into row (target, nu), and an
+action term XORs a packed row of rho(e_t) in at the source's lanes, so even
+multiplicities cancel in place.
 
 For the tensor flavor the generator gives only the first-argument terms
 (i = 1 above).  Every other term of d_n on a source (x_1, ...) keeps x_1 in
 front, and behind it is a term of d_{n-1} on the tail, at a target and a
 source shifted by x_1 times the sizes of the spaces below.  So the rows of
 d_n are d shifted copies of the rows of d_{n-1} with the first-argument
-terms XORed in, and neither space is listed.  The symmetric and alternating
+terms XORed in; `differential_matrix` builds the tensor degrees upward from
+d_0, so d_{n-1} is cached when d_n reads it.  The symmetric and alternating
 flavors re-sort their targets, so their terms are not shifts of the degree
 below and each matrix is assembled from all of its terms.
 `source_image`, `delta_items` and `delta` read the same terms as sparse
@@ -62,6 +65,7 @@ from .field import scalar_to_hex
 from .linalg import Matrix, check_entry_count
 
 FLAVORS = ("symmetric", "alternating", "tensor")
+_UPWARD = ("alternating", "symmetric", "tensor")  # each flavor includes into the later ones
 
 _degree_cap: ContextVar[int] = ContextVar("degree_cap", default=8)
 
@@ -148,7 +152,17 @@ class CochainSpace:
         return self._tuples
 
     def tuple_index(self, tpl: tuple[int, ...]) -> int:
-        return self._ranks()[tpl]
+        """The rank of a basis tuple; KeyError for a tuple that is not one."""
+        if self.flavor != "tensor":
+            return self._ranks()[tpl]
+        # a tensor rank is the base-d numeral that `unindex` reads back
+        d = self.algebra.dim
+        if len(tpl) != self.degree or not all(0 <= t < d for t in tpl):
+            raise KeyError(tpl)
+        rank = 0
+        for t in tpl:
+            rank = rank * d + t
+        return rank
 
     def _ranks(self) -> dict[tuple[int, ...], int]:
         if self._index is None:
@@ -192,6 +206,7 @@ class CochainSpace:
         return Cochain(self, tuple(coeffs))
 
     def from_items(self, items: dict[tuple[tuple[int, ...], int], int]) -> "Cochain":
+        check_entry_count(self.dim, 1)
         coeffs = [0] * self.dim
         for (tpl, mu), bits in items.items():
             coeffs[self.index(tpl, mu)] = bits
@@ -421,12 +436,12 @@ def source_image(
     source = tuple(source)
     if not 0 <= nu < module.dim:
         raise ValueError(f"module index {nu} is not in range({module.dim})")
-    in_range = all(0 <= i < algebra.dim for i in source)
-    steps = zip(source, source[1:]) if flavor != "tensor" else ()
-    if not in_range or any(a > b or a == b and flavor == "alternating" for a, b in steps):
+    try:
+        _space_cached(algebra, module, len(source), flavor).tuple_index(source)
+    except KeyError:
         raise ValueError(
             f"{source} is not a basis tuple of the {flavor} flavor in dimension {algebra.dim}"
-        )
+        ) from None
     return _source_image_cached(algebra, module, flavor, source, nu)
 
 
@@ -462,15 +477,23 @@ def differential_matrix(
     degree: int,
     flavor: str = "symmetric",
 ) -> Matrix:
-    """Matrix of the degree-n differential: rows = degree n+1 basis, cols = degree n."""
+    """Matrix of the degree-n differential: rows = degree n+1 basis, cols = degree n.
+
+    A tensor matrix is built upward: degrees 0..n-1 are requested first, each a
+    cache hit once built, so `_tensor_rows` finds d_{n-1} in the cache.
+    """
     src = cochain_space(algebra, module, degree, flavor)
     dst = cochain_space(algebra, module, degree + 1, flavor)
     check_entry_count(dst.dim, src.dim)
+    if flavor == "tensor":
+        for n in range(degree):
+            _differential_matrix_cached(algebra, module, n, flavor)
     return _differential_matrix_cached(algebra, module, degree, flavor)
 
 
 @lru_cache(maxsize=256)
 def _differential_matrix_cached(algebra, module, degree, flavor) -> Matrix:
+    """The matrix of `differential_matrix`, which alone calls this for the tensor flavor."""
     src = cochain_space(algebra, module, degree, flavor)
     dst = cochain_space(algebra, module, degree + 1, flavor)
     if flavor == "tensor":
@@ -497,37 +520,24 @@ def _add_terms(algebra, module, dst, sources, rows):
     return rows
 
 
-# set while a tensor matrix reads the one below it, so that read never recurses
-_reading_below: ContextVar[bool] = ContextVar("reading_below", default=False)
-
-
 def _tensor_rows(algebra, module, degree):
-    """Packed rows of the tensor d_degree, built up from those of the degree below.
+    """Packed rows of the tensor d_degree, built from those of the degree below.
 
     Row (x_1, r) of d_n holds every term that keeps x_1 in front as row r of
     d_{n-1} does, at the same lanes shifted by x_1 * d^(n-1) * m columns, so
     d_n is d shifted copies of d_{n-1} plus the first-argument terms of each
-    source.  d_{-1} has m zero rows and no columns.  d_{n-1} is read through
-    the matrix cache; a read that misses builds upward from d_0 in a loop
-    (an lru_cache cannot say which lower degree it holds), so no degree
-    recurses deeper than one call.
+    source.  d_{-1} has m zero rows and no columns.  d_{n-1} is read from the
+    matrix cache, where `differential_matrix` has put it.
     """
     d, m, k = algebra.dim, module.dim, algebra.field.degree
-    if degree and not _reading_below.get():
-        token = _reading_below.set(True)
-        try:
-            below = _differential_matrix_cached(algebra, module, degree - 1, "tensor")
-        finally:
-            _reading_below.reset(token)
-        start, rows = degree, below.packed_rows()
+    if degree:
+        below = _differential_matrix_cached(algebra, module, degree - 1, "tensor").packed_rows()
+        width = k * m * d ** (degree - 1)  # bits of the sources with one x_1
     else:
-        start, rows = 0, [0] * m
-    for n in range(start, degree + 1):
-        width = k * m * d ** (n - 1) if n else 0  # bits of the sources with one x_1
-        rows = [r << (x * width) for x in range(d) for r in rows]
-        dst = _space_cached(algebra, module, n + 1, "tensor")
-        _add_terms(algebra, module, dst, itertools.product(range(d), repeat=n), rows)
-    return rows
+        below, width = [0] * m, 0
+    rows = [r << (x * width) for x in range(d) for r in below]
+    dst = _space_cached(algebra, module, degree + 1, "tensor")
+    return _add_terms(algebra, module, dst, itertools.product(range(d), repeat=degree), rows)
 
 
 def delta(phi: Cochain) -> Cochain:
@@ -635,47 +645,36 @@ def inclusion_matrix(
     src_flavor: str,
     dst_flavor: str,
 ) -> Matrix:
-    """Matrix of the inclusion of cochain flavors.
+    """Matrix of the inclusion of a cochain flavor into a larger one.
 
-    alternating -> symmetric: an alternating map is symmetric in characteristic 2,
-    with value 0 on any multiset with repeats.  symmetric -> tensor: a symmetric
-    map evaluated on ordered tuples through sorting.
+    The flavors grow alternating -> symmetric -> tensor, and every upward pair
+    has one rule: a target tuple takes the source's value on its sorted tuple
+    when that is a basis tuple of the source flavor, and 0 otherwise.  In
+    characteristic 2 an alternating map is symmetric, with value 0 on any
+    tuple with repeats, and a symmetric map reads an ordered tuple sorted.
+    ValueError for an unknown flavor or a pair that is not upward.
     """
     src = cochain_space(algebra, module, degree, src_flavor)
     dst = cochain_space(algebra, module, degree, dst_flavor)
-    check_entry_count(dst.dim, src.dim)
-    m = module.dim
-    f = algebra.field
-    if (src_flavor, dst_flavor) == ("alternating", "symmetric"):
-        pairs = [(dst.index(tpl, mu), src.index(tpl, mu))
-                 for tpl in src.tuples for mu in range(m)]
-    elif (src_flavor, dst_flavor) == ("symmetric", "tensor"):
-        pairs = [(dst.index(tpl, mu), src.index(tuple(sorted(tpl)), mu))
-                 for tpl in dst.tuples for mu in range(m)]
-    else:
+    if _UPWARD.index(src_flavor) >= _UPWARD.index(dst_flavor):
         raise ValueError(f"no inclusion from {src_flavor} to {dst_flavor}")
+    check_entry_count(dst.dim, src.dim)
+    m, k = module.dim, algebra.field.degree
+    ranks = src._ranks()  # never a tensor space: it is the smaller flavor
     rows = [0] * dst.dim
-    for r, c in pairs:
-        rows[r] |= 1 << (f.degree * c)
-    return Matrix.from_packed(f, rows, src.dim)
+    for r, tpl in enumerate(dst.tuples):
+        c = ranks.get(tuple(sorted(tpl)))
+        if c is not None:
+            for mu in range(m):
+                rows[r * m + mu] = 1 << (k * (c * m + mu))
+    return Matrix.from_packed(algebra.field, rows, src.dim)
 
 
 def include_cochain(phi: Cochain, dst_flavor: str) -> Cochain:
     """Reinterpret a cochain in a larger flavor (alternating -> symmetric -> tensor)."""
     space = phi.space
-    order = {"alternating": 0, "symmetric": 1, "tensor": 2}
-    if order[dst_flavor] < order[space.flavor]:
-        raise ValueError(f"no inclusion from {space.flavor} to {dst_flavor}")
     if dst_flavor == space.flavor:
         return phi
-    if space.flavor == "alternating":
-        mid = _include_once(phi, "symmetric")
-        return mid if dst_flavor == "symmetric" else _include_once(mid, "tensor")
-    return _include_once(phi, "tensor")
-
-
-def _include_once(phi: Cochain, dst_flavor: str) -> Cochain:
-    space = phi.space
     mat = inclusion_matrix(space.algebra, space.module, space.degree, space.flavor, dst_flavor)
     dst = cochain_space(space.algebra, space.module, space.degree, dst_flavor)
     return dst.cochain(mat.mul_vec(list(phi.coeffs)))

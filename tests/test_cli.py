@@ -186,6 +186,16 @@ def test_compare(capsys):
     assert row["comm_to_leibniz"]["injective"] is True
 
 
+def test_compare_prints_the_recorded_bytes(capsys):
+    # the bytes of the two-step inclusions, alternating -> symmetric -> tensor
+    want = (Path(__file__).parent / "compare_zassenhaus_e3.json").read_text()
+    code, out, _ = run(
+        capsys, "compare", "--algebra", "zassenhaus-e:3", "--max-degree", "3", "--format", "json"
+    )
+    assert code == 0
+    assert out == want
+
+
 def test_basechange(capsys):
     code, out, _ = run(
         capsys, "basechange", "--algebra", "dim2", "--field-degree", "2", "--max-degree", "2", "--format", "json"

@@ -1,4 +1,5 @@
 import contextvars
+import itertools
 import math
 import random
 
@@ -149,6 +150,28 @@ def test_space_tuples_respect_the_entry_cap():
         with pytest.raises(SizeCapError, match="6 x 1"):
             space.tuples
     assert len(space.tuples) == 6
+
+
+def test_tensor_ranks_are_base_d_numerals():
+    a = zassenhaus_e(2)
+    sp = cochain_space(a, adjoint_module(a), 3, "tensor")
+    for rank, tpl in enumerate(itertools.product(range(3), repeat=3)):
+        assert sp.tuple_index(tpl) == rank
+        assert sp.unindex(sp.index(tpl, 2)) == (tpl, 2)
+    for bad in [(0, 1), (0, 1, 2, 0), (0, 3, 1), (0, -1, 1)]:
+        with pytest.raises(KeyError):
+            sp.index(bad)
+    assert sp._index is None and sp._tuples is None
+
+
+def test_from_items_checks_the_entry_cap_before_it_allocates():
+    a = heisenberg(1)
+    space = CochainSpace(a, trivial_module(a), 5, "tensor")  # dimension 243
+    with entry_cap_override(100):
+        with pytest.raises(SizeCapError, match="243 x 1"):
+            space.from_items({((0,) * 5, 0): 1})
+    assert space.from_items({((2,) * 5, 0): 1}).coeffs[-1] == 1
+    assert space._index is None and space._tuples is None
 
 
 # ------------------------------------------------------------------
@@ -374,7 +397,26 @@ def test_tensor_matrices_list_no_tuples(monkeypatch):
         patch.setattr(CochainSpace, "tuples", property(guarded))
         _differential_matrix_cached.cache_clear()
         shapes = [differential_matrix(a, m, n, "tensor").nrows for n in range(6)]
+        # nor does the sparse path: ranking, reading and applying d
+        sp = cochain_space(a, m, 3, "tensor")
+        phi = sp.from_items({((0, 1, 2), 1): 1, ((2, 2, 0), 0): 1})
+        assert sp.index((2, 2, 0), 0) == 24 * 3
+        assert phi.value((0, 1, 2), 1) == 1 and phi.value((2, 2, 1), 0) == 0
+        d_3 = differential_matrix(a, m, 3, "tensor")
+        assert list(delta(phi).coeffs) == d_3.mul_vec(list(phi.coeffs))
     assert shapes == [3 ** (n + 2) for n in range(6)]
+
+
+def test_tensor_delta_of_a_high_degree_basis_cochain():
+    # on heisenberg(1), [b, c] = a is the only bracket, so d of the cochain dual
+    # to (a, ..., a) in degree 11 is 1 on the tuples of ten a's and one (b, c)
+    # or (c, b) pair: 2 * C(12, 2) of them, found without listing 3^12 tuples
+    a = heisenberg(1)
+    with degree_cap_override(12):
+        sp = cochain_space(a, trivial_module(a), 11, "tensor")
+        items = delta(sp.basis_cochain(sp.index((0,) * 11))).items()
+    assert len(items) == 2 * math.comb(12, 2)
+    assert all(sorted(tpl) == [0] * 10 + [1, 2] and bits == 1 for (tpl, _), bits in items)
 
 
 # ------------------------------------------------------------------
@@ -574,6 +616,38 @@ def test_sym_to_tensor_commutes_with_delta_non_lie():
         d_sym = differential_matrix(a, mod, n, "symmetric")
         d_ten = differential_matrix(a, mod, n, "tensor")
         assert inc_n1.mul(d_sym) == d_ten.mul(inc_n)
+
+
+def test_alternating_to_tensor_is_one_chain_map_equal_to_the_composite():
+    for a in (heisenberg(1), heisenberg(1, make_field(2))):
+        for mod in (trivial_module(a), adjoint_module(a)):
+            inc = [inclusion_matrix(a, mod, n, "alternating", "tensor") for n in range(4)]
+            for n in range(4):
+                sym_to_ten = inclusion_matrix(a, mod, n, "symmetric", "tensor")
+                alt_to_sym = inclusion_matrix(a, mod, n, "alternating", "symmetric")
+                assert inc[n] == sym_to_ten.mul(alt_to_sym)
+            for n in range(3):
+                d_alt = differential_matrix(a, mod, n, "alternating")
+                d_ten = differential_matrix(a, mod, n, "tensor")
+                assert inc[n + 1].mul(d_alt) == d_ten.mul(inc[n])
+
+
+def test_include_cochain_rejects_unknown_and_downward_flavors():
+    a = heisenberg(1)
+    k = trivial_module(a)
+    for src, dst in [("tensor", "tensor"), ("tensor", "symmetric"), ("symmetric", "leibniz")]:
+        with pytest.raises(ValueError):
+            inclusion_matrix(a, k, 2, src, dst)
+    sym = cochain_space(a, k, 2).basis_cochain(1)
+    assert include_cochain(sym, "symmetric") is sym
+    with pytest.raises(ValueError, match="unknown flavor"):
+        include_cochain(sym, "leibniz")
+    with pytest.raises(ValueError, match="no inclusion"):
+        include_cochain(sym, "alternating")
+    ten = include_cochain(sym, "tensor")
+    for flavor in ("symmetric", "alternating"):
+        with pytest.raises(ValueError, match="no inclusion"):
+            include_cochain(ten, flavor)
 
 
 def test_include_cochain_preserves_values():
