@@ -48,6 +48,12 @@ dicts, without building a matrix; for a tensor source they put each prefix
 of the source in front of the first-argument terms of the rest.  The test
 suite checks both the matrices and `delta` against a direct multilinear
 evaluation of the defining formula.
+
+A cochain is read on ordered basis arguments by one rule per flavor: a
+symmetric cochain reads the sorted tuple, an alternating one reads it too
+and is zero on a repeat, and a tensor cochain reads the arguments in order.
+`CochainSpace.read` is that rule's one home; `Cochain.value`, `evaluate`,
+`contract`, `lie_derivative` and `inclusion_matrix` all read through it.
 """
 
 from __future__ import annotations
@@ -153,16 +159,28 @@ class CochainSpace:
 
     def tuple_index(self, tpl: tuple[int, ...]) -> int:
         """The rank of a basis tuple; KeyError for a tuple that is not one."""
-        if self.flavor != "tensor":
-            return self._ranks()[tpl]
-        # a tensor rank is the base-d numeral that `unindex` reads back
+        return self.read(tpl) if self.flavor == "tensor" else self._ranks()[tpl]
+
+    def read(self, args: Sequence[int]) -> int | None:
+        """The rank of the basis tuple this flavor reads on ordered basis arguments.
+
+        Symmetric reads the sorted tuple, alternating reads it and gives None
+        (a zero value) on a repeat, tensor reads the arguments in order, as the
+        base-d numeral that `unindex` reads back.  KeyError in every flavor for
+        a wrong length or an index outside range(d).
+        """
         d = self.algebra.dim
-        if len(tpl) != self.degree or not all(0 <= t < d for t in tpl):
-            raise KeyError(tpl)
-        rank = 0
-        for t in tpl:
-            rank = rank * d + t
-        return rank
+        if len(args) != self.degree or not all(0 <= t < d for t in args):
+            raise KeyError(args)
+        if self.flavor == "tensor":
+            rank = 0
+            for t in args:
+                rank = rank * d + t
+            return rank
+        key = tuple(sorted(args))
+        if self.flavor == "alternating" and len(set(key)) < len(key):
+            return None
+        return self._ranks()[key]
 
     def _ranks(self) -> dict[tuple[int, ...], int]:
         if self._index is None:
@@ -170,6 +188,9 @@ class CochainSpace:
         return self._index
 
     def index(self, tpl: tuple[int, ...], mu: int = 0) -> int:
+        """The flat index of (tpl, mu); KeyError unless both are basis indices."""
+        if not 0 <= mu < self.module.dim:
+            raise KeyError(mu)
         return self.tuple_index(tpl) * self.module.dim + mu
 
     def unindex(self, flat: int) -> tuple[tuple[int, ...], int]:
@@ -194,12 +215,15 @@ class CochainSpace:
         return [self.label(i) for i in range(self.dim)]
 
     def zero(self) -> "Cochain":
-        return Cochain(self, (0,) * self.dim)
+        check_entry_count(self.dim, 1)
+        return Cochain._of(self, (0,) * self.dim)
 
     def basis_cochain(self, flat: int) -> "Cochain":
-        coeffs = [0] * self.dim
-        coeffs[flat] = 1
-        return Cochain(self, tuple(coeffs))
+        """The cochain dual to basis element `flat`; ValueError outside range(dim)."""
+        if not 0 <= flat < self.dim:
+            raise ValueError(f"basis index {flat} is not in range({self.dim})")
+        check_entry_count(self.dim, 1)
+        return Cochain._of(self, (0,) * flat + (1,) + (0,) * (self.dim - flat - 1))
 
     def cochain(self, coeffs: Iterable[int]) -> "Cochain":
         """The cochain with these coefficients; FieldError for one outside the field."""
@@ -279,12 +303,16 @@ class Cochain:
         f.check_bits(bits)
         return Cochain._of(self.space, tuple(f.mul(bits, a) for a in self.coeffs))
 
-    def value(self, tpl: tuple[int, ...], mu: int = 0) -> int:
-        return self.coeffs[self.space.index(tpl, mu)]
+    def value(self, args: Sequence[int], mu: int = 0) -> int:
+        """The value on ordered basis arguments at module index mu; KeyError off the basis."""
+        if not 0 <= mu < self.space.module.dim:
+            raise KeyError(mu)
+        return self.value_vector(args)[mu]
 
-    def value_vector(self, tpl: tuple[int, ...]) -> list[int]:
-        base = self.space.index(tpl, 0)
-        return list(self.coeffs[base : base + self.space.module.dim])
+    def value_vector(self, args: Sequence[int]) -> list[int]:
+        """The module vector on ordered basis arguments, read by `CochainSpace.read`."""
+        rank, m = self.space.read(args), self.space.module.dim
+        return [0] * m if rank is None else list(self.coeffs[rank * m : rank * m + m])
 
     def items(self) -> list[tuple[tuple[tuple[int, ...], int], int]]:
         """Nonzero coefficients as ((tuple, module index), bits) pairs."""
@@ -553,29 +581,22 @@ def delta(phi: Cochain) -> Cochain:
 
 
 def evaluate(phi: Cochain, args: Sequence[Sequence[int]]) -> list[int]:
-    """Evaluate a cochain on coefficient vectors by full multilinear expansion."""
+    """Evaluate a cochain on coefficient vectors by full multilinear expansion.
+
+    Each product of basis arguments is read by `CochainSpace.read`.
+    """
     space = phi.space
     n = space.degree
     if len(args) != n:
         raise ValueError(f"{len(args)} arguments for a degree-{n} cochain")
     f = space.algebra.field
-    m = space.module.dim
     supports = [[(i, c) for i, c in enumerate(vec) if c] for vec in args]
-    out = [0] * m
+    out = [0] * space.module.dim
     for combo in itertools.product(*supports):
-        idxs = tuple(i for i, _ in combo)
         scale = 1
         for _, c in combo:
             scale = f.mul(scale, c)
-        if space.flavor == "tensor":
-            key = idxs
-        else:
-            key = tuple(sorted(idxs))
-            if space.flavor == "alternating" and len(set(key)) != n:
-                continue
-        base = space.index(key, 0)
-        for mu in range(m):
-            val = phi.coeffs[base + mu]
+        for mu, val in enumerate(phi.value_vector([i for i, _ in combo])):
             if val:
                 out[mu] = f.add(out[mu], f.mul(scale, val))
     return out
@@ -588,19 +609,10 @@ def contract(x: Sequence[int], phi: Cochain) -> Cochain:
         raise ValueError("contraction is defined on symmetric cochains")
     if space.degree < 1:
         raise ValueError("cannot contract a degree-0 cochain")
-    f = space.algebra.field
-    m = space.module.dim
+    d = space.algebra.dim
+    unit = [[int(i == t) for i in range(d)] for t in range(d)]
     target = cochain_space(space.algebra, space.module, space.degree - 1, "symmetric")
-    support = [(t, c) for t, c in enumerate(x) if c]
-    coeffs = [0] * target.dim
-    for si, tpl in enumerate(target.tuples):
-        for t, c in support:
-            base = space.index(_insert_sorted(tpl, t), 0)
-            for mu in range(m):
-                val = phi.coeffs[base + mu]
-                if val:
-                    flat = si * m + mu
-                    coeffs[flat] = f.add(coeffs[flat], f.mul(c, val))
+    coeffs = [v for tpl in target.tuples for v in evaluate(phi, [x] + [unit[t] for t in tpl])]
     return Cochain(target, tuple(coeffs))
 
 
@@ -610,28 +622,16 @@ def lie_derivative(x: Sequence[int], phi: Cochain) -> Cochain:
     if space.flavor != "symmetric":
         raise ValueError("the Lie derivative is defined on symmetric cochains")
     algebra = space.algebra
-    module = space.module
     f = algebra.field
-    m = module.dim
-    n = space.degree
-    support = [(t, c) for t, c in enumerate(x) if c]
-    coeffs = [0] * space.dim
-    for si, tpl in enumerate(space.tuples):
-        acc = module.act(x, phi.value_vector(tpl))
-        for p in range(n):
-            rest = tpl[:p] + tpl[p + 1 :]
-            for t, c in support:
-                for w, bits in algebra.bracket_basis(t, tpl[p]).items():
-                    key = _insert_sorted(rest, w)
-                    scale = f.mul(c, bits)
-                    base = space.index(key, 0)
-                    for mu in range(m):
-                        val = phi.coeffs[base + mu]
-                        if val:
-                            acc[mu] = f.add(acc[mu], f.mul(scale, val))
-        base = si * m
-        for mu in range(m):
-            coeffs[base + mu] = acc[mu]
+    unit = [[int(i == t) for i in range(algebra.dim)] for t in range(algebra.dim)]
+    coeffs = []
+    for tpl in space.tuples:
+        acc = space.module.act(x, phi.value_vector(tpl))
+        args = [unit[t] for t in tpl]
+        for p in range(space.degree):
+            term = evaluate(phi, args[:p] + [algebra.bracket(x, args[p])] + args[p + 1 :])
+            acc = [f.add(a, b) for a, b in zip(acc, term)]
+        coeffs.extend(acc)
     return Cochain(space, tuple(coeffs))
 
 
@@ -648,11 +648,11 @@ def inclusion_matrix(
     """Matrix of the inclusion of a cochain flavor into a larger one.
 
     The flavors grow alternating -> symmetric -> tensor, and every upward pair
-    has one rule: a target tuple takes the source's value on its sorted tuple
-    when that is a basis tuple of the source flavor, and 0 otherwise.  In
-    characteristic 2 an alternating map is symmetric, with value 0 on any
-    tuple with repeats, and a symmetric map reads an ordered tuple sorted.
-    ValueError for an unknown flavor or a pair that is not upward.
+    has one rule: a target tuple takes the value that the source flavor reads
+    on it, through `CochainSpace.read`.  In characteristic 2 an alternating
+    map is symmetric, with value 0 on any tuple with repeats, and a symmetric
+    map reads an ordered tuple sorted.  ValueError for an unknown flavor or a
+    pair that is not upward.
     """
     src = cochain_space(algebra, module, degree, src_flavor)
     dst = cochain_space(algebra, module, degree, dst_flavor)
@@ -660,10 +660,9 @@ def inclusion_matrix(
         raise ValueError(f"no inclusion from {src_flavor} to {dst_flavor}")
     check_entry_count(dst.dim, src.dim)
     m, k = module.dim, algebra.field.degree
-    ranks = src._ranks()  # never a tensor space: it is the smaller flavor
     rows = [0] * dst.dim
     for r, tpl in enumerate(dst.tuples):
-        c = ranks.get(tuple(sorted(tpl)))
+        c = src.read(tpl)
         if c is not None:
             for mu in range(m):
                 rows[r * m + mu] = 1 << (k * (c * m + mu))

@@ -289,13 +289,7 @@ def exact_sequence_check(algebra: AlgebraPresentation) -> ExactSequenceReport:
     space1d = cochain_space(algebra, dual, 1)
     map1_cols = []
     for rep in h2.representatives:
-        items = {}
-        for i in range(d):
-            for mu in range(d):
-                bits = rep.value(tuple(sorted((i, mu))))
-                if bits:
-                    items[((i,), mu)] = bits
-        psi = space1d.from_items(items)
+        psi = space1d.cochain(rep.value((i, mu)) for i in range(d) for mu in range(d))
         if not delta(psi).is_zero():
             defects.append("map1 image of a degree-2 class is not a cocycle")
         coords = h1d.class_coordinates(psi)

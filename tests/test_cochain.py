@@ -174,6 +174,74 @@ def test_from_items_checks_the_entry_cap_before_it_allocates():
     assert space._index is None and space._tuples is None
 
 
+def test_zero_and_basis_cochain_check_the_entry_cap_and_the_index():
+    a = heisenberg(1)
+    space = CochainSpace(a, trivial_module(a), 5, "tensor")  # dimension 243
+    with entry_cap_override(100):
+        with pytest.raises(SizeCapError, match="243 x 1"):
+            space.zero()
+        with pytest.raises(SizeCapError, match="243 x 1"):
+            space.basis_cochain(0)
+    for bad in (-1, 243):
+        with pytest.raises(ValueError, match="not in range"):
+            space.basis_cochain(bad)
+    assert space.zero().is_zero()
+    assert space.basis_cochain(242).items() == [(((2,) * 5, 0), 1)]
+    assert space.basis_cochain(0).items() == [(((0,) * 5, 0), 1)]
+
+
+def test_a_module_index_outside_the_module_is_not_read_or_written():
+    a = heisenberg(1)
+    sp = cochain_space(a, adjoint_module(a), 2)  # module dimension 3
+    phi = sp.from_items({((0, 2), 0): 1, ((0, 1), 2): 1})
+    for mu in (3, -1):
+        with pytest.raises(KeyError):
+            phi.value((0, 1), mu)
+        with pytest.raises(KeyError):
+            sp.index((0, 1), mu)
+        with pytest.raises(KeyError):
+            sp.from_items({((0, 1), mu): 1})
+    assert [phi.value((0, 1), mu) for mu in range(3)] == [0, 0, 1]
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_every_flavor_reads_by_its_rule(flavor):
+    rng = random.Random(41)
+    for a in (heisenberg(1), square_example(), zassenhaus_e(2)):
+        d = a.dim
+        sp = cochain_space(a, adjoint_module(a), 3, flavor)
+        phi = sp.cochain([rng.randrange(2) for _ in range(sp.dim)])
+        for rank, args in enumerate(itertools.product(range(d), repeat=3)):
+            key = tuple(sorted(args))
+            got = phi.value_vector(args)
+            if flavor == "tensor":
+                # in order: the rank of itertools.product, not of the sorted tuple
+                assert sp.read(args) == rank
+                assert got == list(phi.coeffs[rank * d : rank * d + d])
+            elif flavor == "alternating" and len(set(args)) < 3:
+                assert sp.read(args) is None and got == [0] * d
+            else:
+                # a permuted tuple reads as the sorted one
+                assert sp.read(args) == sp.tuple_index(key)
+                assert got == phi.value_vector(key)
+                assert [phi.value(args, mu) for mu in range(d)] == got
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_every_flavor_refuses_arguments_off_the_basis(flavor):
+    a = heisenberg(1)
+    sp = cochain_space(a, trivial_module(a), 2, flavor)
+    phi = sp.zero()
+    for bad in [(0,), (0, 1, 2), (0, 3), (3, 0), (-1, 1), (3, 3), (5, 5), (-1, -1)]:
+        with pytest.raises(KeyError):
+            sp.read(bad)
+        with pytest.raises(KeyError):
+            phi.value(bad)
+        with pytest.raises(KeyError):
+            phi.value_vector(bad)
+
+
+
 # ------------------------------------------------------------------
 # an independent row-side differential, used as the oracle
 # ------------------------------------------------------------------
