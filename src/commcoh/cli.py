@@ -274,13 +274,14 @@ def cmd_compare(args):
     from .structure import comparison_comm_to_leibniz, comparison_lie_to_comm
 
     algebra, module = _setup(args)
+    lie = algebra.is_lie()
     rows = []
     for n in range(args.max_degree + 1):
         entry = {
             "degree": n,
             "comm_to_leibniz": comparison_comm_to_leibniz(algebra, module, n).to_json(),
         }
-        if algebra.is_lie():
+        if lie:
             entry["alt_to_comm"] = comparison_lie_to_comm(algebra, module, n).to_json()
         rows.append(entry)
     return {"algebra": args.algebra, "module": args.module, "degrees": rows}, 0

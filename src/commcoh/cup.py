@@ -53,7 +53,7 @@ def cup(phi: Cochain, psi: Cochain) -> Cochain:
             mult = Counter(left)
             for tpl, other, y in right:
                 if all(a & other[t] == 0 for t, a in mult.items()):
-                    i = target.tuple_index(tuple(sorted(left + tpl)))
+                    i = target.read(left + tpl)
                     coeffs[i] = f.add(coeffs[i], f.mul(x, y))
     return Cochain._of(target, tuple(coeffs))
 

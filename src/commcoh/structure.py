@@ -18,8 +18,6 @@ first access.
 
 from __future__ import annotations
 
-import itertools
-
 from .algebra import (
     AlgebraPresentation,
     ModulePresentation,
@@ -118,21 +116,31 @@ class ComparisonReport:
         }
 
 
+def _induced(f: FiniteField, coordinates, dim: int, images) -> tuple[Matrix, list[int]]:
+    """The dim-row matrix whose columns are the coordinates of the images, and the misses.
+
+    `coordinates` gives an image's coordinates, or None when it does not
+    recognize the image; that image gets a zero column, which leaves the
+    rank of the span unchanged, and its position goes into the misses.
+    """
+    cols, misses = [], []
+    for n, image in enumerate(images):
+        coords = coordinates(image)
+        if coords is None:
+            misses.append(n)
+            coords = [0] * dim
+        cols.append(coords)
+    return _matrix_from_cols(f, cols, dim), misses
+
+
 def _comparison(algebra, module, degree, src_flavor, dst_flavor) -> ComparisonReport:
     src = cohomology(algebra, module, degree, src_flavor)
     dst = cohomology(algebra, module, degree, dst_flavor)
     inc = inclusion_matrix(algebra, module, degree, src_flavor, dst_flavor)
-    defects = []
-    cols = []
-    for rep in src.representatives:
-        image = inc.mul_vec(list(rep.coeffs))
-        coords = dst.class_coordinates(image)
-        if coords is None:
-            defects.append(rep)
-            coords = [0] * dst.dim_H
-        cols.append(coords)
-    mat = _matrix_from_cols(algebra.field, cols, dst.dim_H)
+    images = (inc.mul_vec(list(rep.coeffs)) for rep in src.representatives)
+    mat, misses = _induced(algebra.field, dst.class_coordinates, dst.dim_H, images)
     r = matrix_rank(mat)
+    defects = [src.representatives[n] for n in misses]
     return ComparisonReport(src, dst, mat, r, src.dim_H - r, defects)
 
 
@@ -159,50 +167,30 @@ def comparison_comm_to_leibniz(
 # -- invariant alternating forms and the four-term sequence ---------------------------
 
 
-def form_pairs(d: int) -> list[tuple[int, int]]:
-    """Index pairs (i < j) for coordinates of alternating bilinear forms."""
-    return list(itertools.combinations(range(d), 2))
-
-
-def form_entry(vec, pairs_index: dict, i: int, j: int) -> int:
-    """beta(e_i, e_j) for a form given by coordinates on the (i < j) pairs."""
-    if i == j:
-        return 0
-    if i > j:
-        i, j = j, i
-    return vec[pairs_index[(i, j)]]
-
-
 def alternating_invariant_forms(algebra: AlgebraPresentation) -> Subspace:
     """Alternating bilinear forms with beta([x,y],z) = beta([z,x],y), as a subspace.
 
-    The ambient space is K^(C(d,2)) with coordinates on the pairs i < j in
-    lexicographic order.
+    The forms are the alternating 2-cochains with trivial coefficients, and
+    the ambient space is that cochain space's coordinates, one per basis pair.
     """
     f = algebra.field
     d = algebra.dim
-    pairs = form_pairs(d)
-    pairs_index = {p: k for k, p in enumerate(pairs)}
-    n_unknowns = len(pairs)
+    k = f.degree
+    space = cochain_space(algebra, trivial_module(algebra), 2, "alternating")
     rows = []
     for i in range(d):
         for j in range(d):
-            for k in range(d):
-                row = [0] * n_unknowns
-                # beta([e_i, e_j], e_k) + beta([e_k, e_i], e_j) = 0
-                for s, bits in algebra.bracket_basis(i, j).items():
-                    if s != k:
-                        a, b = (s, k) if s < k else (k, s)
-                        idx = pairs_index[(a, b)]
-                        row[idx] = f.add(row[idx], bits)
-                for s, bits in algebra.bracket_basis(k, i).items():
-                    if s != j:
-                        a, b = (s, j) if s < j else (j, s)
-                        idx = pairs_index[(a, b)]
-                        row[idx] = f.add(row[idx], bits)
-                if any(row):
+            for c in range(d):
+                # beta([e_i, e_j], e_c) + beta([e_c, e_i], e_j) = 0; a repeat reads None
+                row = 0
+                for (a, b), last in (((i, j), c), ((c, i), j)):
+                    for s, bits in algebra.bracket_basis(a, b).items():
+                        idx = space.read((s, last))
+                        if idx is not None:
+                            row ^= bits << (k * idx)
+                if row:
                     rows.append(row)
-    return kernel_basis(Matrix.from_rows(f, rows, n_unknowns))
+    return kernel_basis(Matrix.from_packed(f, rows, space.dim))
 
 
 class ExactSequenceReport:
@@ -280,64 +268,48 @@ def exact_sequence_check(algebra: AlgebraPresentation) -> ExactSequenceReport:
     dual = dual_module(algebra)
     h2 = cohomology(algebra, triv, 2)
     h1d = cohomology(algebra, dual, 1)
+    forms = cochain_space(algebra, triv, 2, "alternating")
     balt = alternating_invariant_forms(algebra)
     h3 = cohomology(algebra, triv, 3)
-    pairs = form_pairs(d)
-    pairs_index = {p: k for k, p in enumerate(pairs)}
     defects = []
 
     space1d = cochain_space(algebra, dual, 1)
-    map1_cols = []
-    for rep in h2.representatives:
-        psi = space1d.cochain(rep.value((i, mu)) for i in range(d) for mu in range(d))
+    images1 = [
+        space1d.cochain(rep.value((i, mu)) for i in range(d) for mu in range(d))
+        for rep in h2.representatives
+    ]
+    for psi in images1:
         if not delta(psi).is_zero():
             defects.append("map1 image of a degree-2 class is not a cocycle")
-        coords = h1d.class_coordinates(psi)
-        if coords is None:
-            defects.append("map1 image not recognized as a degree-1 class")
-            coords = [0] * h1d.dim_H
-        map1_cols.append(coords)
-    map1 = _matrix_from_cols(f, map1_cols, h1d.dim_H)
+    map1, misses = _induced(f, h1d.class_coordinates, h1d.dim_H, images1)
+    defects.extend("map1 image not recognized as a degree-1 class" for _ in misses)
 
-    map2_cols = []
-    for rep in h1d.representatives:
-        beta = [0] * len(pairs)
-        for k, (i, j) in enumerate(pairs):
-            beta[k] = f.add(rep.value((i,), j), rep.value((j,), i))
-        if not balt.contains(beta):
-            defects.append("map2 image of a degree-1 class is not an invariant form")
-            coords = [0] * balt.dim
-        else:
-            coords = balt.coordinates(beta)
-        map2_cols.append(coords)
-    map2 = _matrix_from_cols(f, map2_cols, balt.dim)
+    images2 = [
+        [f.add(rep.value((i,), j), rep.value((j,), i)) for i, j in forms.tuples]
+        for rep in h1d.representatives
+    ]
+    map2, misses = _induced(f, balt.coordinates, balt.dim, images2)
+    defects.extend("map2 image of a degree-1 class is not an invariant form" for _ in misses)
 
     space3 = cochain_space(algebra, triv, 3)
-    map3_cols = []
+    images3 = []
     for bvec in balt.basis:
+        beta = forms.cochain(bvec)
         items = {}
         for tpl in space3.tuples:
             i, j, k = tpl
             acc = 0
             for s, bits in algebra.bracket_basis(i, j).items():
-                acc = f.add(acc, f.mul(bits, form_entry(bvec, pairs_index, s, k)))
+                acc = f.add(acc, f.mul(bits, beta.value((s, k))))
             if acc:
                 items[(tpl, 0)] = acc
         gamma = space3.from_items(items)
         if not delta(gamma).is_zero():
             defects.append("map3 image of an invariant form is not a 3-cocycle")
-            coords = [0] * h3.dim_H
-        else:
-            coords = h3.class_coordinates(gamma)
-            if coords is None:
-                defects.append("map3 image not recognized as a degree-3 class")
-                coords = [0] * h3.dim_H
-        map3_cols.append(coords)
-    map3 = _matrix_from_cols(f, map3_cols, h3.dim_H)
+        images3.append(gamma)
+    map3, misses = _induced(f, h3.class_coordinates, h3.dim_H, images3)
+    defects.extend("map3 image not recognized as a degree-3 class" for _ in misses)
 
-    map1_rank = matrix_rank(map1)
-    map2_rank = matrix_rank(map2)
-    map3_rank = matrix_rank(map3)
     image1 = image_basis(map1)
     kernel2 = kernel_basis(map2)
     image2 = image_basis(map2)
@@ -347,10 +319,10 @@ def exact_sequence_check(algebra: AlgebraPresentation) -> ExactSequenceReport:
         dim_h1_dual=h1d.dim_H,
         dim_balt=balt.dim,
         dim_h3=h3.dim_H,
-        map1_rank=map1_rank,
-        map2_rank=map2_rank,
-        map3_rank=map3_rank,
-        map1_injective=map1_rank == h2.dim_H,
+        map1_rank=image1.dim,
+        map2_rank=image2.dim,
+        map3_rank=balt.dim - kernel3.dim,
+        map1_injective=image1.dim == h2.dim_H,
         exact_at_h1=image1 == kernel2,
         exact_at_balt=image2 == kernel3,
         defects=defects,
@@ -465,11 +437,8 @@ def zassenhaus_printed_cocycles(n: int, fld: FiniteField | None = None) -> list[
     space = cochain_space(algebra, triv, 2)
     out = []
     for k in range(n):
-        support = set()
         t = (1 << k) - 2 + 1  # subscript 2^k - 2 sits at slot +1 since e_{-1} is slot 0
-        support.add(tuple(sorted((t, t))))
-        pair = tuple(sorted((0, (1 << (k + 1)) - 3 + 1)))
-        support.add(pair)
+        support = {(t, t), (0, (1 << (k + 1)) - 3 + 1)}
         out.append(space.from_items({(tpl, 0): 1 for tpl in support}))
     return out
 
@@ -481,16 +450,8 @@ def zassenhaus_printed_basis_report(n: int) -> dict:
     h2 = cohomology(algebra, triv, 2)
     candidates = zassenhaus_printed_cocycles(n)
     cocycle_flags = [delta(c).is_zero() for c in candidates]
-    coords = []
-    for c, is_cocycle in zip(candidates, cocycle_flags):
-        coords.append(h2.class_coordinates(c) if is_cocycle else None)
-    good = [c for c in coords if c is not None]
-    if good:
-        span_rank = matrix_rank(
-            _matrix_from_cols(algebra.field, good, h2.dim_H)
-        )
-    else:
-        span_rank = 0
+    span, _ = _induced(algebra.field, h2.class_coordinates, h2.dim_H, candidates)
+    span_rank = matrix_rank(span)
     return {
         "n": n,
         "dimH2": h2.dim_H,

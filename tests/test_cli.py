@@ -186,12 +186,19 @@ def test_compare(capsys):
     assert row["comm_to_leibniz"]["injective"] is True
 
 
-def test_compare_prints_the_recorded_bytes(capsys):
+RECORDED = {
     # the bytes of the two-step inclusions, alternating -> symmetric -> tensor
-    want = (Path(__file__).parent / "compare_zassenhaus_e3.json").read_text()
-    code, out, _ = run(
-        capsys, "compare", "--algebra", "zassenhaus-e:3", "--max-degree", "3", "--format", "json"
-    )
+    "compare_zassenhaus_e3": ("compare", "--algebra", "zassenhaus-e:3", "--max-degree", "3"),
+    # the bytes of the four-term sequence over GF(2) and over GF(8)
+    "sequence_heisenberg2": ("sequence", "--algebra", "heisenberg:2"),
+    "sequence_zassenhaus_f3": ("sequence", "--algebra", "zassenhaus-f:3"),
+}
+
+
+@pytest.mark.parametrize("recorded", list(RECORDED))
+def test_compare_prints_the_recorded_bytes(capsys, recorded):
+    want = (Path(__file__).parent / f"{recorded}.json").read_text()
+    code, out, _ = run(capsys, *RECORDED[recorded], "--format", "json")
     assert code == 0
     assert out == want
 

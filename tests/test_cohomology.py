@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,14 @@ from commcoh.algebra import (
     zassenhaus_f,
 )
 from commcoh.cochain import cochain_space, delta
-from commcoh.linalg import ContainmentError, Subspace, entry_cap_override, quotient_basis
+from commcoh.linalg import (
+    ContainmentError,
+    Matrix,
+    Subspace,
+    entry_cap_override,
+    kernel_basis,
+    quotient_basis,
+)
 from commcoh.cohomology import (
     CohomologyResult,
     NotACocycleError,
@@ -319,17 +327,73 @@ def test_empty_systems_give_the_whole_space():
     assert (q.dim, proj.nrows, proj.ncols) == (0, 0, 2)
 
 
+def naive_invariant_forms(algebra):
+    """The invariant alternating forms on coordinates indexed by the pairs i < j,
+    each equation entered pair by pair, without the cochain layer."""
+    f = algebra.field
+    d = algebra.dim
+    pairs = list(itertools.combinations(range(d), 2))
+    pairs_index = {p: k for k, p in enumerate(pairs)}
+    rows = []
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                row = [0] * len(pairs)
+                # beta([e_i, e_j], e_k) + beta([e_k, e_i], e_j) = 0
+                for s, bits in algebra.bracket_basis(i, j).items():
+                    if s != k:
+                        idx = pairs_index[(s, k) if s < k else (k, s)]
+                        row[idx] = f.add(row[idx], bits)
+                for s, bits in algebra.bracket_basis(k, i).items():
+                    if s != j:
+                        idx = pairs_index[(s, j) if s < j else (j, s)]
+                        row[idx] = f.add(row[idx], bits)
+                if any(row):
+                    rows.append(row)
+    return kernel_basis(Matrix.from_rows(f, rows, len(pairs)))
+
+
+def monomial_basis_change(algebra, seed):
+    """The algebra in the basis e'_a = c_a e_p(a), for a seeded permutation p and
+    seeded nonzero scalars c."""
+    rng = random.Random(seed)
+    f = algebra.field
+    d = algebra.dim
+    perm = rng.sample(range(d), d)
+    scale = [rng.randrange(1, f.order) for _ in range(d)]
+    new_index = {p: a for a, p in enumerate(perm)}
+    brackets = {}
+    for a in range(d):
+        for b in range(a, d):
+            # [e'_a, e'_b] = c_a c_b [e_p(a), e_p(b)], and e_s = e'_t / c_t for t with p(t) = s
+            outer = f.mul(scale[a], scale[b])
+            value = {}
+            for s, bits in algebra.bracket_basis(perm[a], perm[b]).items():
+                t = new_index[s]
+                value[t] = f.mul(f.mul(outer, bits), f.inv(scale[t]))
+            brackets[(a, b)] = value
+    names = [algebra.basis_names[p] for p in perm]
+    return AlgebraPresentation(f, d, names, brackets)
+
+
+def test_invariant_forms_match_the_pair_indexed_construction():
+    heis2_gf4, _ = base_change(heisenberg(2), None, 2)
+    changed = [monomial_basis_change(zassenhaus_f(3), 0), monomial_basis_change(heis2_gf4, 1)]
+    for a in all_test_algebras() + [zassenhaus_f(2), zassenhaus_f(3)] + changed:
+        assert alternating_invariant_forms(a) == naive_invariant_forms(a), a.basis_names
+    # a basis change leaves the dimension alone
+    assert [alternating_invariant_forms(a).dim for a in changed] == [0, BALT_DIMS["heis2"]]
+
+
 def test_heisenberg_invariant_form_is_the_pairing():
     # the unique form pairs b with c and kills the center
-    from commcoh.structure import form_pairs, form_entry
-
     a = heisenberg(1)
     forms = alternating_invariant_forms(a)
     assert forms.dim == 1
-    vec = forms.basis[0]
-    idx = {p: i for i, p in enumerate(form_pairs(3))}
-    assert form_entry(vec, idx, 1, 2) == 1  # beta(b, c)
-    assert form_entry(vec, idx, 0, 1) == 0 and form_entry(vec, idx, 0, 2) == 0
+    beta = cochain_space(a, trivial_module(a), 2, "alternating").cochain(forms.basis[0])
+    assert beta.value((1, 2)) == beta.value((2, 1)) == 1  # beta(b, c)
+    assert beta.value((0, 1)) == 0 and beta.value((0, 2)) == 0
+    assert beta.value((1, 1)) == 0  # alternating
 
 
 def test_exact_sequence_on_examples():
@@ -340,6 +404,22 @@ def test_exact_sequence_on_examples():
         assert report.exact_at_h1
         assert report.exact_at_balt
         assert report.ok
+
+
+def test_unrecognized_images_are_defects_with_zero_columns(monkeypatch):
+    # a class_coordinates that recognizes nothing: every image misses
+    monkeypatch.setattr(CohomologyResult, "class_coordinates", lambda self, vec: None)
+    rep = exact_sequence_check(heisenberg(1))
+    assert rep.defects == ["map1 image not recognized as a degree-1 class"] * 4 + [
+        "map3 image not recognized as a degree-3 class"
+    ]
+    assert (rep.map1_rank, rep.map3_rank) == (0, 0)
+    assert not rep.ok
+    a = heisenberg(1)
+    c = comparison_comm_to_leibniz(a, trivial_module(a), 2)
+    assert c.source.dim_H == 4
+    assert c.chain_defects == c.source.representatives
+    assert c.rank == 0 and c.kernel_dim == 4
 
 
 def test_exact_sequence_frozen_numbers():
