@@ -46,7 +46,7 @@ class AlgebraPresentation:
     Instances are hashed into the cochain caches, so `brackets` is read-only.
     """
 
-    __slots__ = ("field", "dim", "basis_names", "brackets", "_into", "_key")
+    __slots__ = ("field", "dim", "basis_names", "brackets", "_into", "_key", "_jacobi")
 
     def __init__(
         self,
@@ -87,6 +87,7 @@ class AlgebraPresentation:
         self.brackets = MappingProxyType(clean)
         self._into = None
         self._key = None
+        self._jacobi = None
 
     # -- bracket evaluation ---------------------------------------------------
 
@@ -136,27 +137,31 @@ class AlgebraPresentation:
     # -- axioms -----------------------------------------------------------------
 
     def jacobi_violations(self) -> list[tuple[int, int, int, tuple[int, ...]]]:
-        """Basis triples (i <= j <= k) where [[x,y],z] + [[z,x],y] + [[y,z],x] != 0."""
-        f = self.field
-        d = self.dim
-        violations = []
-        for i in range(d):
-            for j in range(i, d):
-                for k in range(j, d):
-                    acc = [0] * d
-                    for a, b, c in ((i, j, k), (k, i, j), (j, k, i)):
-                        for s, bits in self.bracket_basis(a, b).items():
-                            for t, bits2 in self.bracket_basis(s, c).items():
-                                acc[t] = f.add(acc[t], f.mul(bits, bits2))
-                    if any(acc):
-                        violations.append((i, j, k, tuple(acc)))
-        return violations
+        """Basis triples (i <= j <= k) where [[x,y],z] + [[z,x],y] + [[y,z],x] != 0.
+
+        Computed once per presentation, whose brackets are read-only; a new list per call."""
+        if self._jacobi is None:
+            f = self.field
+            d = self.dim
+            violations = []
+            for i in range(d):
+                for j in range(i, d):
+                    for k in range(j, d):
+                        acc = [0] * d
+                        for a, b, c in ((i, j, k), (k, i, j), (j, k, i)):
+                            for s, bits in self.bracket_basis(a, b).items():
+                                for t, bits2 in self.bracket_basis(s, c).items():
+                                    acc[t] = f.add(acc[t], f.mul(bits, bits2))
+                        if any(acc):
+                            violations.append((i, j, k, tuple(acc)))
+            self._jacobi = tuple(violations)
+        return list(self._jacobi)
 
     def is_lie(self) -> bool:
         """True when every diagonal bracket [x, x] vanishes (ordinary Lie algebra)."""
         if any((i, i) in self.brackets for i in range(self.dim)):
             return False
-        return not self.jacobi_violations()
+        return not (self.jacobi_violations() if self._jacobi is None else self._jacobi)
 
     def square_ideal(self) -> Subspace:
         """The span of all squares [x, x]; central, since [[x,x],y] = 0 by Jacobi."""

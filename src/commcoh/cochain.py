@@ -54,6 +54,10 @@ symmetric cochain reads the sorted tuple, an alternating one reads it too
 and is zero on a repeat, and a tensor cochain reads the arguments in order.
 `CochainSpace.read` is that rule's one home; `Cochain.value`, `evaluate`,
 `contract`, `lie_derivative` and `inclusion_matrix` all read through it.
+
+A cochain is one int in linalg's lane layout, so rows stay packed through
+cochains: representatives are the packed rows `quotient_basis` returns, and
+`solve` takes a cochain's int as its right-hand side.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from functools import lru_cache
 
 from .algebra import AlgebraPresentation, ModulePresentation
 from .field import scalar_to_hex
-from .linalg import Matrix, check_entry_count
+from .linalg import Matrix, _pack_row, _unpack_row, check_entry_count, scale_packed
 
 FLAVORS = ("symmetric", "alternating", "tensor")
 _UPWARD = ("alternating", "symmetric", "tensor")  # each flavor includes into the later ones
@@ -216,14 +220,14 @@ class CochainSpace:
 
     def zero(self) -> "Cochain":
         check_entry_count(self.dim, 1)
-        return Cochain._of(self, (0,) * self.dim)
+        return Cochain._of(self, 0)
 
     def basis_cochain(self, flat: int) -> "Cochain":
         """The cochain dual to basis element `flat`; ValueError outside range(dim)."""
         if not 0 <= flat < self.dim:
             raise ValueError(f"basis index {flat} is not in range({self.dim})")
         check_entry_count(self.dim, 1)
-        return Cochain._of(self, (0,) * flat + (1,) + (0,) * (self.dim - flat - 1))
+        return Cochain._of(self, 1 << (self.algebra.field.degree * flat))
 
     def cochain(self, coeffs: Iterable[int]) -> "Cochain":
         """The cochain with these coefficients; FieldError for one outside the field."""
@@ -231,10 +235,11 @@ class CochainSpace:
 
     def from_items(self, items: dict[tuple[tuple[int, ...], int], int]) -> "Cochain":
         check_entry_count(self.dim, 1)
-        coeffs = [0] * self.dim
-        for (tpl, mu), bits in items.items():
-            coeffs[self.index(tpl, mu)] = bits
-        return Cochain(self, tuple(coeffs))
+        f = self.algebra.field
+        bits = 0
+        for (tpl, mu), c in items.items():
+            bits ^= f.check_bits(c) << (f.degree * self.index(tpl, mu))
+        return Cochain._of(self, bits)
 
     def __eq__(self, other) -> bool:
         return (
@@ -270,38 +275,39 @@ def cochain_space(
 
 
 class Cochain:
-    """An element of a CochainSpace, stored as a dense coefficient vector.
+    """An element of a CochainSpace: `bits` holds the coefficient of flat index j in lane j.
 
-    FieldError for a coefficient outside the field; `_of` skips that check
-    for coefficients that are field elements by construction.
+    The constructor packs coefficients, FieldError for one outside the field;
+    `_of` takes a packed int.  `coeffs` unpacks the dense coefficient tuple.
     """
 
-    __slots__ = ("space", "coeffs")
+    __slots__ = ("space", "bits")
 
-    def __init__(self, space: CochainSpace, coeffs: tuple[int, ...]):
+    def __init__(self, space: CochainSpace, coeffs: Sequence[int]):
         if len(coeffs) != space.dim:
             raise ValueError(f"{len(coeffs)} coefficients for a space of dimension {space.dim}")
-        space.algebra.field.check_vector(coeffs)
         self.space = space
-        self.coeffs = coeffs
+        self.bits = _pack_row(coeffs, space.algebra.field)
 
     @classmethod
-    def _of(cls, space: CochainSpace, coeffs: tuple[int, ...]) -> "Cochain":
+    def _of(cls, space: CochainSpace, bits: int) -> "Cochain":
         phi = cls.__new__(cls)
         phi.space = space
-        phi.coeffs = coeffs
+        phi.bits = bits
         return phi
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return tuple(_unpack_row(self.bits, self.space.dim, self.space.algebra.field))
 
     def __add__(self, other: "Cochain") -> "Cochain":
         if self.space != other.space:
             raise ValueError("cochains from different spaces")
-        f = self.space.algebra.field
-        return Cochain._of(self.space, tuple(f.add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+        return Cochain._of(self.space, self.bits ^ other.bits)
 
     def scale(self, bits: int) -> "Cochain":
         f = self.space.algebra.field
-        f.check_bits(bits)
-        return Cochain._of(self.space, tuple(f.mul(bits, a) for a in self.coeffs))
+        return Cochain._of(self.space, scale_packed(self.bits, f.check_bits(bits), f))
 
     def value(self, args: Sequence[int], mu: int = 0) -> int:
         """The value on ordered basis arguments at module index mu; KeyError off the basis."""
@@ -311,42 +317,37 @@ class Cochain:
 
     def value_vector(self, args: Sequence[int]) -> list[int]:
         """The module vector on ordered basis arguments, read by `CochainSpace.read`."""
-        rank, m = self.space.read(args), self.space.module.dim
-        return [0] * m if rank is None else list(self.coeffs[rank * m : rank * m + m])
+        rank, m, f = self.space.read(args), self.space.module.dim, self.space.algebra.field
+        lanes = 0 if rank is None else self.bits >> (f.degree * m * rank)
+        return _unpack_row(lanes & ((1 << f.degree * m) - 1), m, f)
 
     def items(self) -> list[tuple[tuple[tuple[int, ...], int], int]]:
-        """Nonzero coefficients as ((tuple, module index), bits) pairs."""
+        """Nonzero coefficients as ((tuple, module index), bits) pairs, flat index ascending."""
+        k = self.space.algebra.field.degree
+        digits = format(self.bits, "b")[::-1]  # digits[b] is bit b: one scan, linear in the size
         out = []
-        for flat, bits in enumerate(self.coeffs):
-            if bits:
-                out.append((self.space.unindex(flat), bits))
+        b = digits.find("1")
+        while b >= 0:
+            j = b // k
+            out.append((self.space.unindex(j), int(digits[k * j : k * j + k][::-1], 2)))
+            b = digits.find("1", k * j + k)
         return out
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
+        return not self.bits
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Cochain)
-            and self.space == other.space
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, Cochain) and (self.space, self.bits) == (other.space, other.bits)
 
     def to_json(self) -> list[dict]:
         names = self.space.algebra.basis_names
-        out = []
-        for (tpl, mu), bits in self.items():
-            out.append(
-                {
-                    "args": [names[t] for t in tpl],
-                    "module": mu,
-                    "value": scalar_to_hex(bits),
-                }
-            )
-        return out
+        return [
+            {"args": [names[t] for t in tpl], "module": mu, "value": scalar_to_hex(bits)}
+            for (tpl, mu), bits in self.items()
+        ]
 
     def __repr__(self) -> str:
-        nz = sum(1 for a in self.coeffs if a)
+        nz = len(self.items())
         return f"Cochain({self.space.flavor} degree {self.space.degree}, {nz} nonzero)"
 
 
@@ -572,8 +573,7 @@ def delta(phi: Cochain) -> Cochain:
     """The differential of a cochain, one degree up."""
     space = phi.space
     target = cochain_space(space.algebra, space.module, space.degree + 1, space.flavor)
-    items = {key: bits for key, bits in phi.items()}
-    image = delta_items(space.algebra, space.module, space.flavor, items)
+    image = delta_items(space.algebra, space.module, space.flavor, dict(phi.items()))
     return target.from_items(image)
 
 
@@ -676,4 +676,5 @@ def include_cochain(phi: Cochain, dst_flavor: str) -> Cochain:
         return phi
     mat = inclusion_matrix(space.algebra, space.module, space.degree, space.flavor, dst_flavor)
     dst = cochain_space(space.algebra, space.module, space.degree, dst_flavor)
-    return dst.cochain(mat.mul_vec(list(phi.coeffs)))
+    row = Matrix.from_packed(space.algebra.field, [phi.bits], space.dim).mul(mat.transpose())
+    return Cochain._of(dst, row.packed_rows()[0])

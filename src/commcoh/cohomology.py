@@ -9,7 +9,6 @@ The structure maps built on top of them live in `structure`.
 from __future__ import annotations
 
 from .algebra import AlgebraPresentation, ModulePresentation
-from .field import FiniteField
 from .linalg import (
     Matrix,
     Subspace,
@@ -46,11 +45,11 @@ class CohomologyResult:
 
     @property
     def representatives(self) -> list[Cochain]:
-        """The classes' representatives, unpacked on first read."""
+        """The classes' representatives, the packed rows of `quotient_basis`, made on first read."""
         if self._representatives is None:
-            # unpacked field elements, so the entry check of the Cochain constructor is skipped
             self._representatives = [
-                Cochain._of(self.space, v) for v in quotient_basis(self.cocycles, self.coboundaries)
+                Cochain._of(self.space, row)
+                for row in quotient_basis(self.cocycles, self.coboundaries)
             ]
         return self._representatives
 
@@ -74,19 +73,21 @@ class CohomologyResult:
     def dim_H(self) -> int:
         return self.dim_Z - self.dim_B
 
-    def class_coordinates(self, vec) -> list[int] | None:
+    def class_coordinates(self, phi: Cochain) -> list[int] | None:
         """Coordinates of a cocycle's class in the representative basis.
 
-        None if the vector is not a cocycle.  Coboundaries map to all zeros.
-        The [representatives | coboundaries] matrix is built once per result,
-        and `solve` eliminates it once and reuses that for every query.
+        None if phi is not a cocycle; ValueError if it lies in another space.
+        Coboundaries map to all zeros.  The [representatives | coboundaries]
+        matrix is built once per result from the packed rows, and `solve`
+        eliminates it once and reuses that for every query.
         """
-        if isinstance(vec, Cochain):
-            vec = list(vec.coeffs)
+        if phi.space != self.space:
+            raise ValueError("the cochain is not in this result's cochain space")
         if self._solver is None:
-            cols = [rep.coeffs for rep in self.representatives] + list(self.coboundaries.basis)
-            self._solver = _matrix_from_cols(self.space.algebra.field, cols, self.space.dim)
-        sol = solve(self._solver, vec)
+            f, n = self.space.algebra.field, self.space.dim
+            cols = [rep.bits for rep in self.representatives] + self.coboundaries._packed_basis()
+            self._solver = Matrix.from_packed(f, cols, n).transpose()
+        sol = solve(self._solver, phi.bits)
         if sol is None:
             return None
         return sol[: self.dim_H]
@@ -118,16 +119,10 @@ def coboundary_witness(phi: Cochain) -> Cochain | None:
     """A cochain psi with d(psi) = phi, or None when phi is not a coboundary."""
     space = phi.space
     if space.degree == 0:
-        return None if any(phi.coeffs) else cochain_space(
-            space.algebra, space.module, 0, space.flavor
-        ).zero()
+        return None if phi.bits else space.zero()
     mat = differential_matrix(space.algebra, space.module, space.degree - 1, space.flavor)
-    sol = solve(mat, list(phi.coeffs))
+    sol = solve(mat, phi.bits)
     if sol is None:
         return None
     below = cochain_space(space.algebra, space.module, space.degree - 1, space.flavor)
     return below.cochain(sol)
-
-
-def _matrix_from_cols(f: FiniteField, cols: list[list[int]], nrows: int) -> Matrix:
-    return Matrix.from_rows(f, cols, nrows).transpose()

@@ -10,8 +10,8 @@ with respect to the differential, and therefore descends to classes.
 On dual basis cochains this reads e*_A cup e*_B = prod_t C(a_t + b_t, a_t)
 e*_{A+B}, with a_t and b_t the multiplicities of index t in the multisets
 A and B.  By Lucas's theorem C(a + b, a) is odd exactly when a & b = 0, so
-`cup` runs over pairs of support elements and keeps those whose
-multiplicities share no bit.
+`cup` runs over pairs of nonzero lanes of the two packed factors and
+keeps those whose multiplicities share no bit.
 
 `ring_table` assembles the products of all class representatives up to
 a degree bound into a multiplication table with stable labels.
@@ -31,9 +31,7 @@ def _check_trivial_scalar(phi: Cochain) -> None:
     space = phi.space
     if space.flavor != "symmetric":
         raise ValueError("cup products are defined on symmetric cochains")
-    if space.module.dim != 1 or any(
-        bits for mat in space.module.actions for row in mat for bits in row
-    ):
+    if space.module.dim != 1 or space.module.packed_action()[0]:
         raise ValueError("cup products need trivial one-dimensional coefficients")
 
 
@@ -46,16 +44,14 @@ def cup(phi: Cochain, psi: Cochain) -> Cochain:
         raise ValueError("cup factors live over different algebras or modules")
     f = sa.algebra.field
     target = cochain_space(sa.algebra, sa.module, sa.degree + sb.degree, "symmetric")
-    right = [(tpl, Counter(tpl), y) for tpl, y in zip(sb.tuples, psi.coeffs) if y]
-    coeffs = [0] * target.dim
-    for left, x in zip(sa.tuples, phi.coeffs):
-        if x:
-            mult = Counter(left)
-            for tpl, other, y in right:
-                if all(a & other[t] == 0 for t, a in mult.items()):
-                    i = target.read(left + tpl)
-                    coeffs[i] = f.add(coeffs[i], f.mul(x, y))
-    return Cochain._of(target, tuple(coeffs))
+    right = [(tpl, Counter(tpl), y) for (tpl, _), y in psi.items()]
+    bits = 0
+    for (left, _), x in phi.items():
+        mult = Counter(left)
+        for tpl, other, y in right:
+            if all(a & other[t] == 0 for t, a in mult.items()):
+                bits ^= f.mul(x, y) << (f.degree * target.read(left + tpl))
+    return Cochain._of(target, bits)
 
 
 def _position(label: str) -> tuple[int, int]:

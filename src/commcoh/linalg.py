@@ -5,8 +5,10 @@ bits k*j .. k*j + k - 1, its lane, as a field element bitmask; over GF(2) a
 lane is one bit.  Adding two rows is one XOR for every k, and multiplying a
 row by x acts on all of its lanes at once with shifts and masks (the packed
 GF(2^e) layout of Albrecht, "The M4RIE library", ISSAC 2012).  Rows stay
-packed from the matrix through kernels, images, subspaces and quotients;
-they are unpacked only where a caller reads a vector.
+packed from the matrix through kernels, images, subspaces and quotients
+into cochains: `quotient_basis` returns packed rows, `solve` takes a packed
+right-hand side, and a cochain (see cochain) is one such row.  They are
+unpacked only where a caller reads a vector.
 
 The engine eliminates each row on its lowest set bit, as in the word-parallel
 GF(2) elimination of Albrecht, Bard and Hart (ACM TOMS 37(1), 2010).  A new
@@ -31,7 +33,8 @@ quotient bases are the pivot-complement vectors of the numerator.
 Callers outside this module place entries by shifting, pass packed rows to
 `Matrix.from_packed`, read them back with `Matrix.packed_rows`, read a row's
 nonzero entries with `Matrix.nonzeros` and multiply a packed row by a field
-element with `scale_packed`.
+element with `scale_packed`; cochain also packs and unpacks its one row
+with `_pack_row` and `_unpack_row`.
 
 An entry cap (rows * cols), held in a context variable, turns runaway size
 requests into errors instead of memory exhaustion; see entry_cap_override.
@@ -446,9 +449,10 @@ def image_basis(a: Matrix) -> Subspace:
     return Subspace(a.field, a.nrows, _rref(a.transpose()._packed, a.nrows, a.field))
 
 
-def solve(a: Matrix, b: Sequence[int]) -> list[int] | None:
+def solve(a: Matrix, b: int) -> list[int] | None:
     """One solution x of A x = b (free variables set to 0), or None.
 
+    b is lane-packed over the nrows lanes; ValueError for a bit beyond them.
     On the first call the columns of A are eliminated once, column j tagged
     with e_j in lane ncols - 1 - j after the nrows lanes of the column, and
     the subspace is kept on the matrix.  Each row of its RREF is A y | y
@@ -457,16 +461,16 @@ def solve(a: Matrix, b: Sequence[int]) -> list[int] | None:
     then A y = b.  The tags are reversed so that a column depending on the
     columns before it is the pivot of a kernel row, which leaves y zero there.
     """
-    if len(b) != a.nrows:
-        raise ValueError("right-hand side length does not match row count")
     f = a.field
+    shift = f.degree * a.nrows
+    if b >> shift:
+        raise ValueError(f"right-hand side has entries beyond its {a.nrows} rows")
     if a._solver is None:
         width = a.nrows + a.ncols
         top = f.degree * (width - 1)
         tagged = (c | 1 << (top - f.degree * j) for j, c in enumerate(a.transpose()._packed))
         a._solver = Subspace(f, width, _rref(tagged, width, f))
-    shift = f.degree * a.nrows
-    r = a._solver._residual(_pack_row(b, f))
+    r = a._solver._residual(b)
     if r & ((1 << shift) - 1):
         return None
     return _unpack_row(r >> shift, a.ncols, f)[::-1]
@@ -482,18 +486,13 @@ def check_contains(z: Subspace, b: Subspace) -> None:
             raise ContainmentError(f"denominator vector {vec} is not in the numerator")
 
 
-def quotient_basis(z: Subspace, b: Subspace) -> list[tuple[int, ...]]:
-    """Representatives of Z/B: the RREF basis rows of Z whose pivot is not a pivot of B.
+def quotient_basis(z: Subspace, b: Subspace) -> list[int]:
+    """Representatives of Z/B, packed: the RREF rows of Z whose pivot is not a pivot of B.
 
     Requires B <= Z; raises ContainmentError naming an offending vector otherwise.
     """
     check_contains(z, b)
-    f, n = z.field, z.ambient_dim
     b_pivots = set(b.pivots)
-    reps = [
-        tuple(_unpack_row(r, n, f))
-        for p, r in zip(z.pivots, z._packed_basis())
-        if p not in b_pivots
-    ]
+    reps = [r for p, r in zip(z.pivots, z._packed_basis()) if p not in b_pivots]
     assert len(reps) == z.dim - b.dim
     return reps

@@ -35,7 +35,7 @@ from .linalg import (
     rank as matrix_rank,
 )
 from .cochain import Cochain, cochain_space, delta, inclusion_matrix
-from .cohomology import CohomologyResult, NotACocycleError, _matrix_from_cols, cohomology
+from .cohomology import CohomologyResult, NotACocycleError, cohomology
 
 
 # -- low-degree interpretations (independent cross-checks) ---------------------------
@@ -130,14 +130,16 @@ def _induced(f: FiniteField, coordinates, dim: int, images) -> tuple[Matrix, lis
             misses.append(n)
             coords = [0] * dim
         cols.append(coords)
-    return _matrix_from_cols(f, cols, dim), misses
+    return Matrix.from_rows(f, cols, dim).transpose(), misses
 
 
 def _comparison(algebra, module, degree, src_flavor, dst_flavor) -> ComparisonReport:
     src = cohomology(algebra, module, degree, src_flavor)
     dst = cohomology(algebra, module, degree, dst_flavor)
-    inc = inclusion_matrix(algebra, module, degree, src_flavor, dst_flavor)
-    images = (inc.mul_vec(list(rep.coeffs)) for rep in src.representatives)
+    # the packed representatives times the transposed inclusion, one product for all of them
+    inc = inclusion_matrix(algebra, module, degree, src_flavor, dst_flavor).transpose()
+    reps = Matrix.from_packed(algebra.field, [rep.bits for rep in src.representatives], inc.nrows)
+    images = (Cochain._of(dst.space, row) for row in reps.mul(inc).packed_rows())
     mat, misses = _induced(algebra.field, dst.class_coordinates, dst.dim_H, images)
     r = matrix_rank(mat)
     defects = [src.representatives[n] for n in misses]

@@ -74,6 +74,8 @@ def test_jacobi_violation_detected():
     assert viol
     assert viol[0][:3] == (0, 0, 0)
     assert not bad.is_lie()
+    viol.clear()  # each call returns its own list, so the presentation keeps its violations
+    assert bad.jacobi_violations()[0][:3] == (0, 0, 0)
 
 
 def test_char2_special_lie_algebra():

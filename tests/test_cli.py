@@ -186,6 +186,27 @@ def test_compare(capsys):
     assert row["comm_to_leibniz"]["injective"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--algebra", "zassenhaus-e:3", "--max-degree", "2"],
+        ["check", "--algebra", "zassenhaus-e:3"],
+    ],
+    ids=["compare", "check"],
+)
+def test_a_command_checks_the_jacobi_identity_once(capsys, monkeypatch, argv):
+    # compare asks once itself and once per alternating comparison; check asks
+    # for the violations and then whether the algebra is Lie
+    calls = []
+    jacobi = AlgebraPresentation.jacobi_violations
+    monkeypatch.setattr(
+        AlgebraPresentation, "jacobi_violations", lambda self: calls.append(self) or jacobi(self)
+    )
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
 RECORDED = {
     # the bytes of the two-step inclusions, alternating -> symmetric -> tensor
     "compare_zassenhaus_e3": ("compare", "--algebra", "zassenhaus-e:3", "--max-degree", "3"),

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from commcoh.field import FieldError, make_field
 from commcoh.algebra import (
@@ -121,6 +122,38 @@ def test_cochain_constructor_rejects_coefficients_outside_the_field():
     with pytest.raises(FieldError):
         sp.from_items({((0,), 0): 4})
     assert Cochain(sp, (3, 0, 2)).coeffs == (3, 0, 2)
+
+
+@st.composite
+def packed_and_dense(draw):
+    """(space, a, b, c): a cochain space over GF(2), GF(4) or GF(8) with trivial or
+    adjoint coefficients, two coefficient lists biased to 0, and a scalar."""
+    f = make_field(draw(st.integers(1, 3)))
+    algebra = draw(st.sampled_from([heisenberg(1, f), dim2(f)]))
+    module = draw(st.sampled_from([trivial_module, adjoint_module]))(algebra)
+    space = cochain_space(algebra, module, draw(st.integers(0, 3)), draw(st.sampled_from(FLAVORS)))
+    entry = st.one_of(st.just(0), st.integers(0, f.order - 1))
+    coeffs = st.lists(entry, min_size=space.dim, max_size=space.dim)
+    return space, draw(coeffs), draw(coeffs), draw(st.integers(0, f.order - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_and_dense())
+def test_packed_cochain_agrees_with_its_coefficients(case):
+    space, a, b, c = case
+    f, m = space.algebra.field, space.module.dim
+    phi, psi = space.cochain(a), space.cochain(b)
+    assert phi.coeffs == tuple(a)
+    assert (phi + psi).coeffs == tuple(f.add(x, y) for x, y in zip(a, b))
+    assert phi.scale(c).coeffs == tuple(f.mul(c, x) for x in a)
+    assert phi.is_zero() == (not any(a))
+    assert phi.items() == [(space.unindex(j), x) for j, x in enumerate(a) if x]
+    for args in itertools.product(range(space.algebra.dim), repeat=space.degree):
+        rank = space.read(args)
+        want = [0] * m if rank is None else a[rank * m : rank * m + m]
+        assert phi.value_vector(args) == want
+        assert [phi.value(args, mu) for mu in range(m)] == want
+    assert space.from_items(dict(phi.items())) == phi == Cochain(space, phi.coeffs)
 
 
 def test_degree_cap():

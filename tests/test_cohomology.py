@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from commcoh import linalg
+from commcoh import cochain, linalg
 from commcoh.field import make_field
 from commcoh.algebra import (
     AlgebraPresentation,
@@ -205,24 +205,36 @@ def test_cocycles_are_cocycles_and_coboundaries_vanish():
             for rep in res.representatives:
                 assert delta(rep).is_zero()
             for v in res.coboundaries.basis:
-                assert res.class_coordinates(list(v)) == [0] * res.dim_H
+                assert res.class_coordinates(res.space.cochain(v)) == [0] * res.dim_H
             for i, rep in enumerate(res.representatives):
                 coords = res.class_coordinates(rep)
                 assert coords == [1 if j == i else 0 for j in range(res.dim_H)]
 
 
-def test_representatives_are_unpacked_on_first_read(monkeypatch):
+def test_representatives_are_never_unpacked(monkeypatch):
+    # representatives are the packed quotient rows, and classifying one solves on packed rows
     widths = []
     unpack = linalg._unpack_row
-    monkeypatch.setattr(linalg, "_unpack_row", lambda *args: widths.append(args[1]) or unpack(*args))
+    for module in (linalg, cochain):
+        monkeypatch.setattr(module, "_unpack_row", lambda *args: widths.append(args[1]) or unpack(*args))
     a = heisenberg(1)
     with entry_cap_override(20_000_000):
         res = cohomology(a, trivial_module(a), 7, "tensor")
-    assert widths == []
-    reps = res.representatives
-    assert widths == [res.space.dim] * res.dim_H == [2187] * 408
-    assert res.representatives is reps
-    assert [rep.coeffs for rep in reps] == quotient_basis(res.cocycles, res.coboundaries)
+        reps = res.representatives
+        assert res.representatives is reps
+        assert len(reps) == res.dim_H == 408
+        assert [rep.bits for rep in reps] == quotient_basis(res.cocycles, res.coboundaries)
+        assert res.class_coordinates(reps[5] + reps[7]) is not None
+    # only the solution's tags are unpacked, never a representative
+    assert widths == [res.dim_H + res.dim_B]
+
+
+def test_class_coordinates_rejects_a_cochain_of_another_space():
+    a = dim2()
+    res = cohomology(a, trivial_module(a), 1)
+    other = cochain_space(a, trivial_module(a), 1, "tensor")  # the same dimension, 2
+    with pytest.raises(ValueError, match="not in this result's cochain space"):
+        res.class_coordinates(other.basis_cochain(0))
 
 
 def test_result_checks_coboundaries_lie_in_cocycles():

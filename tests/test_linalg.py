@@ -6,13 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from commcoh import linalg
+from commcoh.algebra import dim2, trivial_module
+from commcoh.cochain import cochain_space
 from commcoh.field import FieldError, make_field
 from commcoh.linalg import (
     ContainmentError,
     Matrix,
     SizeCapError,
     Subspace,
+    _pack_row,
     _rref,
+    _unpack_row,
     entry_cap_override,
     image_basis,
     kernel_basis,
@@ -141,11 +145,11 @@ def test_engine_matches_naive_rref_over_every_field(system):
         assert all(dot(f, row, v) == 0 for row in rows)
     b = [dot(f, row, x) for row in rows]
     assert a.mul_vec(x) == b
-    sol = solve(a, b)
+    sol = solve(a, _pack_row(b, f))
     assert sol is not None
     assert [dot(f, row, sol) for row in rows] == b
     assert sol == naive_solve(a, b)
-    assert solve(a, rhs) == naive_solve(a, rhs)
+    assert solve(a, _pack_row(rhs, f)) == naive_solve(a, rhs)
 
 
 def naive_rref_packed(rows, ncols):
@@ -227,14 +231,16 @@ def test_packed_vs_generic_rank_and_kernel():
         sub.append([x ^ y for x, y in zip(rows[0], rows[-1])])
         b2, b4 = (Subspace.from_vectors(f, sub, ncols) for f in (GF2, GF4))
         assert z2.contains_subspace(b2) and z4.contains_subspace(b4)
-        assert quotient_basis(z2, b2) == quotient_basis(z4, b4)
+        assert [_unpack_row(r, ncols, GF2) for r in quotient_basis(z2, b2)] == [
+            _unpack_row(r, ncols, GF4) for r in quotient_basis(z4, b4)
+        ]
         assert k2.contains_subspace(z2) == k4.contains_subspace(z4)
         assert b2.contains_subspace(z2) == b4.contains_subspace(z4)
         v = [rng.randrange(2) for _ in range(ncols)]
         assert b2.reduce(v) == b4.reduce(v)
         assert k2.reduce(v) == k4.reduce(v)
         rhs = [rng.randrange(2) for _ in range(nrows)]
-        assert solve(a2, rhs) == solve(a4, rhs)
+        assert solve(a2, _pack_row(rhs, GF2)) == solve(a4, _pack_row(rhs, GF4))
 
 
 def test_packed_vs_generic_product():
@@ -301,7 +307,7 @@ def test_image_members_are_solvable():
             img = image_basis(a)
             assert img.dim == rank(a)
             for v in img.basis:
-                assert solve(a, list(v)) is not None
+                assert solve(a, _pack_row(v, f)) is not None
 
 
 def test_solve_roundtrip_and_inconsistency():
@@ -312,7 +318,7 @@ def test_solve_roundtrip_and_inconsistency():
             a = random_matrix(rng, f, nrows, ncols)
             x = [rng.randrange(f.order) for _ in range(ncols)]
             b = a.mul_vec(x)
-            sol = solve(a, b)
+            sol = solve(a, _pack_row(b, f))
             assert sol is not None
             assert a.mul_vec(sol) == b
             img = image_basis(a)
@@ -322,7 +328,7 @@ def test_solve_roundtrip_and_inconsistency():
                     probe = list(b)
                     probe[j] = f.add(probe[j], 1)
                     if not img.contains(probe):
-                        assert solve(a, probe) is None
+                        assert solve(a, _pack_row(probe, f)) is None
                         break
 
 
@@ -396,10 +402,10 @@ def test_quotient_basis_dimensions_and_containment():
                     v = [f.add(x, f.mul(c, y)) for x, y in zip(v, u)]
                 bvecs.append(v)
             b = Subspace.from_vectors(f, bvecs, n)
-            reps = quotient_basis(z, b)
+            reps = [_unpack_row(r, n, f) for r in quotient_basis(z, b)]
             assert len(reps) == z.dim - b.dim
             # reps extend a basis of b to a basis of z
-            together = Subspace.from_vectors(f, [list(v) for v in reps] + [list(v) for v in b.basis], n)
+            together = Subspace.from_vectors(f, reps + [list(v) for v in b.basis], n)
             assert together == z
 
 
@@ -424,12 +430,23 @@ def test_entries_outside_the_field_are_rejected():
     # With k-bit lanes such an entry would spill into its neighbour.
     with pytest.raises(FieldError):
         Subspace.from_vectors(GF4, [[5, 1]], 2)
+    a = dim2(GF4)
     with pytest.raises(FieldError):
-        solve(Matrix.identity(GF4, 2), [7, 1])
+        cochain_space(a, trivial_module(a), 1).cochain([7, 1])
     with pytest.raises(FieldError):
         Matrix.from_rows(GF2, [[0, 2]])
     with pytest.raises(FieldError):
         Subspace.from_vectors(GF8, [[1, 0]], 2).contains([-1, 0])
+
+
+def test_solve_rejects_a_right_hand_side_wider_than_its_rows():
+    for f in (GF2, GF4):
+        a = Matrix.identity(f, 2)
+        assert solve(a, _pack_row([1, 1], f)) == [1, 1]
+        with pytest.raises(ValueError, match="beyond its 2 rows"):
+            solve(a, _pack_row([0, 0, 1], f))
+        with pytest.raises(ValueError, match="beyond its 2 rows"):
+            solve(a, -1)
 
 
 # ------------------------------------------------------------------
@@ -462,7 +479,7 @@ def test_solve_always_verifies(seed, nrows, ncols):
     rng = random.Random(seed)
     a = random_matrix(rng, GF2, nrows, ncols)
     b = [rng.randrange(2) for _ in range(nrows)]
-    sol = solve(a, b)
+    sol = solve(a, _pack_row(b, GF2))
     if sol is None:
         assert not image_basis(a).contains(b)
     else:

@@ -14,7 +14,7 @@ from commcoh.algebra import (
 )
 from commcoh.cochain import cochain_space
 from commcoh.cohomology import cohomology
-from commcoh.linalg import Matrix, entry_cap_override, kernel_basis, rank, solve
+from commcoh.linalg import Matrix, _pack_row, entry_cap_override, kernel_basis, rank, solve
 from commcoh.morse import (
     BasedComplex,
     Matching,
@@ -360,7 +360,7 @@ def schur_complement(cx, matching, n, unmatched):
     square = block(heads, tails)
     inverse_cols = []
     for r in range(len(tails)):
-        x = solve(square, [int(r == c) for c in range(len(tails))])
+        x = solve(square, _pack_row([int(r == c) for c in range(len(tails))], f))
         assert x is not None
         inverse_cols.append(x)
     inverse = Matrix.from_rows(f, inverse_cols, len(tails)).transpose()
