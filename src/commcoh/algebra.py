@@ -55,8 +55,14 @@ class AlgebraPresentation:
         basis_names: Sequence[str],
         brackets: dict[tuple[int, int], dict[int, int]],
     ):
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise PresentationError(f"dimension must be an int, got {dim!r}")
         if dim < 0:
             raise PresentationError("negative dimension")
+        if not isinstance(basis_names, (list, tuple)) or not all(
+            isinstance(n, str) for n in basis_names
+        ):
+            raise PresentationError(f"basis names must be a list of strings, got {basis_names!r}")
         names = tuple(basis_names)
         if len(names) != dim:
             raise PresentationError(f"{len(names)} basis names for dimension {dim}")

@@ -43,11 +43,13 @@ terms XORed in; `differential_matrix` builds the tensor degrees upward from
 d_0, so d_{n-1} is cached when d_n reads it.  The symmetric and alternating
 flavors re-sort their targets, so their terms are not shifts of the degree
 below and each matrix is assembled from all of its terms.
-`source_image`, `delta_items` and `delta` read the same terms as sparse
-dicts, without building a matrix; for a tensor source they put each prefix
-of the source in front of the first-argument terms of the rest.  The test
-suite checks both the matrices and `delta` against a direct multilinear
-evaluation of the defining formula.
+`delta` reads the same terms without building a matrix.  The column of d at
+a basis element (source, nu) is cached as (flat target index, coefficient)
+pairs, with each prefix of a tensor source put in front of the
+first-argument terms of the rest; `delta` adds the columns of a cochain's
+nonzero lanes, each times its coefficient, into one sparse dict and packs
+that once.  The test suite checks both the matrices and `delta` against a
+direct multilinear evaluation of the defining formula.
 
 A cochain is read on ordered basis arguments by one rule per flavor: a
 symmetric cochain reads the sorted tuple, an alternating one reads it too
@@ -103,11 +105,6 @@ def check_degree(n: int) -> None:
     cap = _degree_cap.get()
     if n > cap:
         raise DegreeCapError(f"degree {n} exceeds the cap {cap}")
-
-
-def _check_flavor(flavor: str) -> None:
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
 
 
 def flavor_dim(d: int, n: int, m: int, flavor: str) -> int:
@@ -268,7 +265,8 @@ def cochain_space(
     # cap checks stay outside the cache so they apply on every call,
     # not just the first one per argument tuple
     check_degree(degree)
-    _check_flavor(flavor)
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
     if module.algebra != algebra:
         raise ValueError("module is over a different algebra")
     return _space_cached(algebra, module, degree, flavor)
@@ -323,13 +321,17 @@ class Cochain:
 
     def items(self) -> list[tuple[tuple[tuple[int, ...], int], int]]:
         """Nonzero coefficients as ((tuple, module index), bits) pairs, flat index ascending."""
+        return [(self.space.unindex(j), c) for j, c in self._lanes()]
+
+    def _lanes(self) -> list[tuple[int, int]]:
+        """Nonzero coefficients as (flat index, bits) pairs, flat index ascending."""
         k = self.space.algebra.field.degree
         digits = format(self.bits, "b")[::-1]  # digits[b] is bit b: one scan, linear in the size
         out = []
         b = digits.find("1")
         while b >= 0:
             j = b // k
-            out.append((self.space.unindex(j), int(digits[k * j : k * j + k][::-1], 2)))
+            out.append((j, int(digits[k * j : k * j + k][::-1], 2)))
             b = digits.find("1", k * j + k)
         return out
 
@@ -425,6 +427,7 @@ def _source_terms(algebra, module, dst, source):
 
 @lru_cache(maxsize=100_000)
 def _source_image_cached(algebra, module, flavor, source, nu):
+    """The column of d at (source, nu): (flat target index, coefficient) pairs, all nonzero."""
     dst = _space_cached(algebra, module, len(source) + 1, flavor)
     shift, lane = algebra.field.degree * nu, algebra.field.order - 1
     d, n, m = algebra.dim, len(source), module.dim
@@ -445,59 +448,7 @@ def _source_image_cached(algebra, module, flavor, source, nu):
             for mu, packed in rho[t]:
                 key = (offset + r) * m + mu
                 out[key] = out.get(key, 0) ^ ((packed >> shift) & lane)
-    return {dst.unindex(flat): val for flat, val in out.items() if val}
-
-
-def source_image(
-    algebra: AlgebraPresentation,
-    module: ModulePresentation,
-    flavor: str,
-    source: tuple[int, ...],
-    nu: int,
-) -> dict[tuple[tuple[int, ...], int], int]:
-    """The differential of the basis cochain dual to (source, nu), as a sparse dict.
-
-    ValueError unless nu is a module index and source a basis tuple of the
-    flavor: algebra indices, non-decreasing if symmetric, increasing if alternating.
-    """
-    _check_flavor(flavor)
-    check_degree(len(source) + 1)
-    source = tuple(source)
-    if not 0 <= nu < module.dim:
-        raise ValueError(f"module index {nu} is not in range({module.dim})")
-    try:
-        _space_cached(algebra, module, len(source), flavor).tuple_index(source)
-    except KeyError:
-        raise ValueError(
-            f"{source} is not a basis tuple of the {flavor} flavor in dimension {algebra.dim}"
-        ) from None
-    return _source_image_cached(algebra, module, flavor, source, nu)
-
-
-def delta_items(
-    algebra: AlgebraPresentation,
-    module: ModulePresentation,
-    flavor: str,
-    items: dict[tuple[tuple[int, ...], int], int],
-) -> dict[tuple[tuple[int, ...], int], int]:
-    """Apply the differential to a sparse cochain without building a matrix.
-
-    A symmetric or alternating target space is listed to rank its tuples; a
-    tensor target space is not listed at all, so any degree under the cap works.
-    FieldError for a coefficient that is not a field element.
-    """
-    f = algebra.field
-    out: dict = {}
-    for (source, nu), c in items.items():
-        if not f.check_bits(c):
-            continue
-        for key, val in source_image(algebra, module, flavor, source, nu).items():
-            acc = f.add(out.get(key, 0), f.mul(c, val))
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return out
+    return tuple((flat, val) for flat, val in out.items() if val)
 
 
 def differential_matrix(
@@ -570,11 +521,18 @@ def _tensor_rows(algebra, module, degree):
 
 
 def delta(phi: Cochain) -> Cochain:
-    """The differential of a cochain, one degree up."""
+    """The differential of a cochain, one degree up; a tensor target space is not listed."""
     space = phi.space
-    target = cochain_space(space.algebra, space.module, space.degree + 1, space.flavor)
-    image = delta_items(space.algebra, space.module, space.flavor, dict(phi.items()))
-    return target.from_items(image)
+    algebra, module, flavor = space.algebra, space.module, space.flavor
+    target = cochain_space(algebra, module, space.degree + 1, flavor)
+    check_entry_count(target.dim, 1)
+    f = algebra.field
+    image: dict[int, int] = {}
+    for j, c in phi._lanes():
+        source, nu = space.unindex(j)
+        for flat, val in _source_image_cached(algebra, module, flavor, source, nu):
+            image[flat] = image.get(flat, 0) ^ f.mul(c, val)
+    return Cochain._of(target, sum(val << (f.degree * flat) for flat, val in image.items() if val))
 
 
 # -- evaluation and Cartan operators ------------------------------------------------------

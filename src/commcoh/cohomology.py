@@ -9,15 +9,7 @@ The structure maps built on top of them live in `structure`.
 from __future__ import annotations
 
 from .algebra import AlgebraPresentation, ModulePresentation
-from .linalg import (
-    Matrix,
-    Subspace,
-    check_contains,
-    image_basis,
-    kernel_basis,
-    quotient_basis,
-    solve,
-)
+from .linalg import Matrix, Subspace, image_basis, kernel_basis, quotient_basis, solve
 from .cochain import (
     Cochain,
     CochainSpace,
@@ -31,27 +23,22 @@ class NotACocycleError(ValueError):
 
 
 class CohomologyResult:
-    """Cocycles, coboundaries, and representatives in one degree and flavor."""
+    """Cocycles, coboundaries, and representatives in one degree and flavor.
 
-    __slots__ = ("space", "cocycles", "coboundaries", "_representatives", "_solver")
+    The representatives are the packed rows of `quotient_basis`, whose
+    ContainmentError is the check that the coboundaries lie in the cocycles.
+    """
+
+    __slots__ = ("space", "cocycles", "coboundaries", "representatives", "_solver")
 
     def __init__(self, space: CochainSpace, cocycles: Subspace, coboundaries: Subspace):
-        check_contains(cocycles, coboundaries)
         self.space = space
         self.cocycles = cocycles
         self.coboundaries = coboundaries
-        self._representatives = None
+        self.representatives = [
+            Cochain._of(space, row) for row in quotient_basis(cocycles, coboundaries)
+        ]
         self._solver = None
-
-    @property
-    def representatives(self) -> list[Cochain]:
-        """The classes' representatives, the packed rows of `quotient_basis`, made on first read."""
-        if self._representatives is None:
-            self._representatives = [
-                Cochain._of(self.space, row)
-                for row in quotient_basis(self.cocycles, self.coboundaries)
-            ]
-        return self._representatives
 
     @property
     def degree(self) -> int:

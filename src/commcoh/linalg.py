@@ -476,22 +476,17 @@ def solve(a: Matrix, b: int) -> list[int] | None:
     return _unpack_row(r >> shift, a.ncols, f)[::-1]
 
 
-def check_contains(z: Subspace, b: Subspace) -> None:
-    """Raise ContainmentError naming a basis vector of B that is not in Z."""
+def quotient_basis(z: Subspace, b: Subspace) -> list[int]:
+    """Representatives of Z/B, packed: the RREF rows of Z whose pivot is not a pivot of B.
+
+    Requires B <= Z; raises ContainmentError naming an offending vector otherwise.
+    """
     if z.field != b.field or z.ambient_dim != b.ambient_dim:
         raise ValueError("subspaces of different ambient spaces")
     for r in b._packed_basis():
         if z._residual(r):
             vec = tuple(_unpack_row(r, z.ambient_dim, z.field))
             raise ContainmentError(f"denominator vector {vec} is not in the numerator")
-
-
-def quotient_basis(z: Subspace, b: Subspace) -> list[int]:
-    """Representatives of Z/B, packed: the RREF rows of Z whose pivot is not a pivot of B.
-
-    Requires B <= Z; raises ContainmentError naming an offending vector otherwise.
-    """
-    check_contains(z, b)
     b_pivots = set(b.pivots)
     reps = [r for p, r in zip(z.pivots, z._packed_basis()) if p not in b_pivots]
     assert len(reps) == z.dim - b.dim

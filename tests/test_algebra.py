@@ -238,6 +238,12 @@ def test_presentation_validation():
         AlgebraPresentation(GF2, 2, ["a", "b"], {(0, 5): {0: 1}})
     with pytest.raises(PresentationError):
         AlgebraPresentation(GF2, 2, ["a"], {})
+    for dim in ("2", 2.0, True):
+        with pytest.raises(PresentationError, match="dimension must be an int"):
+            AlgebraPresentation(GF2, dim, ["a", "b"], {})
+    for names in ("ab", [1, 2], ("a", None), {"a", "b"}):
+        with pytest.raises(PresentationError, match="basis names must be a list of strings"):
+            AlgebraPresentation(GF2, 2, names, {})
 
 
 def test_basis_names_hold_no_label_delimiter():

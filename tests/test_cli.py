@@ -426,12 +426,23 @@ def test_bad_inputs_exit_1_as_user_errors(capsys, tmp_path):
     bad_module.write_text(json.dumps({"dim": 1}))
     not_an_object = tmp_path / "list.json"
     not_an_object.write_text(json.dumps([1, 2]))
-    for argv in (
+    # a dimension that is not an int, and basis names that are not a list of strings
+    bad_algebras = []
+    for name, dim, basis in (("dim", "3", ["x", "y", "z"]), ("ints", 2, [1, 2]), ("str", 2, "ab")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "field": {"characteristic": 2, "degree": 1, "modulus": 2},
+            "dim": dim,
+            "basis": basis,
+            "brackets": [],
+        }))
+        bad_algebras.append(["cohomology", "--algebra", str(path)])
+    for argv in [
         ["cohomology", "--algebra", "nosuch:3"],
         ["cohomology", "--algebra", "heisenberg:x"],
         ["cohomology", "--algebra", "dim2", "--module", str(bad_module)],
         ["check", "--algebra", str(not_an_object)],
-    ):
+    ] + bad_algebras:
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert err.startswith("error:"), argv
