@@ -40,6 +40,11 @@ class AxiomError(ValueError):
         self.violations = violations
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: the one type of a dimension or a basis index."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class AlgebraPresentation:
     """A finite-dimensional algebra with a symmetric bracket, by structure constants.
 
@@ -55,7 +60,7 @@ class AlgebraPresentation:
         basis_names: Sequence[str],
         brackets: dict[tuple[int, int], dict[int, int]],
     ):
-        if not isinstance(dim, int) or isinstance(dim, bool):
+        if not _is_int(dim):
             raise PresentationError(f"dimension must be an int, got {dim!r}")
         if dim < 0:
             raise PresentationError("negative dimension")
@@ -76,12 +81,12 @@ class AlgebraPresentation:
                 )
         clean = {}
         for (i, j), value in brackets.items():
-            if not (0 <= i <= j < dim):
-                raise PresentationError(f"bracket pair ({i}, {j}) out of range or unordered")
+            if not (_is_int(i) and _is_int(j) and 0 <= i <= j < dim):
+                raise PresentationError(f"bracket pair ({i!r}, {j!r}) is not ordered ints in range")
             entry = {}
             for s, bits in value.items():
-                if not 0 <= s < dim:
-                    raise PresentationError(f"bracket target index {s} out of range")
+                if not (_is_int(s) and 0 <= s < dim):
+                    raise PresentationError(f"bracket target index {s!r} is not an int in range")
                 field.check_bits(bits)
                 if bits:
                     entry[s] = bits
@@ -373,9 +378,7 @@ def span_subalgebra(
 
 
 def _read_json(source):
-    """The parsed JSON of a file path, of JSON text, or a parsed value as it is."""
-    if isinstance(source, str) and not os.path.exists(source):
-        return json.loads(source)
+    """The parsed JSON of a file path (FileNotFoundError if it is missing), or a parsed value."""
     if isinstance(source, (str, os.PathLike)):
         with open(source) as fh:
             return json.load(fh)
@@ -383,7 +386,7 @@ def _read_json(source):
 
 
 def import_algebra(source) -> AlgebraPresentation:
-    """Load an algebra from a JSON file path, JSON text, or parsed dict.
+    """Load an algebra from a JSON file path or a parsed dict.
 
     Format: {"field": {"characteristic": 2, "degree": k, "modulus": m},
     "dim": d, "basis": [names], "brackets": [{"i": i, "j": j,
@@ -406,18 +409,16 @@ def import_algebra(source) -> AlgebraPresentation:
     brackets: dict[tuple[int, int], dict[int, int]] = {}
     for entry in raw:
         try:
-            i, j = int(entry["i"]), int(entry["j"])
+            i, j = sorted((entry["i"], entry["j"]))  # the constructor checks that both are ints
             value = {
                 int(s): scalar_from_hex(h, f) for s, h in entry.get("value", {}).items()
             }
-        except FieldError:
+            if (i, j) in brackets:
+                raise PresentationError(f"duplicate bracket pair ({i}, {j})")
+        except (FieldError, PresentationError):
             raise
         except (TypeError, KeyError, AttributeError, ValueError) as exc:
             raise PresentationError(f"malformed bracket entry {entry!r}: {exc}") from None
-        if i > j:
-            i, j = j, i
-        if (i, j) in brackets:
-            raise PresentationError(f"duplicate bracket pair ({i}, {j})")
         brackets[(i, j)] = value
     algebra = AlgebraPresentation(f, dim, names, brackets)
     violations = algebra.jacobi_violations()
@@ -446,6 +447,8 @@ class ModulePresentation:
             raise PresentationError(
                 f"{len(actions)} action matrices for an algebra of dimension {algebra.dim}"
             )
+        if not _is_int(dim):
+            raise PresentationError(f"module dimension must be an int, got {dim!r}")
         mats = tuple(tuple(tuple(r) for r in a) for a in actions)
         for rows in mats:
             if len(rows) != dim or any(len(r) != dim for r in rows):
@@ -476,26 +479,16 @@ class ModulePresentation:
             self._packed = [t for t, r in enumerate(rows) if r], rows
         return self._packed
 
-    def act_basis(self, t: int, vec: Vec) -> list[int]:
-        """rho(e_t) applied to a module vector."""
-        f = self.algebra.field
-        out = [0] * self.dim
-        for mu, row in enumerate(self.actions[t]):
-            acc = 0
-            for nu, bits in enumerate(row):
-                if bits and vec[nu]:
-                    acc = f.add(acc, f.mul(bits, vec[nu]))
-            out[mu] = acc
-        return out
-
     def act(self, x: Vec, vec: Vec) -> list[int]:
-        """rho(x) applied to a module vector, x a coefficient vector."""
+        """rho(x) v for coefficient vectors; a dense loop, independent of the packed engine."""
         f = self.algebra.field
         out = [0] * self.dim
         for t, c in enumerate(x):
             if c:
-                img = self.act_basis(t, vec)
-                out = [f.add(o, f.mul(c, w)) for o, w in zip(out, img)]
+                for mu, row in enumerate(self.actions[t]):
+                    for nu, bits in enumerate(row):
+                        if bits and vec[nu]:
+                            out[mu] = f.add(out[mu], f.mul(c, f.mul(bits, vec[nu])))
         return out
 
     def axiom_violations(self) -> list[tuple[int, int, tuple]]:
@@ -554,11 +547,10 @@ class ModulePresentation:
 
 
 def module_from_actions(
-    algebra: AlgebraPresentation, actions: Sequence[Sequence[Sequence[int]]], dim: int | None = None
+    algebra: AlgebraPresentation, actions: Sequence[Sequence[Sequence[int]]], dim: int
 ) -> ModulePresentation:
     """Build and validate a module presentation from explicit action matrices."""
-    m = dim if dim is not None else (len(actions[0]) if actions else 0)
-    mod = ModulePresentation(algebra, m, actions)
+    mod = ModulePresentation(algebra, dim, actions)
     violations = mod.axiom_violations()
     if violations:
         i, j, defect = violations[0]
@@ -599,7 +591,7 @@ def import_module(algebra: AlgebraPresentation, source) -> ModulePresentation:
         actions = [
             [[scalar_from_hex(a, f) for a in row] for row in mat] for mat in data["actions"]
         ]
-        dim = int(data["dim"])
+        dim = data["dim"]
     except FieldError:
         raise
     except (TypeError, KeyError, AttributeError, ValueError) as exc:

@@ -63,15 +63,10 @@ def _is_json_path(text: str) -> bool:
     return os.path.exists(text) or os.path.splitext(text)[1] == ".json"
 
 
-def _load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def parse_algebra(text: str, field_degree: int):
     """A builder name like heisenberg:2 or zassenhaus-e:3, or a JSON file path."""
     if _is_json_path(text):
-        return import_algebra(_load_json(text))
+        return import_algebra(text)
     name, _, raw = text.partition(":")
     try:
         params = [int(p) for p in raw.split(",") if p != ""]
@@ -102,7 +97,7 @@ def parse_module(text: str, algebra):
     if text in builders:
         return builders[text](algebra)
     if _is_json_path(text):
-        return import_module(algebra, _load_json(text))
+        return import_module(algebra, text)
     raise ValueError(
         f"unknown module {text!r}; expected trivial, adjoint, dual, or a JSON file path"
     )
@@ -487,8 +482,7 @@ def main(argv=None) -> int:
         SizeCapError,
         DegreeCapError,
         ValueError,
-        OSError,
-        json.JSONDecodeError,
+        OSError,  # a missing input file, an unwritable --out
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -74,7 +74,7 @@ from functools import lru_cache
 
 from .algebra import AlgebraPresentation, ModulePresentation
 from .field import scalar_to_hex
-from .linalg import Matrix, _pack_row, _unpack_row, check_entry_count, scale_packed
+from .linalg import Matrix, _pack_lanes, _pack_row, _unpack_row, check_entry_count, scale_packed
 
 FLAVORS = ("symmetric", "alternating", "tensor")
 _UPWARD = ("alternating", "symmetric", "tensor")  # each flavor includes into the later ones
@@ -233,10 +233,8 @@ class CochainSpace:
     def from_items(self, items: dict[tuple[tuple[int, ...], int], int]) -> "Cochain":
         check_entry_count(self.dim, 1)
         f = self.algebra.field
-        bits = 0
-        for (tpl, mu), c in items.items():
-            bits ^= f.check_bits(c) << (f.degree * self.index(tpl, mu))
-        return Cochain._of(self, bits)
+        pairs = ((self.index(tpl, mu), f.check_bits(c)) for (tpl, mu), c in items.items())
+        return Cochain._of(self, _pack_lanes(pairs, self.dim, f))
 
     def __eq__(self, other) -> bool:
         return (
@@ -532,7 +530,7 @@ def delta(phi: Cochain) -> Cochain:
         source, nu = space.unindex(j)
         for flat, val in _source_image_cached(algebra, module, flavor, source, nu):
             image[flat] = image.get(flat, 0) ^ f.mul(c, val)
-    return Cochain._of(target, sum(val << (f.degree * flat) for flat, val in image.items() if val))
+    return Cochain._of(target, _pack_lanes(image.items(), target.dim, f))
 
 
 # -- evaluation and Cartan operators ------------------------------------------------------

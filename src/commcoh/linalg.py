@@ -33,8 +33,8 @@ quotient bases are the pivot-complement vectors of the numerator.
 Callers outside this module place entries by shifting, pass packed rows to
 `Matrix.from_packed`, read them back with `Matrix.packed_rows`, read a row's
 nonzero entries with `Matrix.nonzeros` and multiply a packed row by a field
-element with `scale_packed`; cochain also packs and unpacks its one row
-with `_pack_row` and `_unpack_row`.
+element with `scale_packed`; cochain packs its one row with `_pack_row` or,
+from sparse (lane, value) pairs, `_pack_lanes`, and unpacks it with `_unpack_row`.
 
 An entry cap (rows * cols), held in a context variable, turns runaway size
 requests into errors instead of memory exhaustion; see entry_cap_override.
@@ -80,7 +80,7 @@ def check_entry_count(nrows: int, ncols: int) -> None:
 class Matrix:
     """A dense matrix over a FiniteField.  Treat instances as immutable."""
 
-    __slots__ = ("field", "nrows", "ncols", "_packed", "_solver", "_source")
+    __slots__ = ("field", "nrows", "ncols", "_packed", "_solver")
 
     def __init__(self, field: FiniteField, nrows: int, ncols: int, packed: list[int]):
         self.field = field
@@ -88,7 +88,6 @@ class Matrix:
         self.ncols = ncols
         self._packed = packed  # one lane-packed int per row
         self._solver = None    # solve()'s subspace of tagged columns, made on first use
-        self._source = None    # the matrix this one is the transpose of
 
     # -- constructors --------------------------------------------------------
 
@@ -187,18 +186,14 @@ class Matrix:
         return self.mul(Matrix.from_rows(self.field, [[v] for v in vec], 1))._packed
 
     def transpose(self) -> "Matrix":
-        """The transpose; a matrix made by `transpose` gives back its source with no work."""
-        if self._source is not None:
-            return self._source
+        """The transpose, a new matrix built on every call."""
         check_entry_count(self.ncols, self.nrows)
         k = self.field.degree
         cols = [0] * self.ncols
         for i, r in enumerate(self._packed):
             for s, c in _lanes(r, k):
                 cols[s // k] |= c << (k * i)
-        out = Matrix(self.field, self.ncols, self.nrows, cols)
-        out._source = self
-        return out
+        return Matrix(self.field, self.ncols, self.nrows, cols)
 
 
 # -- lane arithmetic on packed rows ----------------------------------------------
@@ -216,6 +211,21 @@ def _pack_row(row: Sequence[int], f: FiniteField) -> int:
         return int(bytes(reversed(row)).translate(_ENTRY_TO_DIGIT) or b"0", 2)
     lane = f"0{f.degree}b"
     return int("".join([format(a, lane) for a in reversed(row)]) or "0", 2)
+
+
+def _pack_lanes(pairs: Iterable[tuple[int, int]], ncols: int, f: FiniteField) -> int:
+    """The packed int whose lane j < ncols holds the sum of the values paired with j,
+    built in a byte buffer in linear time (adding shifted values to an int is quadratic)."""
+    k = f.degree
+    buf = bytearray((k * ncols + 7) // 8)
+    for j, c in pairs:
+        s = k * j
+        i, c = s >> 3, c << (s & 7)
+        while c:
+            buf[i] ^= c & 255
+            c >>= 8
+            i += 1
+    return int.from_bytes(buf, "little")
 
 
 def _unpack_row(mask: int, ncols: int, f: FiniteField) -> list[int]:
@@ -334,10 +344,10 @@ class Subspace:
     """A subspace of K^n held as a reduced-row-echelon basis.
 
     The RREF rows stay packed, stored as _rref returns them, and `basis`
-    unpacks them into tuples on first use.
+    unpacks them into tuples on every read.
     """
 
-    __slots__ = ("field", "ambient_dim", "pivots", "_echelon", "_lane_mask", "_basis")
+    __slots__ = ("field", "ambient_dim", "pivots", "_echelon", "_lane_mask")
 
     def __init__(self, field: FiniteField, ambient_dim: int, echelon: dict[int, int]):
         """echelon: a reduced row echelon form as _rref returns it."""
@@ -347,7 +357,6 @@ class Subspace:
         self.pivots = tuple(s // field.degree for s in keys[:: field.degree])
         self._echelon = echelon
         self._lane_mask = sum(1 << b for b in keys)
-        self._basis = None
 
     @classmethod
     def from_vectors(
@@ -366,10 +375,8 @@ class Subspace:
 
     @property
     def basis(self) -> tuple[tuple[int, ...], ...]:
-        if self._basis is None:
-            n, f = self.ambient_dim, self.field
-            self._basis = tuple(tuple(_unpack_row(r, n, f)) for r in self._packed_basis())
-        return self._basis
+        n, f = self.ambient_dim, self.field
+        return tuple(tuple(_unpack_row(r, n, f)) for r in self._packed_basis())
 
     @property
     def dim(self) -> int:

@@ -374,19 +374,11 @@ def tuple_to_triple(ell: int, tpl: tuple[int, ...]):
     return alpha, beta, gamma
 
 
-def _max_even_even(beta, gamma) -> int:
-    """Largest k with beta_k and gamma_k both even, or -1 when there is none."""
+def _max_both(beta, gamma, parity: int) -> int:
+    """Largest k with beta_k and gamma_k both of this parity (0 even, 1 odd), or -1 if none."""
     out = -1
     for k in range(len(beta)):
-        if beta[k] % 2 == 0 and gamma[k] % 2 == 0:
-            out = k
-    return out
-
-
-def _max_odd_odd(beta, gamma) -> int:
-    out = -1
-    for k in range(len(beta)):
-        if beta[k] % 2 == 1 and gamma[k] % 2 == 1:
+        if beta[k] % 2 == parity and gamma[k] % 2 == parity:
             out = k
     return out
 
@@ -411,8 +403,8 @@ def heisenberg_matching(ell: int, top_degree: int) -> tuple[BasedComplex, Matchi
             alpha, beta, gamma = tuple_to_triple(ell, tpl)
             if alpha == 0:
                 continue
-            k = _max_even_even(beta, gamma)
-            if k <= _max_odd_odd(beta, gamma):
+            k = _max_both(beta, gamma, 0)
+            if k <= _max_both(beta, gamma, 1):
                 continue
             head_beta = beta[:k] + (beta[k] + 1,) + beta[k + 1:]
             head_gamma = gamma[:k] + (gamma[k] + 1,) + gamma[k + 1:]
@@ -432,8 +424,8 @@ def heisenberg_unmatched_cells(ell: int, degree: int):
     family0 = []
     family1 = []
     for alpha, beta, gamma in _heisenberg_triples(ell, degree):
-        even_k = _max_even_even(beta, gamma)
-        odd_k = _max_odd_odd(beta, gamma)
+        even_k = _max_both(beta, gamma, 0)
+        odd_k = _max_both(beta, gamma, 1)
         if even_k == -1 and odd_k == -1:
             family1.append((alpha, beta, gamma))
         elif alpha == 0 and even_k > odd_k:

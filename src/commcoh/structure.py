@@ -73,20 +73,18 @@ def outer_derivation_dim(algebra: AlgebraPresentation) -> int:
 class ComparisonReport:
     """The map a flavor inclusion induces on classes, with its rank and kernel."""
 
-    __slots__ = ("source", "target", "matrix", "rank", "kernel_dim", "chain_defects")
+    __slots__ = ("source", "target", "rank", "kernel_dim", "chain_defects")
 
     def __init__(
         self,
         source: CohomologyResult,
         target: CohomologyResult,
-        matrix: Matrix,
         rank: int,
         kernel_dim: int,
         chain_defects: list | None = None,
     ):
         self.source = source
         self.target = target
-        self.matrix = matrix
         self.rank = rank
         self.kernel_dim = kernel_dim
         self.chain_defects = [] if chain_defects is None else chain_defects
@@ -143,7 +141,7 @@ def _comparison(algebra, module, degree, src_flavor, dst_flavor) -> ComparisonRe
     mat, misses = _induced(algebra.field, dst.class_coordinates, dst.dim_H, images)
     r = matrix_rank(mat)
     defects = [src.representatives[n] for n in misses]
-    return ComparisonReport(src, dst, mat, r, src.dim_H - r, defects)
+    return ComparisonReport(src, dst, r, src.dim_H - r, defects)
 
 
 def comparison_lie_to_comm(

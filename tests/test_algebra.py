@@ -8,6 +8,7 @@ from commcoh.field import make_field
 from commcoh.algebra import (
     AlgebraPresentation,
     AxiomError,
+    ModulePresentation,
     PresentationError,
     abelian,
     adjoint_module,
@@ -24,6 +25,7 @@ from commcoh.algebra import (
     zassenhaus_f,
 )
 from commcoh.cohomology import cohomology
+from commcoh.linalg import Matrix
 
 GF2 = make_field(1)
 
@@ -203,7 +205,6 @@ def test_algebra_json_roundtrip(tmp_path):
     for a in (dim2(), heisenberg(2), zassenhaus_f(2), square_example()):
         data = a.to_json()
         assert import_algebra(data) == a
-        assert import_algebra(json.dumps(data)) == a
         p = tmp_path / "alg.json"
         p.write_text(json.dumps(data))
         assert import_algebra(str(p)) == a
@@ -244,6 +245,27 @@ def test_presentation_validation():
     for names in ("ab", [1, 2], ("a", None), {"a", "b"}):
         with pytest.raises(PresentationError, match="basis names must be a list of strings"):
             AlgebraPresentation(GF2, 2, names, {})
+
+
+def test_dimensions_and_indices_must_be_ints():
+    # a float, a string or a bool is refused where it enters, not coerced or read later
+    for pair in ((0.5, 1), ("0", 1), (True, 1), (0, 1.0)):
+        with pytest.raises(PresentationError, match="bracket pair"):
+            AlgebraPresentation(GF2, 2, ["a", "b"], {pair: {0: 1}})
+    for target in (0.5, "0", True):
+        with pytest.raises(PresentationError, match="bracket target index"):
+            AlgebraPresentation(GF2, 2, ["a", "b"], {(0, 1): {target: 1}})
+    for dim in (True, 1.0, "1"):
+        with pytest.raises(PresentationError, match="module dimension must be an int"):
+            ModulePresentation(dim2(), dim, [[[0]], [[0]]])
+    for dim in (1.9, "1", True):
+        with pytest.raises(PresentationError):
+            import_module(dim2(), {"dim": dim, "actions": [[["0"]], [["0"]]]})
+    for i in (0.7, "0", True):
+        data = dim2().to_json()
+        data["brackets"][0]["i"] = i
+        with pytest.raises(PresentationError):
+            import_algebra(data)
 
 
 def test_basis_names_hold_no_label_delimiter():
@@ -333,6 +355,31 @@ def test_module_from_actions_rejects_bad_action():
     # rho(a)rho(b) + rho(b)rho(a) = 0 when b acts as 0
     with pytest.raises(AxiomError):
         module_from_actions(a, [[[1]], [[0]]], 1)
+
+
+def test_act_is_the_sum_of_the_scaled_action_matrices():
+    # rho(x) v = sum_t x_t rho(e_t) v over GF(4), with coefficients other than 1
+    a = zassenhaus_f(2)
+    m = adjoint_module(a)
+    f = a.field
+    rng = random.Random(11)
+    for _ in range(20):
+        x = [rng.randrange(f.order) for _ in range(a.dim)]
+        v = [rng.randrange(f.order) for _ in range(m.dim)]
+        column = Matrix.from_rows(f, [[e] for e in v], 1)
+        want = [0] * m.dim
+        for t, c in enumerate(x):
+            image = Matrix.from_rows(f, m.actions[t], m.dim).mul(column).rows()
+            want = [f.add(w, f.mul(c, r[0])) for w, r in zip(want, image)]
+        assert m.act(x, v) == want
+
+
+def test_missing_files_raise_file_not_found(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(FileNotFoundError):
+        import_algebra(str(missing))
+    with pytest.raises(FileNotFoundError):
+        import_module(dim2(), str(missing))
 
 
 def test_module_json_roundtrip():

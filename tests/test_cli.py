@@ -389,9 +389,14 @@ def test_closed_pipe_exits_quietly():
     assert (proc.wait(), err) == (0, b"")
 
 
-def test_missing_file_exits_1(capsys):
+def test_missing_file_exits_1(capsys, tmp_path):
     code, _, err = run(capsys, "check", "--algebra", "does-not-exist.json")
     assert code == 1
+    missing = str(tmp_path / "missing.json")
+    for argv in (["--algebra", missing], ["--algebra", "dim2", "--module", missing]):
+        code, out, err = run(capsys, "cohomology", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
 
 
 def test_malformed_file_exits_1(capsys, tmp_path):
@@ -437,12 +442,28 @@ def test_bad_inputs_exit_1_as_user_errors(capsys, tmp_path):
             "brackets": [],
         }))
         bad_algebras.append(["cohomology", "--algebra", str(path)])
+    # a module dimension or a bracket index that is a float, a string or a bool
+    bad_modules = []
+    for n, dim in enumerate((1.9, "1", True)):
+        path = tmp_path / f"module{n}.json"
+        path.write_text(json.dumps({"dim": dim, "actions": [[["0"]], [["0"]]]}))
+        bad_modules.append(["cohomology", "--algebra", "dim2", "--module", str(path)])
+    for n, i in enumerate((0.7, "0", True)):
+        path = tmp_path / f"bracket{n}.json"
+        data = {
+            "field": {"characteristic": 2, "degree": 1, "modulus": 2},
+            "dim": 2,
+            "basis": ["a", "b"],
+            "brackets": [{"i": i, "j": 1, "value": {"0": "1"}}],
+        }
+        path.write_text(json.dumps(data))
+        bad_algebras.append(["cohomology", "--algebra", str(path)])
     for argv in [
         ["cohomology", "--algebra", "nosuch:3"],
         ["cohomology", "--algebra", "heisenberg:x"],
         ["cohomology", "--algebra", "dim2", "--module", str(bad_module)],
         ["check", "--algebra", str(not_an_object)],
-    ] + bad_algebras:
+    ] + bad_algebras + bad_modules:
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert err.startswith("error:"), argv
