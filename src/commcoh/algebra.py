@@ -19,7 +19,7 @@ import os
 from collections.abc import Iterable, Sequence
 from types import MappingProxyType
 
-from .field import GF2, FieldError, FiniteField, binom_mod2, scalar_from_hex, scalar_to_hex
+from .field import GF2, FieldError, FiniteField, _is_int, binom_mod2, scalar_from_hex, scalar_to_hex
 from .linalg import Matrix, Subspace, kernel_basis
 
 Vec = Sequence[int]
@@ -38,11 +38,6 @@ class AxiomError(ValueError):
     def __init__(self, message: str, violations):
         super().__init__(message)
         self.violations = violations
-
-
-def _is_int(value) -> bool:
-    """An int that is not a bool: the one type of a dimension or a basis index."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class AlgebraPresentation:
@@ -410,9 +405,11 @@ def import_algebra(source) -> AlgebraPresentation:
     for entry in raw:
         try:
             i, j = sorted((entry["i"], entry["j"]))  # the constructor checks that both are ints
-            value = {
-                int(s): scalar_from_hex(h, f) for s, h in entry.get("value", {}).items()
-            }
+            value = {}
+            for s, h in entry.get("value", {}).items():
+                if not (s.isascii() and s.isdigit()):
+                    raise ValueError(f"bracket target key {s!r} is not a decimal numeral")
+                value[int(s)] = scalar_from_hex(h, f)
             if (i, j) in brackets:
                 raise PresentationError(f"duplicate bracket pair ({i}, {j})")
         except (FieldError, PresentationError):

@@ -594,6 +594,13 @@ def lie_derivative(x: Sequence[int], phi: Cochain) -> Cochain:
 # -- flavor comparison -----------------------------------------------------------------
 
 
+def _upward_reads(src: CochainSpace, dst: CochainSpace) -> list[int | None]:
+    """The rank `src` reads on each tuple of `dst`; ValueError unless dst's flavor is larger."""
+    if _UPWARD.index(src.flavor) >= _UPWARD.index(dst.flavor):
+        raise ValueError(f"no inclusion from {src.flavor} to {dst.flavor}")
+    return [src.read(tpl) for tpl in dst.tuples]
+
+
 def inclusion_matrix(
     algebra: AlgebraPresentation,
     module: ModulePresentation,
@@ -612,13 +619,11 @@ def inclusion_matrix(
     """
     src = cochain_space(algebra, module, degree, src_flavor)
     dst = cochain_space(algebra, module, degree, dst_flavor)
-    if _UPWARD.index(src_flavor) >= _UPWARD.index(dst_flavor):
-        raise ValueError(f"no inclusion from {src_flavor} to {dst_flavor}")
+    reads = _upward_reads(src, dst)
     check_entry_count(dst.dim, src.dim)
     m, k = module.dim, algebra.field.degree
     rows = [0] * dst.dim
-    for r, tpl in enumerate(dst.tuples):
-        c = src.read(tpl)
+    for r, c in enumerate(reads):
         if c is not None:
             for mu in range(m):
                 rows[r * m + mu] = 1 << (k * (c * m + mu))
@@ -626,11 +631,16 @@ def inclusion_matrix(
 
 
 def include_cochain(phi: Cochain, dst_flavor: str) -> Cochain:
-    """Reinterpret a cochain in a larger flavor (alternating -> symmetric -> tensor)."""
+    """Reinterpret a cochain in a larger flavor (alternating -> symmetric -> tensor).
+
+    Each target tuple takes the values the source reads on it, as in `inclusion_matrix`.
+    """
     space = phi.space
     if dst_flavor == space.flavor:
         return phi
-    mat = inclusion_matrix(space.algebra, space.module, space.degree, space.flavor, dst_flavor)
     dst = cochain_space(space.algebra, space.module, space.degree, dst_flavor)
-    row = Matrix.from_packed(space.algebra.field, [phi.bits], space.dim).mul(mat.transpose())
-    return Cochain._of(dst, row.packed_rows()[0])
+    m, coeffs = space.module.dim, phi.coeffs
+    reads = _upward_reads(space, dst)
+    return dst.cochain(itertools.chain.from_iterable(
+        (0,) * m if c is None else coeffs[c * m : c * m + m] for c in reads
+    ))

@@ -19,6 +19,11 @@ class FieldError(ValueError):
     """Invalid field construction or use."""
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: the one type of a dimension, an index or a field degree."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def poly_degree(m: int) -> int:
     """Degree of a GF(2) polynomial bitmask (-1 for the zero polynomial)."""
     return m.bit_length() - 1
@@ -71,8 +76,10 @@ class FiniteField:
     __slots__ = ("degree", "modulus", "order")
 
     def __init__(self, degree: int, modulus: int | None = None):
-        if not 1 <= degree <= MAX_DEGREE:
-            raise FieldError(f"field degree must be in 1..{MAX_DEGREE}, got {degree}")
+        if not (_is_int(degree) and 1 <= degree <= MAX_DEGREE):
+            raise FieldError(f"field degree must be an int in 1..{MAX_DEGREE}, got {degree!r}")
+        if not (modulus is None or _is_int(modulus)):
+            raise FieldError(f"field modulus must be an int, got {modulus!r}")
         if modulus is None:
             modulus = default_modulus(degree)
         else:
@@ -180,5 +187,7 @@ def scalar_to_hex(bits: int) -> str:
 
 
 def scalar_from_hex(text: str, field: FiniteField) -> int:
-    """Parse a hex serialization, validating membership in the field."""
+    """Parse a hex serialization, hex digits only, validating membership in the field."""
+    if not (isinstance(text, str) and text) or text.strip("0123456789abcdefABCDEF"):
+        raise ValueError(f"{text!r} is not a hex numeral")
     return field.check_bits(int(text, 16))

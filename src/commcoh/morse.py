@@ -26,17 +26,20 @@ multiple (`scale_packed`) of the row kept for that tail's head.
 `heisenberg_matching` builds the explicit matching that collapses the
 symmetric complex of a Heisenberg algebra with trivial coefficients to
 zero differential, and `heisenberg_unmatched_cells` is its closed-form
-critical-cell description, kept separate so the two can be compared.
+critical-cell description, kept separate so the two can be compared: it
+classifies the sorted index multisets of a degree, so its families come in
+basis order.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from graphlib import CycleError, TopologicalSorter
+from itertools import combinations_with_replacement
 
 from .algebra import AlgebraPresentation, ModulePresentation, heisenberg, trivial_module
 from .cochain import cochain_space, differential_matrix
-from .field import FiniteField
+from .field import FiniteField, _is_int
 from .linalg import Matrix, rank as matrix_rank, scale_packed
 
 
@@ -129,7 +132,11 @@ class Matching:
     __slots__ = ("pairs",)
 
     def __init__(self, pairs):
-        self.pairs = sorted(set((int(n), int(i), int(j)) for n, i, j in pairs))
+        pairs = [tuple(pair) for pair in pairs]
+        for pair in pairs:
+            if len(pair) != 3 or not all(map(_is_int, pair)):
+                raise MorseError(f"pair {pair!r} is not three ints (degree, tail, head)")
+        self.pairs = sorted(set(pairs))
 
     @classmethod
     def from_labels(cls, cx: BasedComplex, label_pairs) -> "Matching":
@@ -337,41 +344,14 @@ def _closes_cycle(hit_by, heads, i: int, j: int) -> bool:
 # -- the Heisenberg collapse ------------------------------------------------------------
 
 
-def _heisenberg_triples(ell: int, degree: int):
-    """All (alpha, beta, gamma) with alpha + sum(beta) + sum(gamma) = degree."""
-    for alpha in range(degree + 1):
-        rest = degree - alpha
-        for beta_total in range(rest + 1):
-            for beta in _compositions(beta_total, ell):
-                for gamma in _compositions(rest - beta_total, ell):
-                    yield alpha, beta, gamma
-
-
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for tail in _compositions(total - first, parts - 1):
-            yield (first,) + tail
-
-
 def triple_to_tuple(ell: int, alpha: int, beta, gamma) -> tuple[int, ...]:
     """Sorted index multiset of the cell a^alpha b^beta c^gamma."""
-    out = [0] * alpha
-    for k in range(ell):
-        out.extend([1 + k] * beta[k])
-    for k in range(ell):
-        out.extend([1 + ell + k] * gamma[k])
-    return tuple(sorted(out))
+    return tuple(t for t, count in enumerate((alpha, *beta, *gamma)) for _ in range(count))
 
 
 def tuple_to_triple(ell: int, tpl: tuple[int, ...]):
-    alpha = sum(1 for t in tpl if t == 0)
-    beta = tuple(sum(1 for t in tpl if t == 1 + k) for k in range(ell))
-    gamma = tuple(sum(1 for t in tpl if t == 1 + ell + k) for k in range(ell))
-    return alpha, beta, gamma
+    counts = [tpl.count(t) for t in range(2 * ell + 1)]
+    return counts[0], tuple(counts[1 : ell + 1]), tuple(counts[ell + 1 :])
 
 
 def _max_both(beta, gamma, parity: int) -> int:
@@ -419,15 +399,16 @@ def heisenberg_unmatched_cells(ell: int, degree: int):
 
     The first family has alpha = 0 and the largest both-even index above the
     largest both-odd index; the second has no index both even and none both
-    odd, with any alpha.  Returned as (family0, family1) lists of triples.
+    odd, with any alpha.  Returned as (family0, family1) lists of triples,
+    each in basis order: the sorted index multisets of the degree, classified.
     """
-    family0 = []
-    family1 = []
-    for alpha, beta, gamma in _heisenberg_triples(ell, degree):
+    family0, family1 = [], []
+    for tpl in combinations_with_replacement(range(2 * ell + 1), degree):
+        alpha, beta, gamma = cell = tuple_to_triple(ell, tpl)
         even_k = _max_both(beta, gamma, 0)
         odd_k = _max_both(beta, gamma, 1)
         if even_k == -1 and odd_k == -1:
-            family1.append((alpha, beta, gamma))
+            family1.append(cell)
         elif alpha == 0 and even_k > odd_k:
-            family0.append((alpha, beta, gamma))
+            family0.append(cell)
     return family0, family1

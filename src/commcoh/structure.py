@@ -11,6 +11,10 @@
 * central extensions by a symmetric 2-cocycle, with a splitting solver,
 * the degree-2 analysis specific to the Zassenhaus-type algebras.
 
+Each map into classes (the flavor comparisons and the three maps of the
+four-term sequence) is one product of packed rows with a packed matrix,
+`_images`, followed by `_induced`, which reads the images' class coordinates.
+
 The CLI imports this module only for the commands that use it (compare,
 sequence, basechange and cocycles2), and the package resolves its names on
 first access.
@@ -131,13 +135,17 @@ def _induced(f: FiniteField, coordinates, dim: int, images) -> tuple[Matrix, lis
     return Matrix.from_rows(f, cols, dim).transpose(), misses
 
 
+def _images(f: FiniteField, rows: list[int], mat: Matrix, space) -> list[Cochain]:
+    """The packed rows times `mat`, one product for all of them, each a cochain of `space`."""
+    product = Matrix.from_packed(f, rows, mat.nrows).mul(mat)
+    return [Cochain._of(space, row) for row in product.packed_rows()]
+
+
 def _comparison(algebra, module, degree, src_flavor, dst_flavor) -> ComparisonReport:
     src = cohomology(algebra, module, degree, src_flavor)
     dst = cohomology(algebra, module, degree, dst_flavor)
-    # the packed representatives times the transposed inclusion, one product for all of them
     inc = inclusion_matrix(algebra, module, degree, src_flavor, dst_flavor).transpose()
-    reps = Matrix.from_packed(algebra.field, [rep.bits for rep in src.representatives], inc.nrows)
-    images = (Cochain._of(dst.space, row) for row in reps.mul(inc).packed_rows())
+    images = _images(algebra.field, [rep.bits for rep in src.representatives], inc, dst.space)
     mat, misses = _induced(algebra.field, dst.class_coordinates, dst.dim_H, images)
     r = matrix_rank(mat)
     defects = [src.representatives[n] for n in misses]
@@ -167,30 +175,30 @@ def comparison_comm_to_leibniz(
 # -- invariant alternating forms and the four-term sequence ---------------------------
 
 
+def _bracket_read(algebra: AlgebraPresentation, space, i: int, j: int, c: int) -> int:
+    """The packed row over `space` (trivial coefficients) that reads beta([e_i, e_j], e_c)."""
+    k = algebra.field.degree
+    row = 0
+    for s, bits in algebra.bracket_basis(i, j).items():
+        idx = space.read((s, c))  # None on a repeat, where an alternating form is zero
+        if idx is not None:
+            row ^= bits << (k * idx)
+    return row
+
+
 def alternating_invariant_forms(algebra: AlgebraPresentation) -> Subspace:
     """Alternating bilinear forms with beta([x,y],z) = beta([z,x],y), as a subspace.
 
     The forms are the alternating 2-cochains with trivial coefficients, and
     the ambient space is that cochain space's coordinates, one per basis pair.
     """
-    f = algebra.field
-    d = algebra.dim
-    k = f.degree
+    d = range(algebra.dim)
     space = cochain_space(algebra, trivial_module(algebra), 2, "alternating")
-    rows = []
-    for i in range(d):
-        for j in range(d):
-            for c in range(d):
-                # beta([e_i, e_j], e_c) + beta([e_c, e_i], e_j) = 0; a repeat reads None
-                row = 0
-                for (a, b), last in (((i, j), c), ((c, i), j)):
-                    for s, bits in algebra.bracket_basis(a, b).items():
-                        idx = space.read((s, last))
-                        if idx is not None:
-                            row ^= bits << (k * idx)
-                if row:
-                    rows.append(row)
-    return kernel_basis(Matrix.from_packed(f, rows, space.dim))
+    rows = [
+        _bracket_read(algebra, space, i, j, c) ^ _bracket_read(algebra, space, c, i, j)
+        for i in d for j in d for c in d
+    ]
+    return kernel_basis(Matrix.from_packed(algebra.field, [r for r in rows if r], space.dim))
 
 
 class ExactSequenceReport:
@@ -263,50 +271,37 @@ def exact_sequence_check(algebra: AlgebraPresentation) -> ExactSequenceReport:
     instead of raising.
     """
     f = algebra.field
-    d = algebra.dim
     triv = trivial_module(algebra)
-    dual = dual_module(algebra)
     h2 = cohomology(algebra, triv, 2)
-    h1d = cohomology(algebra, dual, 1)
+    h1d = cohomology(algebra, dual_module(algebra), 1)
     forms = cochain_space(algebra, triv, 2, "alternating")
     balt = alternating_invariant_forms(algebra)
     h3 = cohomology(algebra, triv, 3)
     defects = []
 
-    space1d = cochain_space(algebra, dual, 1)
-    images1 = [
-        space1d.cochain(rep.value((i, mu)) for i in range(d) for mu in range(d))
-        for rep in h2.representatives
-    ]
-    for psi in images1:
-        if not delta(psi).is_zero():
-            defects.append("map1 image of a degree-2 class is not a cocycle")
+    # a 1-cochain with coefficients in L* keeps psi(e_i)(e_mu) in lane i * d + mu,
+    # the lane in which a tensor 2-cochain with trivial coefficients keeps
+    # T(e_i, e_mu); so map 1 is the symmetric -> tensor inclusion, and map 2 reads
+    # a dual representative as that tensor cochain and restricts it to the
+    # alternating pairs, T(e_i, e_j) + T(e_j, e_i)
+    to_tensor = inclusion_matrix(algebra, triv, 2, "symmetric", "tensor").transpose()
+    images1 = _images(f, [rep.bits for rep in h2.representatives], to_tensor, h1d.space)
+    defects.extend("map1 image of a degree-2 class is not a cocycle"
+                   for psi in images1 if not delta(psi).is_zero())
     map1, misses = _induced(f, h1d.class_coordinates, h1d.dim_H, images1)
     defects.extend("map1 image not recognized as a degree-1 class" for _ in misses)
 
-    images2 = [
-        [f.add(rep.value((i,), j), rep.value((j,), i)) for i, j in forms.tuples]
-        for rep in h1d.representatives
-    ]
-    map2, misses = _induced(f, balt.coordinates, balt.dim, images2)
+    alt_to_tensor = inclusion_matrix(algebra, triv, 2, "alternating", "tensor")
+    images2 = _images(f, [rep.bits for rep in h1d.representatives], alt_to_tensor, forms)
+    map2, misses = _induced(f, balt.coordinates, balt.dim, (beta.coeffs for beta in images2))
     defects.extend("map2 image of a degree-1 class is not an invariant form" for _ in misses)
 
-    space3 = cochain_space(algebra, triv, 3)
-    images3 = []
-    for bvec in balt.basis:
-        beta = forms.cochain(bvec)
-        items = {}
-        for tpl in space3.tuples:
-            i, j, k = tpl
-            acc = 0
-            for s, bits in algebra.bracket_basis(i, j).items():
-                acc = f.add(acc, f.mul(bits, beta.value((s, k))))
-            if acc:
-                items[(tpl, 0)] = acc
-        gamma = space3.from_items(items)
-        if not delta(gamma).is_zero():
-            defects.append("map3 image of an invariant form is not a 3-cocycle")
-        images3.append(gamma)
+    # row (i, j, k) reads beta([e_i, e_j], e_k)
+    reads = [_bracket_read(algebra, forms, *tpl) for tpl in h3.space.tuples]
+    at_brackets = Matrix.from_packed(f, reads, forms.dim).transpose()
+    images3 = _images(f, balt._packed_basis(), at_brackets, h3.space)
+    defects.extend("map3 image of an invariant form is not a 3-cocycle"
+                   for gamma in images3 if not delta(gamma).is_zero())
     map3, misses = _induced(f, h3.class_coordinates, h3.dim_H, images3)
     defects.extend("map3 image not recognized as a degree-3 class" for _ in misses)
 
@@ -389,12 +384,8 @@ def central_extension(algebra: AlgebraPresentation, phi: Cochain) -> AlgebraPres
     while z_name in algebra.basis_names:
         z_name += "z"
     brackets = {p: dict(v) for p, v in algebra.brackets.items()}
-    for i in range(d):
-        for j in range(i, d):
-            bits = phi.value((i, j))
-            if bits:
-                entry = brackets.setdefault((i, j), {})
-                entry[d] = bits
+    for (pair, _), bits in phi.items():
+        brackets.setdefault(pair, {})[d] = bits
     return AlgebraPresentation(
         algebra.field, d + 1, list(algebra.basis_names) + [z_name], brackets
     )

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from commcoh.field import make_field
+from commcoh.field import FieldError, make_field
 from commcoh.algebra import (
     AlgebraPresentation,
     AxiomError,
@@ -266,6 +266,24 @@ def test_dimensions_and_indices_must_be_ints():
         data["brackets"][0]["i"] = i
         with pytest.raises(PresentationError):
             import_algebra(data)
+
+
+def test_import_takes_canonical_numerals_only():
+    # a target key or a hex value in one of Python's other integer spellings
+    a = AlgebraPresentation(GF2, 11, [f"x{t}" for t in range(11)], {(0, 1): {10: 1}})
+    assert import_algebra(a.to_json()) == a
+    for value in ({"1_0": "1"}, {" 10": "1"}, {"+10": "1"}, {"10": " 1"}, {"10": "0x1"}):
+        data = a.to_json()
+        data["brackets"][0]["value"] = value
+        with pytest.raises(PresentationError, match="malformed bracket entry"):
+            import_algebra(data)
+    for entry in (" 0", "0x0", "0_0"):
+        with pytest.raises(PresentationError, match="malformed module file"):
+            import_module(dim2(), {"dim": 1, "actions": [[[entry]], [["0"]]]})
+    data = a.to_json()
+    data["field"]["degree"] = True
+    with pytest.raises(FieldError, match="field degree must be an int"):
+        import_algebra(data)
 
 
 def test_basis_names_hold_no_label_delimiter():

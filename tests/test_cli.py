@@ -213,6 +213,7 @@ RECORDED = {
     # the bytes of the four-term sequence over GF(2) and over GF(8)
     "sequence_heisenberg2": ("sequence", "--algebra", "heisenberg:2"),
     "sequence_zassenhaus_f3": ("sequence", "--algebra", "zassenhaus-f:3"),
+    "sequence_zassenhaus_f4": ("sequence", "--algebra", "zassenhaus-f:4", "--cap", "5000000"),
 }
 
 
@@ -458,6 +459,37 @@ def test_bad_inputs_exit_1_as_user_errors(capsys, tmp_path):
         }
         path.write_text(json.dumps(data))
         bad_algebras.append(["cohomology", "--algebra", str(path)])
+    # a bracket target key or a hex value in another integer spelling, and a bool field degree;
+    # each file with the canonical spelling in its place passes `check`
+    spellings = [
+        (11, {"1_0": "1"}, {"10": "1"}),
+        (2, {" 0": "1"}, {"0": "1"}),
+        (2, {"0": " 1"}, {"0": "1"}),
+        (2, {"0": "0x1"}, {"0": "1"}),
+    ]
+    for n, (dim, value, canonical) in enumerate(spellings):
+        for name, val in ((f"spelling{n}", value), (f"canonical{n}", canonical)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({
+                "field": {"characteristic": 2, "degree": 1, "modulus": 2},
+                "dim": dim,
+                "basis": [f"x{t}" for t in range(dim)],
+                "brackets": [{"i": 0, "j": 1, "value": val}],
+            }))
+            argv = ["check", "--algebra", str(path)]
+            if val is canonical:
+                assert run(capsys, *argv)[0] == 0, argv
+            else:
+                bad_algebras.append(argv)
+    for n, degree in enumerate((True, 1.0, "1")):
+        path = tmp_path / f"degree{n}.json"
+        path.write_text(json.dumps({
+            "field": {"characteristic": 2, "degree": degree, "modulus": 2},
+            "dim": 1,
+            "basis": ["x"],
+            "brackets": [],
+        }))
+        bad_algebras.append(["check", "--algebra", str(path)])
     for argv in [
         ["cohomology", "--algebra", "nosuch:3"],
         ["cohomology", "--algebra", "heisenberg:x"],

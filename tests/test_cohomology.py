@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from commcoh import cochain, linalg
+from commcoh import cochain, linalg, structure
 from commcoh.field import make_field
 from commcoh.algebra import (
     AlgebraPresentation,
@@ -441,6 +441,64 @@ def test_exact_sequence_frozen_numbers():
     rep = exact_sequence_check(square_example())
     assert (rep.dim_h2, rep.dim_h1_dual, rep.dim_balt, rep.dim_h3) == (2, 4, 2, 2)
     assert (rep.map1_rank, rep.map2_rank, rep.map3_rank) == (2, 2, 0)
+
+
+def sequence_images_by_entry(a):
+    """The images of the three maps of the four-term sequence, entry by entry.
+
+    phi goes to psi with psi(e_i)(e_mu) = phi(e_i, e_mu); psi goes to the form
+    (x, y) -> psi(x)(y) + psi(y)(x); beta goes to (x, y, z) -> beta([x, y], z).
+    """
+    f, d = a.field, a.dim
+    triv, dual = trivial_module(a), dual_module(a)
+    forms = cochain_space(a, triv, 2, "alternating")
+    space1d, space3 = cochain_space(a, dual, 1), cochain_space(a, triv, 3)
+    images1 = [
+        tuple(rep.value((i, mu)) for i in range(d) for mu in range(d))
+        for rep in cohomology(a, triv, 2).representatives
+    ]
+    assert all(len(image) == space1d.dim for image in images1)
+    images2 = [
+        tuple(f.add(rep.value((i,), j), rep.value((j,), i)) for i, j in forms.tuples)
+        for rep in cohomology(a, dual, 1).representatives
+    ]
+    images3 = []
+    for bvec in alternating_invariant_forms(a).basis:
+        beta = forms.cochain(bvec)
+        image = []
+        for i, j, k in space3.tuples:
+            acc = 0
+            for s, bits in a.bracket_basis(i, j).items():
+                acc = f.add(acc, f.mul(bits, beta.value((s, k))))
+            image.append(acc)
+        images3.append(tuple(image))
+    return images1, images2, images3
+
+
+def test_sequence_maps_match_the_entry_by_entry_formulas(monkeypatch):
+    # each map's images, as exact_sequence_check hands them to _induced
+    seen = []
+    induced = structure._induced
+
+    def spy(f, coordinates, dim, images):
+        images = list(images)
+        seen.append([tuple(im.coeffs) if isinstance(im, cochain.Cochain) else tuple(im)
+                     for im in images])
+        return induced(f, coordinates, dim, images)
+
+    monkeypatch.setattr(structure, "_induced", spy)
+    algebras = [heisenberg(1), heisenberg(2), square_example(), zassenhaus_e(3),
+                zassenhaus_f(2), zassenhaus_f(3)]
+    counts = []
+    for a in algebras:
+        seen.clear()
+        report = exact_sequence_check(a)
+        assert report.ok, a.basis_names
+        want = sequence_images_by_entry(a)
+        assert seen == list(want), a.basis_names
+        counts.append([len(images) for images in want])
+    # every map has images on some algebra, so no comparison above is empty throughout
+    assert all(any(row[n] for row in counts) for n in range(3)), counts
 
 
 # ------------------------------------------------------------------

@@ -138,6 +138,19 @@ def test_degree_cap():
         make_field(0)
 
 
+def test_degree_and_modulus_must_be_ints():
+    # a bool is not an int here: GF(2^True) was once built and reported as degree true
+    for degree in (True, 2.0, "2", None):
+        with pytest.raises(FieldError, match="field degree must be an int"):
+            FiniteField(degree)
+    for modulus in (True, 7.0, "7"):
+        with pytest.raises(FieldError, match="field modulus must be an int"):
+            FiniteField(2, modulus)
+    with pytest.raises(FieldError, match="field degree"):
+        FiniteField.from_json({"characteristic": 2, "degree": True, "modulus": 2})
+    assert FiniteField(2, 0b111) == make_field(2)
+
+
 def test_field_equality_is_content_based():
     assert make_field(3) == make_field(3)
     assert make_field(3) != make_field(4)
@@ -205,3 +218,13 @@ def test_scalar_hex_roundtrip():
 def test_scalar_from_hex_validates():
     with pytest.raises(FieldError):
         scalar_from_hex("ff", make_field(2))
+
+
+def test_scalar_from_hex_takes_hex_digits_only():
+    f = make_field(8)
+    texts = ("0", "00", "a", "A", "fF", "1b")
+    assert [scalar_from_hex(t, f) for t in texts] == [0, 0, 10, 10, 255, 27]
+    # Python's other integer spellings, which int(text, 16) accepts
+    for text in (" 1", "1 ", "0x1", "1_0", "+1", "-1", "", "\uff11", 1, None):
+        with pytest.raises(ValueError, match="is not a hex numeral"):
+            scalar_from_hex(text, f)

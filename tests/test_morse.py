@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -111,6 +112,60 @@ def test_heisenberg_closed_form_cells():
             assert set(red.reduced.labels[n]) == want
 
 
+def test_heisenberg_closed_form_cells_in_higher_degrees():
+    # below the top degree of each complex, where no pair is cut off
+    with entry_cap_override(10**8):
+        for ell, top in ((3, 8), (4, 7), (5, 6)):
+            cx, matching = heisenberg_matching(ell, top)
+            labels = morse_complex(cx, matching).reduced.labels
+            a = heisenberg(ell)
+            for n in range(top):
+                sp = cochain_space(a, trivial_module(a), n)
+                fam0, fam1 = heisenberg_unmatched_cells(ell, n)
+                want = [sp.label(sp.tuple_index(triple_to_tuple(ell, *t))) for t in fam0 + fam1]
+                assert sorted(labels[n]) == sorted(want), (ell, n)
+
+
+def compositions(total, parts):
+    """The tuples of `parts` nonnegative ints with this total."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for tail in compositions(total - first, parts - 1):
+            yield (first,) + tail
+
+
+def unmatched_cells_from_compositions(ell, degree):
+    """The closed-form families, over every (alpha, beta, gamma) of the degree from compositions."""
+
+    def max_both(beta, gamma, parity):
+        return max((k for k in range(ell) if beta[k] % 2 == gamma[k] % 2 == parity), default=-1)
+
+    family0, family1 = [], []
+    for alpha in range(degree + 1):
+        rest = degree - alpha
+        for beta_total in range(rest + 1):
+            for beta in compositions(beta_total, ell):
+                for gamma in compositions(rest - beta_total, ell):
+                    even_k, odd_k = max_both(beta, gamma, 0), max_both(beta, gamma, 1)
+                    if even_k == odd_k == -1:
+                        family1.append((alpha, beta, gamma))
+                    elif alpha == 0 and even_k > odd_k:
+                        family0.append((alpha, beta, gamma))
+    return family0, family1
+
+
+def test_heisenberg_families_match_the_composition_enumeration():
+    for ell in (1, 2, 3, 4):
+        for n in range(7):
+            fam0, fam1 = heisenberg_unmatched_cells(ell, n)
+            old0, old1 = unmatched_cells_from_compositions(ell, n)
+            assert len(fam0) == len(old0) and len(fam1) == len(old1), (ell, n)
+            assert (set(fam0), set(fam1)) == (set(old0), set(old1)), (ell, n)
+
+
 def test_triple_tuple_roundtrip():
     for ell in (1, 2, 3):
         for alpha in range(3):
@@ -139,6 +194,14 @@ def test_matching_rejects_reused_cell():
     doubled = Matching([(0, 0, 0), (0, 0, 1)])
     with pytest.raises(MorseError, match="two pairs"):
         validate_matching(cx, doubled)
+
+
+def test_matching_pairs_must_be_ints():
+    # a float, a string or a bool was once coerced with int(): 0.9 read as 0, True as 1
+    for pair in ((0, 0.9, True), ("0", "1", "0"), (True, 0, 1), (0, 1), (0, 1, 2, 3)):
+        with pytest.raises(MorseError, match=re.escape(repr(pair))):
+            Matching([(0, 0, 0), pair])
+    assert Matching([(1, 2, 3), [0, 1, 1], (1, 2, 3)]).pairs == [(0, 1, 1), (1, 2, 3)]
 
 
 def test_matching_rejects_bad_degree_and_index():
