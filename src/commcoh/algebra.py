@@ -20,7 +20,7 @@ from collections.abc import Iterable, Sequence
 from types import MappingProxyType
 
 from .field import GF2, FieldError, FiniteField, _is_int, binom_mod2, scalar_from_hex, scalar_to_hex
-from .linalg import Matrix, Subspace, kernel_basis
+from .linalg import Matrix, Subspace, _pack_row, kernel_basis
 
 Vec = Sequence[int]
 
@@ -104,8 +104,10 @@ class AlgebraPresentation:
         return self.brackets.get((i, j), {})
 
     def bracket(self, x: Vec, y: Vec) -> list[int]:
-        """[x, y] for coefficient vectors x, y."""
+        """[x, y] for coefficient vectors x, y; ValueError or FieldError for a malformed one."""
         f = self.field
+        f.check_vector(x, self.dim)
+        f.check_vector(y, self.dim)
         out = [0] * self.dim
         for (i, j), value in self.brackets.items():
             if i == j:
@@ -451,8 +453,7 @@ class ModulePresentation:
             if len(rows) != dim or any(len(r) != dim for r in rows):
                 raise PresentationError("action matrix is not dim x dim")
             for r in rows:
-                for bits in r:
-                    algebra.field.check_bits(bits)
+                algebra.field.check_vector(r, dim)
         self.algebra = algebra
         self.dim = dim
         self.actions = mats
@@ -464,21 +465,19 @@ class ModulePresentation:
         t the pairs (mu, row mu of rho(e_t)) of its nonzero rows, lane-packed over nu
         as in linalg."""
         if self._packed is None:
-            k = self.algebra.field.degree
+            f, m = self.algebra.field, self.dim
             rows = [
-                [
-                    (mu, sum(bits << (k * nu) for nu, bits in enumerate(row)))
-                    for mu, row in enumerate(mat)
-                    if any(row)
-                ]
+                [(mu, _pack_row(row, f, m)) for mu, row in enumerate(mat) if any(row)]
                 for mat in self.actions
             ]
             self._packed = [t for t, r in enumerate(rows) if r], rows
         return self._packed
 
     def act(self, x: Vec, vec: Vec) -> list[int]:
-        """rho(x) v for coefficient vectors; a dense loop, independent of the packed engine."""
+        """rho(x) v for checked coefficient vectors; a dense loop, apart from the packed engine."""
         f = self.algebra.field
+        f.check_vector(x, self.algebra.dim)
+        f.check_vector(vec, self.dim)
         out = [0] * self.dim
         for t, c in enumerate(x):
             if c:

@@ -57,9 +57,10 @@ and is zero on a repeat, and a tensor cochain reads the arguments in order.
 `CochainSpace.read` is that rule's one home; `Cochain.value`, `evaluate`,
 `contract`, `lie_derivative` and `inclusion_matrix` all read through it.
 
-A cochain is one int in linalg's lane layout, so rows stay packed through
-cochains: representatives are the packed rows `quotient_basis` returns, and
-`solve` takes a cochain's int as its right-hand side.
+A cochain is one packed row in linalg's lane layout, built only by
+`Cochain(space, bits)`: dense coefficients enter through `CochainSpace.cochain`,
+and nonzero lanes are read with linalg's `nonzeros`.  Representatives are the
+packed rows `quotient_basis` returns, and `solve` takes a cochain's int.
 """
 
 from __future__ import annotations
@@ -73,8 +74,9 @@ from contextvars import ContextVar
 from functools import lru_cache
 
 from .algebra import AlgebraPresentation, ModulePresentation
-from .field import scalar_to_hex
-from .linalg import Matrix, _pack_lanes, _pack_row, _unpack_row, check_entry_count, scale_packed
+from .field import _is_int, scalar_to_hex
+from .linalg import Matrix, _pack_lanes, _pack_row, _unpack_row, check_entry_count
+from .linalg import nonzeros, scale_packed
 
 FLAVORS = ("symmetric", "alternating", "tensor")
 _UPWARD = ("alternating", "symmetric", "tensor")  # each flavor includes into the later ones
@@ -150,12 +152,12 @@ class CochainSpace:
         if self._tuples is None:
             check_entry_count(self.dim, 1)
             d, n = range(self.algebra.dim), self.degree
+            if self.flavor == "tensor":  # ranked as numerals, so listed on request, not kept
+                return tuple(itertools.product(d, repeat=n))
             if self.flavor == "symmetric":
                 self._tuples = tuple(itertools.combinations_with_replacement(d, n))
-            elif self.flavor == "alternating":
-                self._tuples = tuple(itertools.combinations(d, n))
             else:
-                self._tuples = tuple(itertools.product(d, repeat=n))
+                self._tuples = tuple(itertools.combinations(d, n))
         return self._tuples
 
     def tuple_index(self, tpl: tuple[int, ...]) -> int:
@@ -217,24 +219,24 @@ class CochainSpace:
 
     def zero(self) -> "Cochain":
         check_entry_count(self.dim, 1)
-        return Cochain._of(self, 0)
+        return Cochain(self, 0)
 
     def basis_cochain(self, flat: int) -> "Cochain":
         """The cochain dual to basis element `flat`; ValueError outside range(dim)."""
         if not 0 <= flat < self.dim:
             raise ValueError(f"basis index {flat} is not in range({self.dim})")
         check_entry_count(self.dim, 1)
-        return Cochain._of(self, 1 << (self.algebra.field.degree * flat))
+        return Cochain(self, 1 << (self.algebra.field.degree * flat))
 
     def cochain(self, coeffs: Iterable[int]) -> "Cochain":
-        """The cochain with these coefficients; FieldError for one outside the field."""
-        return Cochain(self, tuple(coeffs))
+        """The cochain with these coefficients, packed and checked by linalg's `_pack_row`."""
+        return Cochain(self, _pack_row(tuple(coeffs), self.algebra.field, self.dim))
 
     def from_items(self, items: dict[tuple[tuple[int, ...], int], int]) -> "Cochain":
         check_entry_count(self.dim, 1)
         f = self.algebra.field
         pairs = ((self.index(tpl, mu), f.check_bits(c)) for (tpl, mu), c in items.items())
-        return Cochain._of(self, _pack_lanes(pairs, self.dim, f))
+        return Cochain(self, _pack_lanes(pairs, self.dim, f))
 
     def __eq__(self, other) -> bool:
         return (
@@ -273,24 +275,17 @@ def cochain_space(
 class Cochain:
     """An element of a CochainSpace: `bits` holds the coefficient of flat index j in lane j.
 
-    The constructor packs coefficients, FieldError for one outside the field;
-    `_of` takes a packed int.  `coeffs` unpacks the dense coefficient tuple.
+    `Cochain(space, bits)` is the one constructor, ValueError unless bits is a packed row of
+    the space; `CochainSpace.cochain` packs dense coefficients and `coeffs` unpacks them.
     """
 
     __slots__ = ("space", "bits")
 
-    def __init__(self, space: CochainSpace, coeffs: Sequence[int]):
-        if len(coeffs) != space.dim:
-            raise ValueError(f"{len(coeffs)} coefficients for a space of dimension {space.dim}")
+    def __init__(self, space: CochainSpace, bits: int):
+        if not _is_int(bits) or bits < 0 or bits >> (space.algebra.field.degree * space.dim):
+            raise ValueError(f"not a packed row of {space}")
         self.space = space
-        self.bits = _pack_row(coeffs, space.algebra.field)
-
-    @classmethod
-    def _of(cls, space: CochainSpace, bits: int) -> "Cochain":
-        phi = cls.__new__(cls)
-        phi.space = space
-        phi.bits = bits
-        return phi
+        self.bits = bits
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -299,11 +294,11 @@ class Cochain:
     def __add__(self, other: "Cochain") -> "Cochain":
         if self.space != other.space:
             raise ValueError("cochains from different spaces")
-        return Cochain._of(self.space, self.bits ^ other.bits)
+        return Cochain(self.space, self.bits ^ other.bits)
 
     def scale(self, bits: int) -> "Cochain":
         f = self.space.algebra.field
-        return Cochain._of(self.space, scale_packed(self.bits, f.check_bits(bits), f))
+        return Cochain(self.space, scale_packed(self.bits, f.check_bits(bits), f))
 
     def value(self, args: Sequence[int], mu: int = 0) -> int:
         """The value on ordered basis arguments at module index mu; KeyError off the basis."""
@@ -319,19 +314,8 @@ class Cochain:
 
     def items(self) -> list[tuple[tuple[tuple[int, ...], int], int]]:
         """Nonzero coefficients as ((tuple, module index), bits) pairs, flat index ascending."""
-        return [(self.space.unindex(j), c) for j, c in self._lanes()]
-
-    def _lanes(self) -> list[tuple[int, int]]:
-        """Nonzero coefficients as (flat index, bits) pairs, flat index ascending."""
         k = self.space.algebra.field.degree
-        digits = format(self.bits, "b")[::-1]  # digits[b] is bit b: one scan, linear in the size
-        out = []
-        b = digits.find("1")
-        while b >= 0:
-            j = b // k
-            out.append((j, int(digits[k * j : k * j + k][::-1], 2)))
-            b = digits.find("1", k * j + k)
-        return out
+        return [(self.space.unindex(j), c) for j, c in nonzeros(self.bits, k)]
 
     def is_zero(self) -> bool:
         return not self.bits
@@ -347,7 +331,7 @@ class Cochain:
         ]
 
     def __repr__(self) -> str:
-        nz = len(self.items())
+        nz = len(nonzeros(self.bits, self.space.algebra.field.degree))
         return f"Cochain({self.space.flavor} degree {self.space.degree}, {nz} nonzero)"
 
 
@@ -526,11 +510,11 @@ def delta(phi: Cochain) -> Cochain:
     check_entry_count(target.dim, 1)
     f = algebra.field
     image: dict[int, int] = {}
-    for j, c in phi._lanes():
+    for j, c in nonzeros(phi.bits, f.degree):
         source, nu = space.unindex(j)
         for flat, val in _source_image_cached(algebra, module, flavor, source, nu):
             image[flat] = image.get(flat, 0) ^ f.mul(c, val)
-    return Cochain._of(target, _pack_lanes(image.items(), target.dim, f))
+    return Cochain(target, _pack_lanes(image.items(), target.dim, f))
 
 
 # -- evaluation and Cartan operators ------------------------------------------------------
@@ -546,6 +530,8 @@ def evaluate(phi: Cochain, args: Sequence[Sequence[int]]) -> list[int]:
     if len(args) != n:
         raise ValueError(f"{len(args)} arguments for a degree-{n} cochain")
     f = space.algebra.field
+    for vec in args:
+        f.check_vector(vec, space.algebra.dim)
     supports = [[(i, c) for i, c in enumerate(vec) if c] for vec in args]
     out = [0] * space.module.dim
     for combo in itertools.product(*supports):
@@ -569,7 +555,7 @@ def contract(x: Sequence[int], phi: Cochain) -> Cochain:
     unit = [[int(i == t) for i in range(d)] for t in range(d)]
     target = cochain_space(space.algebra, space.module, space.degree - 1, "symmetric")
     coeffs = [v for tpl in target.tuples for v in evaluate(phi, [x] + [unit[t] for t in tpl])]
-    return Cochain(target, tuple(coeffs))
+    return target.cochain(coeffs)
 
 
 def lie_derivative(x: Sequence[int], phi: Cochain) -> Cochain:
@@ -588,7 +574,7 @@ def lie_derivative(x: Sequence[int], phi: Cochain) -> Cochain:
             term = evaluate(phi, args[:p] + [algebra.bracket(x, args[p])] + args[p + 1 :])
             acc = [f.add(a, b) for a, b in zip(acc, term)]
         coeffs.extend(acc)
-    return Cochain(space, tuple(coeffs))
+    return space.cochain(coeffs)
 
 
 # -- flavor comparison -----------------------------------------------------------------
@@ -598,7 +584,10 @@ def _upward_reads(src: CochainSpace, dst: CochainSpace) -> list[int | None]:
     """The rank `src` reads on each tuple of `dst`; ValueError unless dst's flavor is larger."""
     if _UPWARD.index(src.flavor) >= _UPWARD.index(dst.flavor):
         raise ValueError(f"no inclusion from {src.flavor} to {dst.flavor}")
-    return [src.read(tpl) for tpl in dst.tuples]
+    check_entry_count(dst.dim, 1)
+    # tensor tuples are walked in numeral order, so no tensor space is listed
+    walk = itertools.product(range(dst.algebra.dim), repeat=dst.degree)
+    return [src.read(tpl) for tpl in (walk if dst.flavor == "tensor" else dst.tuples)]
 
 
 def inclusion_matrix(

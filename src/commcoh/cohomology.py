@@ -35,9 +35,8 @@ class CohomologyResult:
         self.space = space
         self.cocycles = cocycles
         self.coboundaries = coboundaries
-        self.representatives = [
-            Cochain._of(space, row) for row in quotient_basis(cocycles, coboundaries)
-        ]
+        reps = quotient_basis(cocycles, coboundaries)
+        self.representatives = [Cochain(space, row) for row in reps]
         self._solver = None
 
     @property

@@ -51,7 +51,7 @@ def cup(phi: Cochain, psi: Cochain) -> Cochain:
         for tpl, other, y in right:
             if all(a & other[t] == 0 for t, a in mult.items()):
                 bits ^= f.mul(x, y) << (f.degree * target.read(left + tpl))
-    return Cochain._of(target, bits)
+    return Cochain(target, bits)
 
 
 def _position(label: str) -> tuple[int, int]:

@@ -103,8 +103,10 @@ class FiniteField:
             raise FieldError(f"{a} is not an element bitmask of {self}")
         return a
 
-    def check_vector(self, vec) -> None:
-        """Raise FieldError unless every entry of vec is an element bitmask."""
+    def check_vector(self, vec, n: int) -> None:
+        """ValueError unless vec has n entries; FieldError unless each is an element bitmask."""
+        if len(vec) != n:
+            raise ValueError(f"a vector of {len(vec)} entries where {n} are expected")
         if vec and not (0 <= min(vec) and max(vec) < self.order):
             for a in vec:
                 self.check_bits(a)

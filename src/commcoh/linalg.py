@@ -30,11 +30,14 @@ Everything here is deterministic: pivots are the leftmost nonzero entries
 of the reduced rows, subspaces are kept in reduced row echelon form, and
 quotient bases are the pivot-complement vectors of the numerator.
 
-Callers outside this module place entries by shifting, pass packed rows to
-`Matrix.from_packed`, read them back with `Matrix.packed_rows`, read a row's
-nonzero entries with `Matrix.nonzeros` and multiply a packed row by a field
-element with `scale_packed`; cochain packs its one row with `_pack_row` or,
-from sparse (lane, value) pairs, `_pack_lanes`, and unpacks it with `_unpack_row`.
+This module is the one home of the packed row.  A dense vector is packed
+only by `_pack_row(row, f, n)`, whose `FiniteField.check_vector(vec, n)` is
+the one check of dense vectors (ValueError for a length other than n,
+FieldError for a non-element), and sparse (lane, value) pairs by
+`_pack_lanes`.  Nonzero lanes are read, ascending, by `nonzeros`
+(`Matrix.nonzeros` for a matrix row), and `_unpack_row` unpacks a row.
+Elsewhere single entries are placed by shifting, and rows pass through
+`Matrix.from_packed`, `Matrix.packed_rows` and `scale_packed`.
 
 An entry cap (rows * cols), held in a context variable, turns runaway size
 requests into errors instead of memory exhaustion; see entry_cap_override.
@@ -106,9 +109,7 @@ class Matrix:
                 raise ValueError("ncols is required for a matrix with no rows")
             ncols = len(rows[0])
         check_entry_count(len(rows), ncols)
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(field, len(rows), ncols, [_pack_row(r, field) for r in rows])
+        return cls(field, len(rows), ncols, [_pack_row(r, field, ncols) for r in rows])
 
     @classmethod
     def from_packed(cls, field: FiniteField, packed: Sequence[int], ncols: int) -> "Matrix":
@@ -134,8 +135,7 @@ class Matrix:
 
     def nonzeros(self, i: int) -> list[tuple[int, int]]:
         """(column, entry) of each nonzero entry of row i, columns ascending."""
-        k = self.field.degree
-        return [(s // k, c) for s, c in _lanes(self._packed[i], k)][::-1]
+        return nonzeros(self._packed[i], self.field.degree)
 
     def rows(self) -> list[list[int]]:
         return [self.row(i) for i in range(self.nrows)]
@@ -204,9 +204,9 @@ _ENTRY_TO_DIGIT = b"0" + b"1" * 255
 _DIGIT_TO_ENTRY = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _pack_row(row: Sequence[int], f: FiniteField) -> int:
-    """The packed int whose lane j holds row[j]; FieldError for a non-element entry."""
-    f.check_vector(row)
+def _pack_row(row: Sequence[int], f: FiniteField, n: int) -> int:
+    """The packed int whose lane j holds row[j], once row passes `check_vector(row, n)`."""
+    f.check_vector(row, n)
     if f.degree == 1:
         return int(bytes(reversed(row)).translate(_ENTRY_TO_DIGIT) or b"0", 2)
     lane = f"0{f.degree}b"
@@ -277,6 +277,11 @@ def _lanes(row: int, k: int):
         c = row >> s
         yield s, c
         row ^= c << s
+
+
+def nonzeros(row: int, k: int) -> list[tuple[int, int]]:
+    """(lane, value) of each nonzero lane of a packed row with k-bit lanes, lanes ascending."""
+    return [(s // k, c) for s, c in _lanes(row, k)][::-1]
 
 
 def _set_bits(mask: int):
@@ -362,11 +367,7 @@ class Subspace:
     def from_vectors(
         cls, field: FiniteField, vectors: Iterable[Sequence[int]], ambient_dim: int
     ) -> "Subspace":
-        rows = []
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-            rows.append(_pack_row(v, field))
+        rows = [_pack_row(v, field, ambient_dim) for v in vectors]
         return cls(field, ambient_dim, _rref(rows, ambient_dim, field))
 
     def _packed_basis(self) -> list[int]:
@@ -389,19 +390,13 @@ class Subspace:
             v ^= self._echelon[b]
         return v
 
-    def _check_length(self, vec: Sequence[int]) -> None:
-        if len(vec) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Residual of vec after elimination against the basis (zero iff contained)."""
-        self._check_length(vec)
-        f = self.field
-        return tuple(_unpack_row(self._residual(_pack_row(vec, f)), self.ambient_dim, f))
+        n, f = self.ambient_dim, self.field
+        return tuple(_unpack_row(self._residual(_pack_row(vec, f, n)), n, f))
 
     def contains(self, vec: Sequence[int]) -> bool:
-        self._check_length(vec)
-        return not self._residual(_pack_row(vec, self.field))
+        return not self._residual(_pack_row(vec, self.field, self.ambient_dim))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -414,8 +409,7 @@ class Subspace:
         The RREF rows have entry 1 at their own pivot and 0 at the others, so
         the coefficient of each row is vec's own entry at that row's pivot.
         """
-        self._check_length(vec)
-        if self._residual(_pack_row(vec, self.field)):
+        if self._residual(_pack_row(vec, self.field, self.ambient_dim)):
             return None
         return [vec[p] for p in self.pivots]
 

@@ -138,7 +138,7 @@ def _induced(f: FiniteField, coordinates, dim: int, images) -> tuple[Matrix, lis
 def _images(f: FiniteField, rows: list[int], mat: Matrix, space) -> list[Cochain]:
     """The packed rows times `mat`, one product for all of them, each a cochain of `space`."""
     product = Matrix.from_packed(f, rows, mat.nrows).mul(mat)
-    return [Cochain._of(space, row) for row in product.packed_rows()]
+    return [Cochain(space, row) for row in product.packed_rows()]
 
 
 def _comparison(algebra, module, degree, src_flavor, dst_flavor) -> ComparisonReport:
@@ -191,12 +191,14 @@ def alternating_invariant_forms(algebra: AlgebraPresentation) -> Subspace:
 
     The forms are the alternating 2-cochains with trivial coefficients, and
     the ambient space is that cochain space's coordinates, one per basis pair.
+    The bracket is symmetric and the forms alternating, so row (i, j, c) equals
+    row (i, c, j) and row (i, j, j) is zero: only the rows with j < c are built.
     """
     d = range(algebra.dim)
     space = cochain_space(algebra, trivial_module(algebra), 2, "alternating")
     rows = [
         _bracket_read(algebra, space, i, j, c) ^ _bracket_read(algebra, space, c, i, j)
-        for i in d for j in d for c in d
+        for i in d for j in d for c in d if j < c
     ]
     return kernel_basis(Matrix.from_packed(algebra.field, [r for r in rows if r], space.dim))
 

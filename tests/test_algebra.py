@@ -174,6 +174,30 @@ def test_quotient_by_square_ideal():
     assert proj.mul_vec([1, 0, 0]) == [1, 0]
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_bracket_and_action_check_their_vectors(degree):
+    # read as far as it goes, or with a non-element multiplied in, a malformed
+    # vector would give a wrong answer silently, so it must raise
+    f = make_field(degree)
+    a = heisenberg(1, f)
+    ad, triv = adjoint_module(a), trivial_module(a)
+    bad = f.order + 1
+    for x, y in (([0, 1, 0, 1], [0, 0, 1, 1]), ([0, 1], [0, 0, 1]), ([0, 1, 0], [0, 0])):
+        with pytest.raises(ValueError, match="entries where 3 are expected"):
+            a.bracket(x, y)
+        with pytest.raises(ValueError, match="entries where 3 are expected"):
+            ad.act(x, y)
+    with pytest.raises(ValueError, match="3 entries where 1 are expected"):
+        triv.act([0, 1, 0], [0, 0, 1])
+    for x, y in (([0, bad, 0], [0, 0, 1]), ([0, 1, 0], [0, 0, -1])):
+        with pytest.raises(FieldError):
+            a.bracket(x, y)
+        with pytest.raises(FieldError):
+            ad.act(x, y)
+    assert a.bracket([0, 1, 0], [0, 0, 1]) == ad.act([0, 1, 0], [0, 0, 1]) == [1, 0, 0]
+    assert triv.act([0, 1, 0], [1]) == [0]
+
+
 def test_quotient_rejects_non_ideal():
     from commcoh.linalg import Subspace
 

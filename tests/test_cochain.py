@@ -36,7 +36,7 @@ from commcoh.cochain import (
     _differential_matrix_cached,
     _source_image_cached,
 )
-from commcoh.linalg import SizeCapError, entry_cap_override
+from commcoh.linalg import SizeCapError, entry_cap_override, nonzeros
 
 GF2 = make_field(1)
 
@@ -116,10 +116,89 @@ def test_cochain_constructor_rejects_coefficients_outside_the_field():
     a = heisenberg(1, make_field(2))
     sp = cochain_space(a, trivial_module(a), 1)
     with pytest.raises(FieldError):
-        Cochain(sp, (9, 0, 0))
+        sp.cochain((9, 0, 0))
     with pytest.raises(FieldError):
         sp.from_items({((0,), 0): 4})
-    assert Cochain(sp, (3, 0, 2)).coeffs == (3, 0, 2)
+    assert sp.cochain((3, 0, 2)).coeffs == (3, 0, 2)
+
+
+def test_cochain_is_built_from_its_packed_row():
+    for f in (GF2, make_field(2)):
+        a = heisenberg(1, f)
+        sp = cochain_space(a, trivial_module(a), 1)
+        top = 1 << (f.degree * sp.dim)  # the lowest bit of lane dim
+        assert Cochain(sp, top - 1).coeffs == (f.order - 1,) * 3
+        assert Cochain(sp, 0) == sp.zero()
+        for bad in (-1, top, top | 1, True, False, (1, 0, 0)):
+            with pytest.raises(ValueError, match="not a packed row"):
+                Cochain(sp, bad)
+        for coeffs in ([1, 0], [1, 0, 0, 0], ()):
+            with pytest.raises(ValueError, match=f"{len(coeffs)} entries where 3 are expected"):
+                sp.cochain(coeffs)
+
+
+def string_scan(bits, k):
+    """(lane, value) of each nonzero k-bit lane of a packed row, lanes ascending,
+    by one scan of its binary string: an independent oracle for linalg's `nonzeros`."""
+    digits = format(bits, "b")[::-1]  # digits[b] is bit b
+    out = []
+    b = digits.find("1")
+    while b >= 0:
+        j = b // k
+        out.append((j, int(digits[k * j : k * j + k][::-1], 2)))
+        b = digits.find("1", k * j + k)
+    return out
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 8])
+def test_nonzero_lanes_agree_with_a_binary_string_scan(degree):
+    f = make_field(degree)
+    a = heisenberg(1, f)
+    space = cochain_space(a, adjoint_module(a), 3, "tensor")  # 81 lanes
+    k, n = f.degree, space.dim
+    rng = random.Random(degree)
+
+    def random_row(density):
+        return sum(rng.randrange(1, f.order) << (k * j) for j in range(n) if rng.random() < density)
+
+    top = rng.randrange(1, f.order) << (k * (n - 1))
+    rows = [0, top, 1 << (k * n - 1), random_row(0.05), random_row(0.9), (1 << k * n) - 1]
+    rows += [random_row(rng.random()) for _ in range(20)]
+    for bits in rows:
+        want = string_scan(bits, k)
+        assert nonzeros(bits, k) == want
+        phi = Cochain(space, bits)
+        assert phi.items() == [(space.unindex(j), c) for j, c in want]
+        assert repr(phi).endswith(f", {len(want)} nonzero)")
+    assert string_scan(top, k) == [(n - 1, top >> (k * (n - 1)))]
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_dense_arguments_of_the_cochain_operators_are_checked(degree):
+    # read as far as it goes, or with a non-element multiplied in, a malformed
+    # vector would give a wrong answer silently, so it must raise
+    f = make_field(degree)
+    a = heisenberg(1, f)
+    bad = f.order + 1
+    phi = cochain_space(a, trivial_module(a), 1).basis_cochain(1)
+    psi = cochain_space(a, trivial_module(a), 2).basis_cochain(0)
+    for wrong in ([0, 1], [0, 1, 0, 1], [1]):
+        message = f"{len(wrong)} entries where 3 are expected"
+        with pytest.raises(ValueError, match=message):
+            evaluate(phi, [wrong])
+        with pytest.raises(ValueError, match=message):
+            contract(wrong, psi)
+        with pytest.raises(ValueError, match=message):
+            lie_derivative(wrong, psi)
+    for vec in ([0, bad, 0], [bad, 0, 0], [0, 0, -1]):
+        with pytest.raises(FieldError):
+            evaluate(phi, [vec])
+        with pytest.raises(FieldError):
+            contract(vec, psi)
+        with pytest.raises(FieldError):
+            lie_derivative(vec, psi)
+    assert evaluate(phi, [[0, 1, 0]]) == [1]
+    assert contract([1, 0, 0], psi).coeffs == (1, 0, 0)
 
 
 @st.composite
@@ -151,7 +230,7 @@ def test_packed_cochain_agrees_with_its_coefficients(case):
         want = [0] * m if rank is None else a[rank * m : rank * m + m]
         assert phi.value_vector(args) == want
         assert [phi.value(args, mu) for mu in range(m)] == want
-    assert space.from_items(dict(phi.items())) == phi == Cochain(space, phi.coeffs)
+    assert space.from_items(dict(phi.items())) == phi == space.cochain(phi.coeffs)
 
 
 def test_degree_cap():
@@ -193,6 +272,9 @@ def test_tensor_ranks_are_base_d_numerals():
         with pytest.raises(KeyError):
             sp.index(bad)
     assert sp._index is None and sp._tuples is None
+    # listed on request, a tensor space's tuples are not kept
+    assert sp.tuples == tuple(itertools.product(range(3), repeat=3))
+    assert sp._tuples is None
 
 
 def test_from_items_checks_the_entry_cap_before_it_allocates():
@@ -483,7 +565,15 @@ def test_tensor_matrices_list_no_tuples(monkeypatch):
         assert phi.value((0, 1, 2), 1) == 1 and phi.value((2, 2, 1), 0) == 0
         d_3 = differential_matrix(a, m, 3, "tensor")
         assert list(delta(phi).coeffs) == d_3.mul_vec(list(phi.coeffs))
+        # nor do the upward inclusions into the tensor flavor, matrix or cochain
+        for src in ("symmetric", "alternating"):
+            inc = inclusion_matrix(a, m, 3, src, "tensor")
+            psi = cochain_space(a, m, 3, src).from_items({((0, 1, 2), 1): 1, ((0, 1, 2), 2): 1})
+            assert (inc.nrows, inc.ncols) == (sp.dim, psi.space.dim)
+            assert list(include_cochain(psi, "tensor").coeffs) == inc.mul_vec(list(psi.coeffs))
+        assert include_cochain(psi, "tensor").value((2, 0, 1), 1) == 1
     assert shapes == [3 ** (n + 2) for n in range(6)]
+    assert sp._tuples is None
 
 
 def test_tensor_delta_of_a_high_degree_basis_cochain():

@@ -145,11 +145,11 @@ def test_engine_matches_naive_rref_over_every_field(system):
         assert all(dot(f, row, v) == 0 for row in rows)
     b = [dot(f, row, x) for row in rows]
     assert a.mul_vec(x) == b
-    sol = solve(a, _pack_row(b, f))
+    sol = solve(a, _pack_row(b, f, a.nrows))
     assert sol is not None
     assert [dot(f, row, sol) for row in rows] == b
     assert sol == naive_solve(a, b)
-    assert solve(a, _pack_row(rhs, f)) == naive_solve(a, rhs)
+    assert solve(a, _pack_row(rhs, f, a.nrows)) == naive_solve(a, rhs)
 
 
 def naive_rref_packed(rows, ncols):
@@ -240,7 +240,7 @@ def test_packed_vs_generic_rank_and_kernel():
         assert b2.reduce(v) == b4.reduce(v)
         assert k2.reduce(v) == k4.reduce(v)
         rhs = [rng.randrange(2) for _ in range(nrows)]
-        assert solve(a2, _pack_row(rhs, GF2)) == solve(a4, _pack_row(rhs, GF4))
+        assert solve(a2, _pack_row(rhs, GF2, nrows)) == solve(a4, _pack_row(rhs, GF4, nrows))
 
 
 def test_packed_vs_generic_product():
@@ -307,7 +307,7 @@ def test_image_members_are_solvable():
             img = image_basis(a)
             assert img.dim == rank(a)
             for v in img.basis:
-                assert solve(a, _pack_row(v, f)) is not None
+                assert solve(a, _pack_row(v, f, a.nrows)) is not None
 
 
 def test_solve_roundtrip_and_inconsistency():
@@ -318,7 +318,7 @@ def test_solve_roundtrip_and_inconsistency():
             a = random_matrix(rng, f, nrows, ncols)
             x = [rng.randrange(f.order) for _ in range(ncols)]
             b = a.mul_vec(x)
-            sol = solve(a, _pack_row(b, f))
+            sol = solve(a, _pack_row(b, f, nrows))
             assert sol is not None
             assert a.mul_vec(sol) == b
             img = image_basis(a)
@@ -328,7 +328,7 @@ def test_solve_roundtrip_and_inconsistency():
                     probe = list(b)
                     probe[j] = f.add(probe[j], 1)
                     if not img.contains(probe):
-                        assert solve(a, _pack_row(probe, f)) is None
+                        assert solve(a, _pack_row(probe, f, nrows)) is None
                         break
 
 
@@ -439,12 +439,36 @@ def test_entries_outside_the_field_are_rejected():
         Subspace.from_vectors(GF8, [[1, 0]], 2).contains([-1, 0])
 
 
+def test_a_dense_vector_of_the_wrong_length_is_rejected_where_it_enters():
+    a = dim2(GF4)
+    space = cochain_space(a, trivial_module(a), 2)  # dimension 3
+    for f in (GF2, GF4):
+        with pytest.raises(ValueError, match="2 entries where 3 are expected"):
+            Matrix.from_rows(f, [[1, 0, 0], [1, 0]])
+        with pytest.raises(ValueError, match="3 entries where 2 are expected"):
+            Matrix.from_rows(f, [[1, 0, 0]], 2)
+        with pytest.raises(ValueError, match="2 entries where 3 are expected"):
+            Subspace.from_vectors(f, [[1, 0, 0], [1, 0]], 3)
+        s = Subspace.from_vectors(f, [[1, 0, 0]], 3)
+        for wrong in ([1, 0], [1, 0, 0, 0], []):
+            message = f"{len(wrong)} entries where 3 are expected"
+            for read in (s.reduce, s.contains, s.coordinates):
+                with pytest.raises(ValueError, match=message):
+                    read(wrong)
+            with pytest.raises(ValueError, match=message):
+                _pack_row(wrong, f, 3)
+            with pytest.raises(ValueError, match=message):
+                space.cochain(wrong)
+        assert _pack_row([1, 0, 1], f, 3) == 1 | 1 << (2 * f.degree)
+        assert s.coordinates([1, 0, 0]) == [1] and s.reduce([1, 1, 0]) == (0, 1, 0)
+
+
 def test_solve_rejects_a_right_hand_side_wider_than_its_rows():
     for f in (GF2, GF4):
         a = Matrix.identity(f, 2)
-        assert solve(a, _pack_row([1, 1], f)) == [1, 1]
+        assert solve(a, _pack_row([1, 1], f, 2)) == [1, 1]
         with pytest.raises(ValueError, match="beyond its 2 rows"):
-            solve(a, _pack_row([0, 0, 1], f))
+            solve(a, _pack_row([0, 0, 1], f, 3))
         with pytest.raises(ValueError, match="beyond its 2 rows"):
             solve(a, -1)
 
@@ -479,7 +503,7 @@ def test_solve_always_verifies(seed, nrows, ncols):
     rng = random.Random(seed)
     a = random_matrix(rng, GF2, nrows, ncols)
     b = [rng.randrange(2) for _ in range(nrows)]
-    sol = solve(a, _pack_row(b, GF2))
+    sol = solve(a, _pack_row(b, GF2, nrows))
     if sol is None:
         assert not image_basis(a).contains(b)
     else:
@@ -522,6 +546,6 @@ def test_pack_lanes_agrees_with_packing_the_dense_row(degree):
                 lanes[0] = ncols - 1  # the top lane
             pairs = {j: rng.randrange(1, f.order) for j in lanes}
             dense = [pairs.get(j, 0) for j in range(ncols)]
-            assert _pack_lanes(pairs.items(), ncols, f) == _pack_row(dense, f)
+            assert _pack_lanes(pairs.items(), ncols, f) == _pack_row(dense, f, ncols)
     # values paired with the same lane add
-    assert _pack_lanes([(2, 3), (2, 1), (0, 1)], 3, GF4) == _pack_row([1, 0, 2], GF4)
+    assert _pack_lanes([(2, 3), (2, 1), (0, 1)], 3, GF4) == _pack_row([1, 0, 2], GF4, 3)

@@ -423,7 +423,7 @@ def schur_complement(cx, matching, n, unmatched):
     square = block(heads, tails)
     inverse_cols = []
     for r in range(len(tails)):
-        x = solve(square, _pack_row([int(r == c) for c in range(len(tails))], f))
+        x = solve(square, _pack_row([int(r == c) for c in range(len(tails))], f, len(tails)))
         assert x is not None
         inverse_cols.append(x)
     inverse = Matrix.from_rows(f, inverse_cols, len(tails)).transpose()
