@@ -1,15 +1,29 @@
 """Cohomology of the cochain complexes.
 
-The central entry point is `cohomology(algebra, module, degree, flavor)`,
-which returns cocycles, coboundaries, and deterministic representatives
-of a basis of the quotient.  `coboundary_witness` solves d(psi) = phi.
-The structure maps built on top of them live in `structure`.
+The central entry point is `cohomology(algebra, module, degree, flavor)`.
+Its dimensions come from ranks alone: dim Z^n = dim C^n - rank d_n and
+dim B^n = rank d_{n-1}, and `linalg.rank` eliminates each differential once.
+The cocycles, coboundaries and deterministic representatives of a basis of
+the quotient are built only when first read, and then checked against those
+ranks.  `coboundary_witness` solves d(psi) = phi.  The structure maps built
+on top of them live in `structure`.
 """
 
 from __future__ import annotations
 
+import random
+
 from .algebra import AlgebraPresentation, ModulePresentation
-from .linalg import Matrix, Subspace, image_basis, kernel_basis, quotient_basis, solve
+from .linalg import (
+    ContainmentError,
+    Matrix,
+    Subspace,
+    image_basis,
+    kernel_basis,
+    quotient_basis,
+    rank,
+    solve,
+)
 from .cochain import (
     Cochain,
     CochainSpace,
@@ -17,27 +31,119 @@ from .cochain import (
     differential_matrix,
 )
 
+# Random rows per Freivalds test of d_n d_{n-1} = 0 (see `_check_square_zero`).
+_TRIALS = 2
+
 
 class NotACocycleError(ValueError):
     """An operation required a cocycle and was handed something else."""
 
 
+class ComplexError(RuntimeError):
+    """d_n d_{n-1} is not zero, or a built Z or B disagrees with the ranks.
+
+    The program built the complex, so this is a fault of the program, not of
+    its input; it is not a ValueError, so the CLI reports an internal error.
+    """
+
+
+def _check_square_zero(d: Matrix, below: Matrix, n: int) -> None:
+    """Freivalds' test (IFIP 1977) that d_n d_{n-1} = d below = 0, with no elimination.
+
+    u d below must be zero for a matrix u of _TRIALS rows with uniformly
+    random entries, drawn from a fixed seed so that every run does the same
+    work; that is two products with _TRIALS rows.  If P = d below is not zero
+    and has rank r, a uniform row u has u P = 0 with probability q^-r over
+    GF(q), so a nonzero P passes with probability at most q^-(r * _TRIALS):
+    at most 1/4 over GF(2) and 1/16 over GF(4) for a P of rank 1.
+    """
+    f = d.field
+    rng = random.Random(0)
+    rows = [rng.getrandbits(f.degree * d.nrows) for _ in range(_TRIALS)]
+    u = Matrix.from_packed(f, rows, d.nrows)
+    if not u.mul(d).mul(below).is_zero():
+        raise ComplexError(f"d_{n} d_{n - 1} != 0")
+
+
 class CohomologyResult:
     """Cocycles, coboundaries, and representatives in one degree and flavor.
 
-    The representatives are the packed rows of `quotient_basis`, whose
-    ContainmentError is the check that the coboundaries lie in the cocycles.
+    Made from a cochain space alone, the result takes dim Z = dim C - rank d_n
+    and dim B = rank d_{n-1}, and checks d_n d_{n-1} = 0 by Freivalds' test.
+    `cocycles` (the kernel of d_n), `coboundaries` (the image of d_{n-1}) and
+    `representatives` (the packed rows of `quotient_basis`) are built when
+    first read, and a built Z or B whose dimension is not the ranks' raises
+    ComplexError, as does a built B that does not lie in Z.  Made from given
+    cocycles and coboundaries, it takes its dimensions from them and checks
+    at once that B lies in Z (the ContainmentError of `quotient_basis`).
     """
 
-    __slots__ = ("space", "cocycles", "coboundaries", "representatives", "_solver")
+    __slots__ = (
+        "space", "dim_Z", "dim_B", "_cocycles", "_coboundaries", "_representatives", "_solver"
+    )
 
-    def __init__(self, space: CochainSpace, cocycles: Subspace, coboundaries: Subspace):
+    def __init__(
+        self,
+        space: CochainSpace,
+        cocycles: Subspace | None = None,
+        coboundaries: Subspace | None = None,
+    ):
+        """Give both cocycles and coboundaries, or neither."""
+        if (cocycles is None) != (coboundaries is None):
+            raise ValueError("give both cocycles and coboundaries, or neither")
         self.space = space
-        self.cocycles = cocycles
-        self.coboundaries = coboundaries
-        reps = quotient_basis(cocycles, coboundaries)
-        self.representatives = [Cochain(space, row) for row in reps]
+        self._cocycles = cocycles
+        self._coboundaries = coboundaries
         self._solver = None
+        if cocycles is not None and coboundaries is not None:
+            self.dim_Z, self.dim_B = cocycles.dim, coboundaries.dim
+            reps = quotient_basis(cocycles, coboundaries)
+            self._representatives = [Cochain(space, row) for row in reps]
+            return
+        self._representatives = None
+        d = self._differential(space.degree)
+        self.dim_Z = space.dim - rank(d)
+        self.dim_B = 0
+        if space.degree:
+            below = self._differential(space.degree - 1)
+            self.dim_B = rank(below)
+            _check_square_zero(d, below, space.degree)
+
+    def _differential(self, degree: int) -> Matrix:
+        sp = self.space
+        return differential_matrix(sp.algebra, sp.module, degree, sp.flavor)
+
+    def _checked(self, sub: Subspace, dim: int, name: str) -> Subspace:
+        if sub.dim != dim:
+            raise ComplexError(f"{self}: the built {name} has dimension {sub.dim}")
+        return sub
+
+    @property
+    def cocycles(self) -> Subspace:
+        if self._cocycles is None:
+            z = kernel_basis(self._differential(self.degree))
+            self._cocycles = self._checked(z, self.dim_Z, "Z")
+        return self._cocycles
+
+    @property
+    def coboundaries(self) -> Subspace:
+        if self._coboundaries is None:
+            if self.degree == 0:
+                b = Subspace(self.space.algebra.field, self.space.dim, {})
+            else:
+                b = image_basis(self._differential(self.degree - 1))
+            self._coboundaries = self._checked(b, self.dim_B, "B")
+        return self._coboundaries
+
+    @property
+    def representatives(self) -> list[Cochain]:
+        if self._representatives is None:
+            try:
+                reps = quotient_basis(self.cocycles, self.coboundaries)
+            except ContainmentError as exc:
+                raise ComplexError(f"{self}: {exc}") from None
+            self._representatives = [Cochain(self.space, row) for row in reps]
+        return self._representatives
 
     @property
     def degree(self) -> int:
@@ -46,14 +152,6 @@ class CohomologyResult:
     @property
     def flavor(self) -> str:
         return self.space.flavor
-
-    @property
-    def dim_Z(self) -> int:
-        return self.cocycles.dim
-
-    @property
-    def dim_B(self) -> int:
-        return self.coboundaries.dim
 
     @property
     def dim_H(self) -> int:
@@ -91,14 +189,12 @@ def cohomology(
     degree: int,
     flavor: str = "symmetric",
 ) -> CohomologyResult:
-    """Cohomology of the chosen flavor in one degree."""
-    space = cochain_space(algebra, module, degree, flavor)
-    z = kernel_basis(differential_matrix(algebra, module, degree, flavor))
-    if degree == 0:
-        b = Subspace.from_vectors(algebra.field, [], space.dim)
-    else:
-        b = image_basis(differential_matrix(algebra, module, degree - 1, flavor))
-    return CohomologyResult(space, z, b)
+    """Cohomology of the chosen flavor in one degree.
+
+    The dimensions come from the ranks of d_n and d_{n-1}; the cocycles,
+    coboundaries and representatives are built only when first read.
+    """
+    return CohomologyResult(cochain_space(algebra, module, degree, flavor))
 
 
 def coboundary_witness(phi: Cochain) -> Cochain | None:

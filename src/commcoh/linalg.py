@@ -10,15 +10,22 @@ into cochains: `quotient_basis` returns packed rows, `solve` takes a packed
 right-hand side, and a cochain (see cochain) is one such row.  They are
 unpacked only where a caller reads a vector.
 
-The engine eliminates each row on its lowest set bit, as in the word-parallel
-GF(2) elimination of Albrecht, Bard and Hart (ACM TOMS 37(1), 2010).  A new
-pivot row is scaled so that its pivot entry is 1 and stored k times, as x^t
-times itself for t < k under the key s + t, where s is the bit offset of its
-pivot lane.  Its lane s then holds the single bit t, so clearing bit s + t of
-any row is one XOR with the row under that key, the same step for every k.
-One back-substitution pass in descending pivot order gives the reduced row
-echelon form, which is unique; the test suite checks it against a
-column-scan reference elimination kept in the tests.
+One engine, `_echelon`, clears each row one set bit at a time, as in the
+word-parallel GF(2) elimination of Albrecht, Bard and Hart (ACM TOMS 37(1),
+2010), on the row's lowest set bit or, given the direction, on its highest.
+The canonical RREF of a subspace pivots on the lowest lanes; `rank` and
+`kernel_basis` pivot on the highest, which `bit_length` reads in constant
+time, where the lowest takes two ints as wide as the row.  A new pivot row is
+scaled so that its pivot entry is 1 and stored k times, as x^t times itself
+for t < k under the key s + t, where s is the bit offset of its pivot lane.
+Its lane s then holds the single bit t, so clearing bit s + t of any row is
+one XOR with the row under that key, the same step for every k, in either
+direction.  One back-substitution pass, away from the pivot side, gives the
+reduced row echelon form, which is unique for its direction; the test suite
+checks the lowest-lane form against a column-scan reference elimination kept
+in the tests.  The highest-lane RREF of a matrix's rows is read directly as
+the canonical basis of its kernel (see `kernel_basis`), and a matrix keeps
+its rank once `rank` has found it.
 
 The rest is built from one product (`Matrix.mul`; `mul_vec` is a
 one-column product), that elimination (`_echelon`, `_rref`) and one
@@ -83,7 +90,7 @@ def check_entry_count(nrows: int, ncols: int) -> None:
 class Matrix:
     """A dense matrix over a FiniteField.  Treat instances as immutable."""
 
-    __slots__ = ("field", "nrows", "ncols", "_packed", "_solver")
+    __slots__ = ("field", "nrows", "ncols", "_packed", "_solver", "_rank")
 
     def __init__(self, field: FiniteField, nrows: int, ncols: int, packed: list[int]):
         self.field = field
@@ -91,6 +98,7 @@ class Matrix:
         self.ncols = ncols
         self._packed = packed  # one lane-packed int per row
         self._solver = None    # solve()'s subspace of tagged columns, made on first use
+        self._rank = None      # rank()'s int, kept so that a matrix is eliminated for it once
 
     # -- constructors --------------------------------------------------------
 
@@ -176,9 +184,26 @@ class Matrix:
         brows = other._packed
         out = []
         for a in self._packed:
-            acc = 0
+            if k == 1:
+                acc = 0
+                for s, _ in _lanes(a, 1):
+                    acc ^= brows[s]
+                out.append(acc)
+                continue
+            # sums[t] adds the rows of other whose coefficient has bit t, so each
+            # entry costs XORs only; the row of the product is the sum of x^t sums[t]
+            sums = [0] * k
             for s, c in _lanes(a, k):
-                acc ^= _scale(brows[s // k], c, f, tops)
+                row = brows[s // k]
+                t = 0
+                while c:
+                    if c & 1:
+                        sums[t] ^= row
+                    c >>= 1
+                    t += 1
+            acc = sums.pop()
+            while sums:
+                acc = _times_x(acc, f, tops) ^ sums.pop()
             out.append(acc)
         return Matrix(f, self.nrows, other.ncols, out)
 
@@ -269,8 +294,26 @@ def scale_packed(row: int, c: int, f: FiniteField) -> int:
     return _scale(row, c, f, _tops(f, row.bit_length() // f.degree + 1))
 
 
+# Lanes per chunk of `_lanes`: a chunk of k * 2048 bits is a whole number of bytes and of lanes.
+_CHUNK_LANES = 2048
+
+
 def _lanes(row: int, k: int):
-    """(bit offset, value) of each nonzero lane of a packed row, highest first."""
+    """(bit offset, value) of each nonzero lane of a packed row, highest first.
+
+    A row wider than one chunk of _CHUNK_LANES lanes is cut into chunks by one
+    to_bytes and each chunk is scanned on its own, so the scan is linear in the
+    width of the row, where clearing each lane off the whole row is quadratic
+    on a dense row.
+    """
+    width = k * _CHUNK_LANES
+    if row.bit_length() > width:
+        step = width // 8
+        buf = row.to_bytes(-(-row.bit_length() // width) * step, "little")
+        for i in range(len(buf) - step, -1, -step):
+            for s, c in _lanes(int.from_bytes(buf[i : i + step], "little"), k):
+                yield 8 * i + s, c
+        return
     while row:
         s = row.bit_length() - 1
         s -= s % k
@@ -303,18 +346,20 @@ def _store_pivot(echelon: dict[int, int], q: int, s: int, f: FiniteField, tops: 
         echelon[s + t] = q
 
 
-def _echelon(rows: Iterable[int], ncols: int, f: FiniteField) -> dict[int, int]:
+def _echelon(rows: Iterable[int], ncols: int, f: FiniteField, top: bool = False) -> dict[int, int]:
     """Echelon rows of the span of packed rows, stored as _store_pivot keys them.
 
-    Each incoming row is cleared one lowest set bit at a time until that bit
-    has no key, which makes its lane a new pivot lane.
+    Each incoming row is cleared one bit at a time, its lowest set bit or with
+    top its highest, until that bit has no key, which makes its lane a new
+    pivot lane.  bit_length reads the highest bit in constant time; the lowest
+    takes r & -r, which builds two ints as wide as the row at every step.
     """
     k = f.degree
     tops = _tops(f, ncols)
     echelon: dict[int, int] = {}
     for r in rows:
         while r:
-            b = (r & -r).bit_length() - 1
+            b = r.bit_length() - 1 if top else (r & -r).bit_length() - 1
             q = echelon.get(b)
             if q is None:
                 s = b - b % k
@@ -325,19 +370,22 @@ def _echelon(rows: Iterable[int], ncols: int, f: FiniteField) -> dict[int, int]:
     return echelon
 
 
-def _rref(rows: Iterable[int], ncols: int, f: FiniteField) -> dict[int, int]:
+def _rref(rows: Iterable[int], ncols: int, f: FiniteField, top: bool = False) -> dict[int, int]:
     """The reduced row echelon form of packed rows, keyed as _echelon keys it, keys ascending.
 
-    Back-substitution runs in descending pivot order, so every stored row with
-    a higher pivot is already reduced when it is added in, and adding it
-    clears exactly one bit of the pivot lanes.  The RREF of a row space is
-    unique, so this agrees with leftmost-pivot Gaussian elimination row for row.
+    Its pivots are the lowest lanes of its rows, or with top the highest.
+    Back-substitution runs away from the pivot side (in descending pivot order
+    for the lowest lanes, ascending for the highest), so every stored row it
+    adds in is already reduced, and adding it clears exactly one bit of the
+    pivot lanes.  The RREF of a row space is unique, so with lowest-lane pivots
+    this agrees with leftmost-pivot Gaussian elimination row for row.
     """
-    echelon = _echelon(rows, ncols, f)
+    echelon = _echelon(rows, ncols, f, top)
     tops = _tops(f, ncols)
     keys = sorted(echelon)
     lane_mask = sum(1 << b for b in keys)
-    for s in reversed(keys[:: f.degree]):
+    pivots = keys[:: f.degree]
+    for s in pivots if top else reversed(pivots):
         r = echelon[s]
         for b in _set_bits((r & lane_mask) ^ (1 << s)):
             r ^= echelon[b]
@@ -425,24 +473,35 @@ class Subspace:
 
 
 def rank(a: Matrix) -> int:
-    return len(_echelon(a._packed, a.ncols, a.field)) // a.field.degree
+    """The rank of A: the pivots of a top-bit echelon of its rows, found once and kept on A."""
+    if a._rank is None:
+        a._rank = len(_echelon(a._packed, a.ncols, a.field, top=True)) // a.field.degree
+    return a._rank
 
 
 def kernel_basis(a: Matrix) -> Subspace:
     """The right kernel {v : A v = 0} as a Subspace of K^ncols.
 
-    One kernel vector per free column j: e_j plus R_pj e_p for each RREF row
-    R_p (characteristic 2, so minus is plus).
+    One kernel vector per free column j: e_j plus R_pj e_p for each row R_p of
+    the RREF of A's rows with pivots on the highest lanes (characteristic 2, so
+    minus is plus).  R_p has entries only below its pivot p, so the vector of j
+    has its lowest nonzero lane at j and zeros at the other free columns: the
+    vectors are already the kernel's canonical (lowest-lane) RREF, and no second
+    elimination is needed.
     """
     f = a.field
     k = f.degree
-    echelon = _rref(a._packed, a.ncols, f)
+    echelon = _rref(a._packed, a.ncols, f, True)  # top: pivots on the highest lanes
     free_mask = ((1 << (k * a.ncols)) - 1) & ~sum(1 << b for b in echelon)
     vecs = {s: 1 << s for s in range(0, k * a.ncols, k) if s not in echelon}
     for s in list(echelon)[::k]:
         for t, c in _lanes(echelon[s] & free_mask, k):
             vecs[t] |= c << s
-    return Subspace(f, a.ncols, _rref(vecs.values(), a.ncols, f))
+    tops = _tops(f, a.ncols)
+    basis: dict[int, int] = {}
+    for s, v in vecs.items():
+        _store_pivot(basis, v, s, f, tops)
+    return Subspace(f, a.ncols, basis)
 
 
 def image_basis(a: Matrix) -> Subspace:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import shutil
@@ -7,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from commcoh import cli, structure
+from commcoh import cli, linalg, structure
 from commcoh.cli import main, parse_algebra, render_text
 from commcoh.field import make_field
 from commcoh.algebra import AlgebraPresentation
 from commcoh.cochain import CochainSpace
+from commcoh.linalg import Matrix
 
 GF2 = make_field(1)
 
@@ -550,6 +552,48 @@ def test_unknown_and_missing_modules_say_what_they_are(capsys, tmp_path):
     code, _, err = run(capsys, "cohomology", "--module", str(missing))
     assert code == 1
     assert err.startswith("error: ") and "No such file" in err and str(missing) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "--algebra", "heisenberg:1", "--flavor", "leibniz", "--max-degree", "5"],
+        ["scan", "--algebra", "heisenberg:1", "--module", "adjoint", "--max-degree", "3"],
+        ["basechange", "--algebra", "heisenberg:1", "--field-degree", "3", "--max-degree", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_dimension_commands_eliminate_only_for_ranks(capsys, monkeypatch, argv):
+    # kernels, images and solves run _rref, and a quotient needs a kernel and an
+    # image; ranks run _echelon alone
+    def no_work(*args, **kwargs):
+        raise AssertionError("a kernel, image, quotient or transpose on the dimensions path")
+
+    monkeypatch.setattr(linalg, "_rref", no_work)
+    monkeypatch.setattr(linalg.Matrix, "transpose", no_work)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+
+
+def test_a_corrupted_differential_is_not_blamed_on_the_user(capsys, monkeypatch):
+    # d_1 plus a unit entry in each of its first rows, so d_2 d_1 != 0 (see
+    # test_the_square_zero_check_catches_a_corrupted_differential)
+    module = importlib.import_module("commcoh.cohomology")
+    real = module.differential_matrix
+
+    def corrupted(algebra, mod, degree, flavor):
+        d = real(algebra, mod, degree, flavor)
+        if degree != 1:
+            return d
+        rows = [r ^ (1 << i if i < d.ncols else 0) for i, r in enumerate(d.packed_rows())]
+        return Matrix.from_packed(d.field, rows, d.ncols)
+
+    monkeypatch.setattr(module, "differential_matrix", corrupted)
+    argv = ["cohomology", "--algebra", "heisenberg:1", "--module", "adjoint", "--max-degree", "2"]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("internal error: ComplexError")
+    assert "Traceback" not in err and out == ""
 
 
 def test_internal_key_error_is_not_blamed_on_the_user(capsys, monkeypatch):

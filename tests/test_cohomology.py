@@ -1,7 +1,9 @@
+import importlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from commcoh import cochain, linalg, structure
 from commcoh.field import make_field
@@ -24,11 +26,13 @@ from commcoh.linalg import (
     Matrix,
     Subspace,
     entry_cap_override,
+    image_basis,
     kernel_basis,
     quotient_basis,
 )
 from commcoh.cohomology import (
     CohomologyResult,
+    ComplexError,
     NotACocycleError,
     coboundary_witness,
     cohomology,
@@ -244,6 +248,93 @@ def test_result_checks_coboundaries_lie_in_cocycles():
     assert not res.cocycles.contains_subspace(outside)
     with pytest.raises(ContainmentError, match=r"denominator vector \(1, 1\)"):
         CohomologyResult(res.space, res.cocycles, outside)
+    with pytest.raises(ValueError, match="both cocycles and coboundaries, or neither"):
+        CohomologyResult(res.space, res.cocycles)
+
+
+def forced(res):
+    """The result of res's space with its cocycles and coboundaries built at once."""
+    sp = res.space
+    z = kernel_basis(cochain.differential_matrix(sp.algebra, sp.module, sp.degree, sp.flavor))
+    if sp.degree == 0:
+        b = Subspace(sp.algebra.field, sp.dim, {})
+    else:
+        b = image_basis(cochain.differential_matrix(sp.algebra, sp.module, sp.degree - 1, sp.flavor))
+    return CohomologyResult(sp, z, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(
+        [dim2(), heisenberg(1), heisenberg(1, make_field(2)), square_example(), abelian(2),
+         zassenhaus_e(2), zassenhaus_f(2)]
+    ),
+    st.sampled_from([trivial_module, adjoint_module, dual_module]),
+    st.sampled_from(["symmetric", "alternating", "tensor"]),
+    st.integers(0, 3),
+)
+def test_dims_from_ranks_equal_the_dims_of_the_built_subspaces(algebra, make_module, flavor, n):
+    if flavor == "alternating" and not algebra.is_lie():
+        return
+    res = cohomology(algebra, make_module(algebra), n, flavor)
+    dims = (res.dim_Z, res.dim_B, res.dim_H)
+    oracle = forced(res)
+    assert (oracle.dim_Z, oracle.dim_B, oracle.dim_H) == dims
+    # built on first read, and checked against the ranks
+    assert res.cocycles == oracle.cocycles and res.coboundaries == oracle.coboundaries
+    assert [r.bits for r in res.representatives] == [r.bits for r in oracle.representatives]
+
+
+def test_each_differential_is_ranked_once_over_a_cohomology_loop(monkeypatch):
+    ranked, rrefs = [], []
+    echelon, rref = linalg._echelon, linalg._rref
+    monkeypatch.setattr(
+        linalg, "_echelon", lambda *args, **kw: ranked.append(id(args[0])) or echelon(*args, **kw)
+    )
+    monkeypatch.setattr(linalg, "_rref", lambda *args, **kw: rrefs.append(args) or rref(*args, **kw))
+    cochain._differential_matrix_cached.cache_clear()
+    a = zassenhaus_f(2)
+    m = adjoint_module(a)
+    dims = [cohomology(a, m, n).dim_H for n in range(5)]
+    assert dims == [0, 2, 2, 6, 6]
+    ds = [cochain.differential_matrix(a, m, n) for n in range(5)]
+    assert sorted(ranked) == sorted(id(d.packed_rows()) for d in ds)
+    assert rrefs == []  # no kernel, image or quotient on the dimensions path
+
+
+def test_a_built_subspace_that_disagrees_with_the_ranks_is_a_complex_error(monkeypatch):
+    module = importlib.import_module("commcoh.cohomology")
+    a = heisenberg(1)
+    m = adjoint_module(a)
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "kernel_basis", lambda d: Subspace(GF2, d.ncols, {}))
+        res = cohomology(a, m, 2)
+        with pytest.raises(ComplexError, match="the built Z has dimension 0"):
+            res.representatives
+    # a B of the right dimension outside Z: unit vectors off Z's pivot lanes
+    res = cohomology(a, m, 2)
+    z, n = res.cocycles, res.space.dim
+    assert res.dim_B > 0
+    off = [j for j in range(n) if j not in z.pivots][: res.dim_B]
+    outside = Subspace.from_vectors(GF2, [[int(i == j) for i in range(n)] for j in off], n)
+    monkeypatch.setattr(module, "image_basis", lambda d: outside)
+    with pytest.raises(ComplexError, match="is not in the numerator"):
+        res.representatives
+    assert not isinstance(ComplexError("x"), ValueError)
+
+
+def test_the_square_zero_check_catches_a_corrupted_differential():
+    check = importlib.import_module("commcoh.cohomology")._check_square_zero
+    a = heisenberg(1)
+    m = adjoint_module(a)
+    d1, d2 = (cochain.differential_matrix(a, m, n) for n in (1, 2))
+    check(d2, d1, 2)
+    # d_1 plus a unit entry in each of its first rows
+    rows = [r ^ (1 << i if i < d1.ncols else 0) for i, r in enumerate(d1.packed_rows())]
+    bad = Matrix.from_packed(GF2, rows, d1.ncols)
+    assert linalg.rank(d2.mul(bad)) >= 2  # the full product, the deterministic oracle
+    with pytest.raises(ComplexError, match="d_2 d_1 != 0"):
+        check(d2, bad, 2)
 
 
 def test_class_coordinates_rejects_non_cocycle():

@@ -8,11 +8,14 @@ from hypothesis import given, settings, strategies as st
 from commcoh.algebra import dim2, trivial_module
 from commcoh.cochain import cochain_space
 from commcoh.field import FieldError, make_field
+from commcoh import linalg
 from commcoh.linalg import (
+    _CHUNK_LANES,
     ContainmentError,
     Matrix,
     SizeCapError,
     Subspace,
+    _lanes,
     _pack_lanes,
     _pack_row,
     _rref,
@@ -20,6 +23,7 @@ from commcoh.linalg import (
     entry_cap_override,
     image_basis,
     kernel_basis,
+    nonzeros,
     quotient_basis,
     rank,
     scale_packed,
@@ -256,7 +260,7 @@ def test_packed_vs_generic_product():
 
 def test_mul_against_direct_sum():
     rng = random.Random(13)
-    for f in (GF2, GF8):
+    for f in (GF2, GF8, make_field(8)):
         for _ in range(40):
             n, k, m = rng.randrange(1, 8), rng.randrange(1, 8), rng.randrange(1, 8)
             a = random_matrix(rng, f, n, k)
@@ -286,6 +290,86 @@ def test_matrix_algebra_identities():
 # ------------------------------------------------------------------
 # kernel, image, solve
 # ------------------------------------------------------------------
+
+
+def two_rref_kernel(a):
+    """The kernel by two lowest-lane RREFs, the oracle for `kernel_basis`: one vector
+    e_j + R_pj e_p per free column j from the RREF R of the rows, then a second RREF
+    of those vectors, since their lowest lanes are pivot columns."""
+    f = a.field
+    k = f.degree
+    echelon = _rref(a.packed_rows(), a.ncols, f)
+    free_mask = ((1 << (k * a.ncols)) - 1) & ~sum(1 << b for b in echelon)
+    vecs = {s: 1 << s for s in range(0, k * a.ncols, k) if s not in echelon}
+    for s in list(echelon)[::k]:
+        for t, c in _lanes(echelon[s] & free_mask, k):
+            vecs[t] |= c << s
+    return Subspace(f, a.ncols, _rref(vecs.values(), a.ncols, f))
+
+
+@st.composite
+def shaped_matrices(draw):
+    """Wide, tall and rank-deficient matrices over GF(2), GF(4), GF(8) and GF(2^8);
+    a rank-deficient one is a product of an nrows x r and an r x ncols matrix."""
+    f = draw(st.sampled_from([GF2, GF4, GF8, make_field(8)]))
+    shape = draw(st.sampled_from(["wide", "tall", "deficient"]))
+    small, large = draw(st.integers(0, 8)), draw(st.integers(8, 24))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    density = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    if shape == "wide":
+        return random_matrix(rng, f, small, large, density)
+    if shape == "tall":
+        return random_matrix(rng, f, large, small, density)
+    r = min(small, 4)
+    left = random_matrix(rng, f, large, r, density)
+    return left.mul(random_matrix(rng, f, r, draw(st.integers(1, 24)), density))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped_matrices())
+def test_top_bit_kernel_and_rank_agree_with_the_two_rref_oracles(a):
+    assert kernel_basis(a) == two_rref_kernel(a)
+    assert rank(a) == len(naive_rref(a.rows(), a.ncols, a.field)[1])
+
+
+def test_rank_eliminates_a_matrix_once(monkeypatch):
+    calls = []
+    echelon = linalg._echelon
+    monkeypatch.setattr(
+        linalg, "_echelon", lambda *args, **kw: calls.append(args) or echelon(*args, **kw)
+    )
+    a = Matrix.from_rows(GF4, [[1, 2, 3], [2, 3, 1], [3, 1, 2]])
+    assert [rank(a) for _ in range(3)] == [1, 1, 1]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("degree", [1, 3, 8])
+def test_lanes_of_rows_wider_than_a_chunk_agree_with_a_reference_scan(degree):
+    # `_lanes` cuts a row wider than one chunk into chunks; lanes on both sides
+    # of each chunk boundary, and rows one lane short of or past a chunk, are read
+    f = make_field(degree)
+    k, c = degree, _CHUNK_LANES
+    rng = random.Random(degree)
+
+    def lane(j, value):
+        return value << (k * j)
+
+    for n in (c - 1, c, c + 1, 3 * c + 5):
+        rows = [
+            0,
+            lane(n - 1, f.order - 1),
+            sum(lane(j, rng.randrange(1, f.order)) for j in range(0, n, c)),
+            sum(lane(j, rng.randrange(1, f.order)) for j in range(c - 1, n, c)),
+            sum(lane(rng.randrange(n), rng.randrange(1, f.order)) for _ in range(5)),
+            rng.getrandbits(k * n),
+            (1 << (k * n)) - 1,
+        ]
+        for row in rows:
+            want = [(j, w) for j, w in enumerate(_unpack_row(row, n, f)) if w]
+            assert nonzeros(row, k) == want
+            assert sorted(_lanes(row, k), reverse=True) == list(_lanes(row, k))
+            column = Matrix.from_packed(f, [row], n).transpose()
+            assert column.rows() == [[w] for w in _unpack_row(row, n, f)]
 
 
 def test_kernel_vectors_are_in_kernel():
