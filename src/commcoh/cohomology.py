@@ -18,6 +18,7 @@ from .linalg import (
     ContainmentError,
     Matrix,
     Subspace,
+    dense_row_product,
     image_basis,
     kernel_basis,
     quotient_basis,
@@ -50,19 +51,21 @@ class ComplexError(RuntimeError):
 def _check_square_zero(d: Matrix, below: Matrix, n: int) -> None:
     """Freivalds' test (IFIP 1977) that d_n d_{n-1} = d below = 0, with no elimination.
 
-    u d below must be zero for a matrix u of _TRIALS rows with uniformly
-    random entries, drawn from a fixed seed so that every run does the same
-    work; that is two products with _TRIALS rows.  If P = d below is not zero
-    and has rank r, a uniform row u has u P = 0 with probability q^-r over
-    GF(q), so a nonzero P passes with probability at most q^-(r * _TRIALS):
-    at most 1/4 over GF(2) and 1/16 over GF(4) for a P of rank 1.
+    (u d) below must be zero for each of _TRIALS rows u with uniformly
+    random entries, two `dense_row_product` calls per row.  If P = d below
+    is not zero and has rank r, a uniform row u has u P = 0 with probability
+    q^-r over GF(q), so a nonzero P passes _TRIALS independent rows with
+    probability at most q^-(r * _TRIALS): 1/4 over GF(2) and 1/16 over GF(4)
+    for a P of rank 1.  The rows come from a fixed seed, so that every run
+    does the same work: the bound is over the draw of the rows, and a given P
+    is caught on every run or on none.  The full product d below, which is
+    exact, is the tests' oracle.
     """
-    f = d.field
     rng = random.Random(0)
-    rows = [rng.getrandbits(f.degree * d.nrows) for _ in range(_TRIALS)]
-    u = Matrix.from_packed(f, rows, d.nrows)
-    if not u.mul(d).mul(below).is_zero():
-        raise ComplexError(f"d_{n} d_{n - 1} != 0")
+    for _ in range(_TRIALS):
+        u = rng.getrandbits(d.field.degree * d.nrows)
+        if dense_row_product(dense_row_product(u, d), below):
+            raise ComplexError(f"d_{n} d_{n - 1} != 0")
 
 
 class CohomologyResult:

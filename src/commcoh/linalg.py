@@ -31,7 +31,9 @@ The rest is built from one product (`Matrix.mul`; `mul_vec` is a
 one-column product), that elimination (`_echelon`, `_rref`) and one
 reduction against a stored RREF (`Subspace._residual`).  `solve` reduces the
 right-hand side against the RREF of A's columns, each column tagged with a
-unit vector, and reads the solution off the tags of the residual.
+unit vector, and reads the solution off the tags of the residual.  The
+dense random rows of Freivalds' test (see cohomology) are multiplied by
+`dense_row_product`, which sums the rows of a matrix in C.
 
 Everything here is deterministic: pivots are the leftmost nonzero entries
 of the reduced rows, subspaces are kept in reduced row echelon form, and
@@ -55,6 +57,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import reduce
+from itertools import compress
+from operator import xor
 
 from .field import FiniteField
 
@@ -184,26 +189,9 @@ class Matrix:
         brows = other._packed
         out = []
         for a in self._packed:
-            if k == 1:
-                acc = 0
-                for s, _ in _lanes(a, 1):
-                    acc ^= brows[s]
-                out.append(acc)
-                continue
-            # sums[t] adds the rows of other whose coefficient has bit t, so each
-            # entry costs XORs only; the row of the product is the sum of x^t sums[t]
-            sums = [0] * k
+            acc = 0
             for s, c in _lanes(a, k):
-                row = brows[s // k]
-                t = 0
-                while c:
-                    if c & 1:
-                        sums[t] ^= row
-                    c >>= 1
-                    t += 1
-            acc = sums.pop()
-            while sums:
-                acc = _times_x(acc, f, tops) ^ sums.pop()
+                acc ^= _scale(brows[s // k], c, f, tops)
             out.append(acc)
         return Matrix(f, self.nrows, other.ncols, out)
 
@@ -325,6 +313,27 @@ def _lanes(row: int, k: int):
 def nonzeros(row: int, k: int) -> list[tuple[int, int]]:
     """(lane, value) of each nonzero lane of a packed row with k-bit lanes, lanes ascending."""
     return [(s // k, c) for s, c in _lanes(row, k)][::-1]
+
+
+def dense_row_product(u: int, a: Matrix) -> int:
+    """u A, packed, for a packed row u of a.nrows lanes, most of them nonzero.
+
+    Slice t of u, the bit t of each lane read off u's binary string, picks the
+    rows of A whose sum S_t is taken by reduce(xor, compress(...)), and
+    u A = sum of x^t S_t.  Both loops run in C, at a cost per row of A where
+    the lane scan of `Matrix.mul` pays a Python step per nonzero lane.  On
+    the uniformly random rows of a Freivalds test this is about five times
+    faster than `Matrix.mul`, and on the sparse rows of a differential about
+    ten times slower, so `Matrix.mul` keeps its lane scan for every row.
+    """
+    f = a.field
+    k = f.degree
+    bits = format(u, f"0{k * a.nrows}b")[::-1].encode().translate(_DIGIT_TO_ENTRY)
+    tops = _tops(f, a.ncols)
+    acc = 0
+    for t in reversed(range(k)):
+        acc = _times_x(acc, f, tops) ^ reduce(xor, compress(a._packed, bits[t::k]), 0)
+    return acc
 
 
 def _set_bits(mask: int):

@@ -20,6 +20,7 @@ from commcoh.linalg import (
     _pack_row,
     _rref,
     _unpack_row,
+    dense_row_product,
     entry_cap_override,
     image_basis,
     kernel_basis,
@@ -272,6 +273,17 @@ def test_mul_against_direct_sum():
                     for t in range(k):
                         acc = f.add(acc, f.mul(a.entry(i, t), b.entry(t, j)))
                     assert prod.entry(i, j) == acc
+
+
+def test_dense_row_product_is_the_one_row_product():
+    rng = random.Random(15)
+    for f in (GF2, GF8, make_field(8)):
+        for nrows, ncols, density in ((1, 1, 1.0), (9, 4, 0.5), (40, 23, 1.0), (70, 9, 0.1)):
+            a = random_matrix(rng, f, nrows, ncols)
+            u = _pack_row(random_matrix(rng, f, 1, nrows, density).row(0), f, nrows)
+            expected = Matrix.from_packed(f, [u], nrows).mul(a).packed_rows()[0]
+            assert dense_row_product(u, a) == expected
+        assert dense_row_product(0, a) == 0
 
 
 def test_matrix_algebra_identities():
