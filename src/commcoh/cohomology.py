@@ -3,10 +3,12 @@
 The central entry point is `cohomology(algebra, module, degree, flavor)`.
 Its dimensions come from ranks alone: dim Z^n = dim C^n - rank d_n and
 dim B^n = rank d_{n-1}, and `linalg.rank` eliminates each differential once.
-The cocycles, coboundaries and deterministic representatives of a basis of
+B <= Z, that is d_n d_{n-1} = 0, is checked once, by Freivalds' test, on
+every path.  The cocycles and deterministic representatives of a basis of
 the quotient are built only when first read, and then checked against those
-ranks.  `coboundary_witness` solves d(psi) = phi.  The structure maps built
-on top of them live in `structure`.
+ranks: the representatives take B's pivots from the independent rows of
+d_{n-1}, which its rank already found.  `coboundary_witness` solves
+d(psi) = phi.  The structure maps built on top of them live in `structure`.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ import random
 
 from .algebra import AlgebraPresentation, ModulePresentation
 from .linalg import (
-    ContainmentError,
     Matrix,
     Subspace,
     dense_row_product,
     image_basis,
+    independent_rows,
     kernel_basis,
     quotient_basis,
     rank,
@@ -71,39 +73,26 @@ def _check_square_zero(d: Matrix, below: Matrix, n: int) -> None:
 class CohomologyResult:
     """Cocycles, coboundaries, and representatives in one degree and flavor.
 
-    Made from a cochain space alone, the result takes dim Z = dim C - rank d_n
-    and dim B = rank d_{n-1}, and checks d_n d_{n-1} = 0 by Freivalds' test.
+    The result takes dim Z = dim C - rank d_n and dim B = rank d_{n-1}, and
+    checks d_n d_{n-1} = 0, so B <= Z, by Freivalds' test: the one check of
+    B <= Z, made when the result is built, whatever is read later.
     `cocycles` (the kernel of d_n), `coboundaries` (the image of d_{n-1}) and
-    `representatives` (the packed rows of `quotient_basis`) are built when
-    first read, and a built Z or B whose dimension is not the ranks' raises
-    ComplexError, as does a built B that does not lie in Z.  Made from given
-    cocycles and coboundaries, it takes its dimensions from them and checks
-    at once that B lies in Z (the ContainmentError of `quotient_basis`).
+    `representatives` (the packed rows of `quotient_basis`, given B's pivots
+    as the independent rows of d_{n-1}) are built when first read.  A built Z
+    or B whose dimension is not the ranks', or a pivot of B that is not a
+    pivot of Z, raises ComplexError.
     """
 
     __slots__ = (
         "space", "dim_Z", "dim_B", "_cocycles", "_coboundaries", "_representatives", "_solver"
     )
 
-    def __init__(
-        self,
-        space: CochainSpace,
-        cocycles: Subspace | None = None,
-        coboundaries: Subspace | None = None,
-    ):
-        """Give both cocycles and coboundaries, or neither."""
-        if (cocycles is None) != (coboundaries is None):
-            raise ValueError("give both cocycles and coboundaries, or neither")
+    def __init__(self, space: CochainSpace):
         self.space = space
-        self._cocycles = cocycles
-        self._coboundaries = coboundaries
-        self._solver = None
-        if cocycles is not None and coboundaries is not None:
-            self.dim_Z, self.dim_B = cocycles.dim, coboundaries.dim
-            reps = quotient_basis(cocycles, coboundaries)
-            self._representatives = [Cochain(space, row) for row in reps]
-            return
+        self._cocycles = None
+        self._coboundaries = None
         self._representatives = None
+        self._solver = None
         d = self._differential(space.degree)
         self.dim_Z = space.dim - rank(d)
         self.dim_B = 0
@@ -141,10 +130,10 @@ class CohomologyResult:
     @property
     def representatives(self) -> list[Cochain]:
         if self._representatives is None:
-            try:
-                reps = quotient_basis(self.cocycles, self.coboundaries)
-            except ContainmentError as exc:
-                raise ComplexError(f"{self}: {exc}") from None
+            b_pivots = independent_rows(self._differential(self.degree - 1)) if self.degree else []
+            reps = quotient_basis(self.cocycles, b_pivots)
+            if len(reps) != self.dim_H:
+                raise ComplexError(f"{self}: a pivot of B is not a pivot of Z")
             self._representatives = [Cochain(self.space, row) for row in reps]
         return self._representatives
 

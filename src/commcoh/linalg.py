@@ -25,7 +25,8 @@ reduced row echelon form, which is unique for its direction; the test suite
 checks the lowest-lane form against a column-scan reference elimination kept
 in the tests.  The highest-lane RREF of a matrix's rows is read directly as
 the canonical basis of its kernel (see `kernel_basis`), and a matrix keeps
-its rank once `rank` has found it.
+its independent rows, which are the pivots of its column space, once `rank`
+has counted them (see `independent_rows`).
 
 The rest is built from one product (`Matrix.mul`; `mul_vec` is a
 one-column product), that elimination (`_echelon`, `_rref`) and one
@@ -37,7 +38,7 @@ dense random rows of Freivalds' test (see cohomology) are multiplied by
 
 Everything here is deterministic: pivots are the leftmost nonzero entries
 of the reduced rows, subspaces are kept in reduced row echelon form, and
-quotient bases are the pivot-complement vectors of the numerator.
+quotient bases are the rows of the numerator off the denominator's pivots.
 
 This module is the one home of the packed row.  A dense vector is packed
 only by `_pack_row(row, f, n)`, whose `FiniteField.check_vector(vec, n)` is
@@ -70,10 +71,6 @@ class SizeCapError(ValueError):
     """A requested object exceeds the configured entry cap."""
 
 
-class ContainmentError(ValueError):
-    """A subspace inclusion that an operation requires does not hold."""
-
-
 @contextmanager
 def entry_cap_override(cap: int):
     """Raise or lower the entry cap in the current context (used by tests and the CLI)."""
@@ -95,7 +92,7 @@ def check_entry_count(nrows: int, ncols: int) -> None:
 class Matrix:
     """A dense matrix over a FiniteField.  Treat instances as immutable."""
 
-    __slots__ = ("field", "nrows", "ncols", "_packed", "_solver", "_rank")
+    __slots__ = ("field", "nrows", "ncols", "_packed", "_solver", "_independent")
 
     def __init__(self, field: FiniteField, nrows: int, ncols: int, packed: list[int]):
         self.field = field
@@ -103,7 +100,7 @@ class Matrix:
         self.ncols = ncols
         self._packed = packed  # one lane-packed int per row
         self._solver = None    # solve()'s subspace of tagged columns, made on first use
-        self._rank = None      # rank()'s int, kept so that a matrix is eliminated for it once
+        self._independent = None  # independent_rows()'s list, so that a matrix is eliminated once
 
     # -- constructors --------------------------------------------------------
 
@@ -355,18 +352,23 @@ def _store_pivot(echelon: dict[int, int], q: int, s: int, f: FiniteField, tops: 
         echelon[s + t] = q
 
 
-def _echelon(rows: Iterable[int], ncols: int, f: FiniteField, top: bool = False) -> dict[int, int]:
-    """Echelon rows of the span of packed rows, stored as _store_pivot keys them.
+def _echelon(
+    rows: Iterable[int], ncols: int, f: FiniteField, top: bool = False
+) -> tuple[dict[int, int], list[int]]:
+    """Echelon rows of the span of packed rows, stored as _store_pivot keys them,
+    and the indices, ascending, of the rows that became pivots.
 
     Each incoming row is cleared one bit at a time, its lowest set bit or with
     top its highest, until that bit has no key, which makes its lane a new
-    pivot lane.  bit_length reads the highest bit in constant time; the lowest
-    takes r & -r, which builds two ints as wide as the row at every step.
+    pivot lane and the row independent of the rows before it.  bit_length
+    reads the highest bit in constant time; the lowest takes r & -r, which
+    builds two ints as wide as the row at every step.
     """
     k = f.degree
     tops = _tops(f, ncols)
     echelon: dict[int, int] = {}
-    for r in rows:
+    independent: list[int] = []
+    for i, r in enumerate(rows):
         while r:
             b = r.bit_length() - 1 if top else (r & -r).bit_length() - 1
             q = echelon.get(b)
@@ -374,9 +376,10 @@ def _echelon(rows: Iterable[int], ncols: int, f: FiniteField, top: bool = False)
                 s = b - b % k
                 c = f.inv((r >> s) & (f.order - 1))
                 _store_pivot(echelon, _scale(r, c, f, tops), s, f, tops)
+                independent.append(i)
                 break
             r ^= q
-    return echelon
+    return echelon, independent
 
 
 def _rref(rows: Iterable[int], ncols: int, f: FiniteField, top: bool = False) -> dict[int, int]:
@@ -389,7 +392,7 @@ def _rref(rows: Iterable[int], ncols: int, f: FiniteField, top: bool = False) ->
     pivot lanes.  The RREF of a row space is unique, so with lowest-lane pivots
     this agrees with leftmost-pivot Gaussian elimination row for row.
     """
-    echelon = _echelon(rows, ncols, f, top)
+    echelon = _echelon(rows, ncols, f, top)[0]
     tops = _tops(f, ncols)
     keys = sorted(echelon)
     lane_mask = sum(1 << b for b in keys)
@@ -481,11 +484,20 @@ class Subspace:
         return f"Subspace(dim {self.dim} of K^{self.ambient_dim})"
 
 
+def independent_rows(a: Matrix) -> list[int]:
+    """The rows of A independent of the rows above them, ascending, found once and kept on A.
+
+    Row i is one exactly when the column space of A has a pivot at lane i, so
+    these are `image_basis(a).pivots`, found with no transpose.
+    """
+    if a._independent is None:
+        a._independent = _echelon(a._packed, a.ncols, a.field, top=True)[1]
+    return a._independent
+
+
 def rank(a: Matrix) -> int:
-    """The rank of A: the pivots of a top-bit echelon of its rows, found once and kept on A."""
-    if a._rank is None:
-        a._rank = len(_echelon(a._packed, a.ncols, a.field, top=True)) // a.field.degree
-    return a._rank
+    """The rank of A: the number of its independent rows."""
+    return len(independent_rows(a))
 
 
 def kernel_basis(a: Matrix) -> Subspace:
@@ -545,18 +557,12 @@ def solve(a: Matrix, b: int) -> list[int] | None:
     return _unpack_row(r >> shift, a.ncols, f)[::-1]
 
 
-def quotient_basis(z: Subspace, b: Subspace) -> list[int]:
-    """Representatives of Z/B, packed: the RREF rows of Z whose pivot is not a pivot of B.
+def quotient_basis(z: Subspace, b_pivots: Iterable[int]) -> list[int]:
+    """Representatives of Z/B, packed: the RREF rows of Z whose pivot is not in b_pivots.
 
-    Requires B <= Z; raises ContainmentError naming an offending vector otherwise.
+    b_pivots are the pivots of B, such as the `independent_rows` of a matrix
+    whose column space is B.  The caller checks B <= Z, which makes them
+    pivots of Z, so that dim Z - dim B rows are returned.
     """
-    if z.field != b.field or z.ambient_dim != b.ambient_dim:
-        raise ValueError("subspaces of different ambient spaces")
-    for r in b._packed_basis():
-        if z._residual(r):
-            vec = tuple(_unpack_row(r, z.ambient_dim, z.field))
-            raise ContainmentError(f"denominator vector {vec} is not in the numerator")
-    b_pivots = set(b.pivots)
-    reps = [r for p, r in zip(z.pivots, z._packed_basis()) if p not in b_pivots]
-    assert len(reps) == z.dim - b.dim
-    return reps
+    b_pivots = set(b_pivots)
+    return [r for p, r in zip(z.pivots, z._packed_basis()) if p not in b_pivots]

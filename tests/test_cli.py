@@ -575,6 +575,51 @@ def test_dimension_commands_eliminate_only_for_ranks(capsys, monkeypatch, argv):
     assert code == 0, err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "--algebra", "zassenhaus-f:3", "--module", "adjoint", "--max-degree", "3",
+         "--reps"],
+        ["cocycles2", "--algebra", "heisenberg:2", "--module", "adjoint"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_representative_commands_do_no_image_or_transpose(capsys, monkeypatch, argv):
+    # Z is a kernel and B's pivots are the independent rows that its rank
+    # found, so building representatives takes no image and no transpose
+    def no_work(*args, **kwargs):
+        raise AssertionError("an image or a transpose on the representatives path")
+
+    for module in (linalg, importlib.import_module("commcoh.cohomology")):
+        monkeypatch.setattr(module, "image_basis", no_work)
+    monkeypatch.setattr(linalg.Matrix, "transpose", no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert "representatives" in out
+
+
+def test_a_pivot_of_b_off_the_cocycles_is_not_blamed_on_the_user(capsys, monkeypatch):
+    # the row profile of d_1 names a lane off Z^2's pivots in place of one of B^2's
+    # pivots (see test_a_built_subspace_that_disagrees_with_the_ranks_is_a_complex_error)
+    module = importlib.import_module("commcoh.cohomology")
+    real = module.independent_rows
+
+    def profile(d):
+        rows = real(d)
+        if d.nrows != 18 or d.ncols != 9:  # d_1 of heisenberg:1 adjoint
+            return rows
+        return rows[1:] + [17]  # Z^2 has no pivot at 17, its last lane
+
+    monkeypatch.setattr(module, "independent_rows", profile)
+    argv = ["cohomology", "--algebra", "heisenberg:1", "--module", "adjoint", "--max-degree", "2"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    code, out, err = run(capsys, *argv, "--reps")
+    assert code == 3
+    assert err.startswith("internal error: ComplexError") and "not a pivot of Z" in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_a_corrupted_differential_is_not_blamed_on_the_user(capsys, monkeypatch):
     # d_1 plus a unit entry in each of its first rows, so d_2 d_1 != 0 (see
     # test_the_square_zero_check_catches_a_corrupted_differential)
