@@ -10,6 +10,11 @@ is required either way, and `jacobi_violations` lists where it fails).
 A module is a list of action matrices rho(e_i) subject to the
 characteristic-2 axiom rho([x,y]) = rho(x)rho(y) + rho(y)rho(x), which in
 particular forces every square [x,x] to act trivially.
+
+Internally vectors are rows lane-packed as in linalg, and `packed_bracket`
+is the one bracket arithmetic: the square ideal, quotients, subalgebras and
+derivations are computed on packed rows.  Dense vectors appear only at the
+API, in `bracket` (which packs, brackets and unpacks) and `act`.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from collections.abc import Iterable, Sequence
 from types import MappingProxyType
 
 from .field import GF2, FieldError, FiniteField, _is_int, binom_mod2, scalar_from_hex, scalar_to_hex
-from .linalg import Matrix, Subspace, _pack_row, kernel_basis
+from .linalg import Matrix, Subspace, _pack_lanes, _pack_row, _unpack_row, kernel_basis
+from .linalg import nonzeros, scale_packed
 
 Vec = Sequence[int]
 
@@ -105,19 +111,21 @@ class AlgebraPresentation:
 
     def bracket(self, x: Vec, y: Vec) -> list[int]:
         """[x, y] for coefficient vectors x, y; ValueError or FieldError for a malformed one."""
+        f, d = self.field, self.dim
+        return _unpack_row(self.packed_bracket(_pack_row(x, f, d), _pack_row(y, f, d)), d, f)
+
+    def packed_bracket(self, x: int, y: int) -> int:
+        """[x, y] for rows lane-packed as in linalg: the terms x_i y_j [e_i, e_j] over the
+        nonzero lanes of x and y, summed into one row by `_pack_lanes`."""
         f = self.field
-        f.check_vector(x, self.dim)
-        f.check_vector(y, self.dim)
-        out = [0] * self.dim
-        for (i, j), value in self.brackets.items():
-            if i == j:
-                c = f.mul(x[i], y[i])
-            else:
-                c = f.add(f.mul(x[i], y[j]), f.mul(x[j], y[i]))
-            if c:
-                for s, bits in value.items():
-                    out[s] = f.add(out[s], f.mul(c, bits))
-        return out
+        ys = nonzeros(y, f.degree)
+        terms = (
+            (s, f.mul(f.mul(a, b), bits))
+            for i, a in nonzeros(x, f.degree)
+            for j, b in ys
+            for s, bits in self.bracket_basis(i, j).items()
+        )
+        return _pack_lanes(terms, self.dim, f)
 
     def bracket_into(self, s: int) -> list[tuple[int, int, int]]:
         """All (i <= j, coeff) with a nonzero e_s component in [e_i, e_j]."""
@@ -173,20 +181,14 @@ class AlgebraPresentation:
 
     def square_ideal(self) -> Subspace:
         """The span of all squares [x, x]; central, since [[x,x],y] = 0 by Jacobi."""
-        vecs = []
-        for i in range(self.dim):
-            diag = self.bracket_basis(i, i)
-            if diag:
-                v = [0] * self.dim
-                for s, bits in diag.items():
-                    v[s] = bits
-                vecs.append(v)
+        f, d = self.field, self.dim
         # The squares of a general element also involve cross terms [x,y]+[y,x] = 0,
         # so the basis squares span everything.
-        sub = Subspace.from_vectors(self.field, vecs, self.dim)
-        for v in sub.basis:
-            for j in range(self.dim):
-                if any(self.bracket(list(v), self.basis_vector(j))):
+        squares = [_pack_lanes(self.bracket_basis(i, i).items(), d, f) for i in range(d)]
+        sub = Subspace.from_packed(f, squares, d)
+        for v in sub._packed_basis():
+            for j in range(d):
+                if self.packed_bracket(v, 1 << (f.degree * j)):
                     raise PresentationError(
                         f"square ideal is not central at basis index {j}; Jacobi must fail"
                     )
@@ -195,36 +197,37 @@ class AlgebraPresentation:
     def quotient_by(self, ideal: Subspace) -> tuple["AlgebraPresentation", Matrix]:
         """Quotient algebra L/I and the projection matrix onto the complement basis.
 
-        Raises ContainmentError-ish PresentationError if I is not an ideal.
+        Raises PresentationError if I is not an ideal.  The complement basis is
+        the e_c off I's pivots, and the coordinates of x mod I are the lanes at
+        those c of x's residual against I.
         """
-        if ideal.ambient_dim != self.dim or ideal.field != self.field:
+        f, d, k = self.field, self.dim, self.field.degree
+        if ideal.ambient_dim != d or ideal.field != f:
             raise PresentationError("ideal does not live in this algebra")
-        for v in ideal.basis:
-            for j in range(self.dim):
-                img = self.bracket(list(v), self.basis_vector(j))
-                if not ideal.contains(img):
+        for v in ideal._packed_basis():
+            for j in range(d):
+                img = self.packed_bracket(v, 1 << (k * j))
+                if ideal._residual(img):
+                    v, img = (tuple(_unpack_row(r, d, f)) for r in (v, img))
                     raise PresentationError(
-                        f"subspace is not an ideal: [{v}, e_{j}] = {tuple(img)} escapes it"
+                        f"subspace is not an ideal: [{v}, e_{j}] = {img} escapes it"
                     )
-        pivot_set = set(ideal.pivots)
-        free = [c for c in range(self.dim) if c not in pivot_set]
-        r = len(free)
-        # projection: x -> free-position coordinates of the residual of x mod I
-        proj = Matrix.from_rows(
-            self.field,
-            [[ideal.reduce(self.basis_vector(j))[c] for j in range(self.dim)] for c in free],
-            self.dim,
-        )
+        free = [c for c in range(d) if c not in ideal.pivots]
+        slot = {c: t for t, c in enumerate(free)}
+
+        def modulo(x: int) -> dict[int, int]:
+            return {slot[c]: a for c, a in nonzeros(ideal._residual(x), k)}
+
+        # projection: column j holds the coordinates of e_j mod I
+        cols = [_pack_lanes(modulo(1 << (k * j)).items(), len(free), f) for j in range(d)]
+        brackets = {
+            (a, b): modulo(self.packed_bracket(1 << (k * free[a]), 1 << (k * free[b])))
+            for a in range(len(free))
+            for b in range(a, len(free))
+        }
         names = [self.basis_names[c] for c in free]
-        new_brackets: dict[tuple[int, int], dict[int, int]] = {}
-        for a in range(r):
-            for b in range(a, r):
-                img = self.bracket(self.basis_vector(free[a]), self.basis_vector(free[b]))
-                residual = ideal.reduce(img)
-                entry = {t: residual[c] for t, c in enumerate(free) if residual[c]}
-                if entry:
-                    new_brackets[(a, b)] = entry
-        return AlgebraPresentation(self.field, r, names, new_brackets), proj
+        proj = Matrix.from_packed(f, cols, len(free)).transpose()
+        return AlgebraPresentation(f, len(free), names, brackets), proj
 
     # -- serialization -----------------------------------------------------------
 
@@ -346,32 +349,27 @@ def span_subalgebra(
     result is presented in the RREF basis of the closure, together with
     that subspace of the ambient algebra.
     """
-    vecs = [list(v) for v in generators]
-    span = Subspace.from_vectors(algebra.field, vecs, algebra.dim)
+    f, d = algebra.field, algebra.dim
+    span = Subspace.from_packed(f, [_pack_row(list(v), f, d) for v in generators], d)
     while True:
-        new = []
-        basis = [list(v) for v in span.basis]
-        for x in range(len(basis)):
-            for y in range(x, len(basis)):
-                img = algebra.bracket(basis[x], basis[y])
-                if not span.contains(img):
-                    new.append(img)
+        basis = span._packed_basis()
+        r = len(basis)
+        images = {
+            (x, y): algebra.packed_bracket(basis[x], basis[y])
+            for x in range(r)
+            for y in range(x, r)
+        }
+        new = [img for img in images.values() if span._residual(img)]
         if not new:
             break
-        span = Subspace.from_vectors(algebra.field, basis + new, algebra.dim)
-    basis = [list(v) for v in span.basis]
-    r = len(basis)
-    names = [f"g{i}" for i in range(r)]
-    brackets: dict[tuple[int, int], dict[int, int]] = {}
-    for x in range(r):
-        for y in range(x, r):
-            img = algebra.bracket(basis[x], basis[y])
-            coords = span.coordinates(img)
-            assert coords is not None  # closure guarantees containment
-            entry = {t: c for t, c in enumerate(coords) if c}
-            if entry:
-                brackets[(x, y)] = entry
-    return AlgebraPresentation(algebra.field, r, names, brackets), span
+        span = Subspace.from_packed(f, basis + new, d)
+    # every image lies in the span, and its coordinates in the RREF basis are its pivot lanes
+    slot = {p: t for t, p in enumerate(span.pivots)}
+    brackets = {
+        pair: {slot[p]: c for p, c in nonzeros(img, f.degree) if p in slot}
+        for pair, img in images.items()
+    }
+    return AlgebraPresentation(f, r, [f"g{i}" for i in range(r)], brackets), span
 
 
 def _read_json(source):
@@ -488,31 +486,27 @@ class ModulePresentation:
         return out
 
     def axiom_violations(self) -> list[tuple[int, int, tuple]]:
-        """Pairs (i <= j) where rho([e_i,e_j]) != rho(e_i)rho(e_j) + rho(e_j)rho(e_i)."""
+        """Pairs (i <= j) where rho([e_i,e_j]) != rho(e_i)rho(e_j) + rho(e_j)rho(e_i), each
+        with its defects (mu, nu, lhs entry, rhs entry), the nonzero entries of lhs + rhs."""
         f = self.algebra.field
-        d = self.algebra.dim
         m = self.dim
         mats = [Matrix.from_rows(f, rows, m) for rows in self.actions]
         violations = []
-        for i in range(d):
-            for j in range(i, d):
-                lhs = [[0] * m for _ in range(m)]
+        for i in range(self.algebra.dim):
+            for j in range(i, self.algebra.dim):
+                lhs = Matrix.zeros(f, m, m)
                 for s, bits in self.algebra.bracket_basis(i, j).items():
-                    for mu in range(m):
-                        row = self.actions[s][mu]
-                        lrow = lhs[mu]
-                        for nu in range(m):
-                            if row[nu]:
-                                lrow[nu] = f.add(lrow[nu], f.mul(bits, row[nu]))
-                rhs = mats[i].mul(mats[j]).add(mats[j].mul(mats[i])).rows()
-                defect = [
-                    (mu, nu, lhs[mu][nu], rhs[mu][nu])
-                    for mu in range(m)
-                    for nu in range(m)
-                    if lhs[mu][nu] != rhs[mu][nu]
-                ]
+                    scaled = [scale_packed(r, bits, f) for r in mats[s].packed_rows()]
+                    lhs = lhs.add(Matrix.from_packed(f, scaled, m))
+                rhs = mats[i].mul(mats[j]).add(mats[j].mul(mats[i]))
+                defect = tuple(
+                    (mu, nu, lhs.entry(mu, nu), rhs.entry(mu, nu))
+                    for mu, row in enumerate(lhs.add(rhs).packed_rows())
+                    if row
+                    for nu, _ in nonzeros(row, f.degree)
+                )
                 if defect:
-                    violations.append((i, j, tuple(defect)))
+                    violations.append((i, j, defect))
         return violations
 
     def to_json(self) -> dict:
@@ -606,29 +600,24 @@ def derivation_space(algebra: AlgebraPresentation) -> tuple[Subspace, Subspace]:
     """
     f = algebra.field
     d = algebra.dim
+    bb = algebra.bracket_basis
     rows = []
     for i in range(d):
         for j in range(i, d):
-            bb = algebra.bracket_basis(i, j)
-            for t in range(d):
-                row = [0] * (d * d)
-                # D([e_i,e_j])_t = sum_s bb_s D[t][s]
-                for s, bits in bb.items():
-                    row[t * d + s] = f.add(row[t * d + s], bits)
-                # [D e_i, e_j]_t = sum_u D[u][i] [e_u,e_j]_t
-                for u in range(d):
-                    c = algebra.bracket_basis(u, j).get(t, 0)
-                    if c:
-                        row[u * d + i] = f.add(row[u * d + i], c)
-                    c2 = algebra.bracket_basis(i, u).get(t, 0)
-                    if c2:
-                        row[u * d + j] = f.add(row[u * d + j], c2)
-                if any(row):
-                    rows.append(row)
-    ders = kernel_basis(Matrix.from_rows(f, rows, d * d))
-    inner_vecs = []
-    for i in range(d):
-        ad = algebra.ad_matrix(i)
-        inner_vecs.append([ad[u][v] for u in range(d) for v in range(d)])
-    inner = Subspace.from_vectors(f, inner_vecs, d * d)
-    return ders, inner
+            # row t: D([e_i,e_j])_t = sum_s bb_s D[t][s] ...
+            terms = [[(t * d + s, bits) for s, bits in bb(i, j).items()] for t in range(d)]
+            for u in range(d):
+                # ... + [D e_i, e_j]_t = sum_u D[u][i] [e_u,e_j]_t ...
+                for t, c in bb(u, j).items():
+                    terms[t].append((u * d + i, c))
+                # ... + [e_i, D e_j]_t = sum_u D[u][j] [e_i,e_u]_t
+                for t, c in bb(i, u).items():
+                    terms[t].append((u * d + j, c))
+            rows.extend(filter(None, (_pack_lanes(row, d * d, f) for row in terms)))
+    ders = kernel_basis(Matrix.from_packed(f, rows, d * d))
+    # ad_{e_i} flattened: lane u*d + v holds [e_i, e_v]_u
+    inner = [
+        _pack_lanes([(u * d + v, c) for v in range(d) for u, c in bb(i, v).items()], d * d, f)
+        for i in range(d)
+    ]
+    return ders, Subspace.from_packed(f, inner, d * d)

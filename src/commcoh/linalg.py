@@ -47,7 +47,8 @@ FieldError for a non-element), and sparse (lane, value) pairs by
 `_pack_lanes`.  Nonzero lanes are read, ascending, by `nonzeros`
 (`Matrix.nonzeros` for a matrix row), and `_unpack_row` unpacks a row.
 Elsewhere single entries are placed by shifting, and rows pass through
-`Matrix.from_packed`, `Matrix.packed_rows` and `scale_packed`.
+`Matrix.from_packed`, `Subspace.from_packed` (the one constructor of a
+span), `Matrix.packed_rows` and `scale_packed`.
 
 An entry cap (rows * cols), held in a context variable, turns runaway size
 requests into errors instead of memory exhaustion; see entry_cap_override.
@@ -424,11 +425,16 @@ class Subspace:
         self._lane_mask = sum(1 << b for b in keys)
 
     @classmethod
+    def from_packed(cls, field: FiniteField, rows: Iterable[int], ambient_dim: int) -> "Subspace":
+        """The span of packed rows over ambient_dim lanes."""
+        return cls(field, ambient_dim, _rref(rows, ambient_dim, field))
+
+    @classmethod
     def from_vectors(
         cls, field: FiniteField, vectors: Iterable[Sequence[int]], ambient_dim: int
     ) -> "Subspace":
         rows = [_pack_row(v, field, ambient_dim) for v in vectors]
-        return cls(field, ambient_dim, _rref(rows, ambient_dim, field))
+        return cls.from_packed(field, rows, ambient_dim)
 
     def _packed_basis(self) -> list[int]:
         k = self.field.degree
@@ -527,7 +533,7 @@ def kernel_basis(a: Matrix) -> Subspace:
 
 def image_basis(a: Matrix) -> Subspace:
     """The column space {A v} as a Subspace of K^nrows."""
-    return Subspace(a.field, a.nrows, _rref(a.transpose()._packed, a.nrows, a.field))
+    return Subspace.from_packed(a.field, a.transpose()._packed, a.nrows)
 
 
 def solve(a: Matrix, b: int) -> list[int] | None:
@@ -550,7 +556,7 @@ def solve(a: Matrix, b: int) -> list[int] | None:
         width = a.nrows + a.ncols
         top = f.degree * (width - 1)
         tagged = (c | 1 << (top - f.degree * j) for j, c in enumerate(a.transpose()._packed))
-        a._solver = Subspace(f, width, _rref(tagged, width, f))
+        a._solver = Subspace.from_packed(f, tagged, width)
     r = a._solver._residual(b)
     if r & ((1 << shift) - 1):
         return None

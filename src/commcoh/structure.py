@@ -34,6 +34,7 @@ from .field import FiniteField, make_field
 from .linalg import (
     Matrix,
     Subspace,
+    _pack_lanes,
     image_basis,
     kernel_basis,
     rank as matrix_rank,
@@ -47,22 +48,16 @@ from .cohomology import CohomologyResult, NotACocycleError, cohomology
 
 def invariants_subspace(algebra: AlgebraPresentation, module: ModulePresentation) -> Subspace:
     """The submodule {m : x.m = 0 for all x}, which degree-0 cohomology must equal."""
-    rows = []
-    for i in range(algebra.dim):
-        rows.extend(module.actions[i])
-    return kernel_basis(Matrix.from_rows(algebra.field, rows, module.dim))
+    acting, rows = module.packed_action()
+    stacked = [row for t in acting for _, row in rows[t]]
+    return kernel_basis(Matrix.from_packed(algebra.field, stacked, module.dim))
 
 
 def abelianization_dual_dim(algebra: AlgebraPresentation) -> int:
     """dim L - dim [L, L]: the dimension degree-1 cohomology with trivial coefficients must have."""
-    vecs = []
-    for value in algebra.brackets.values():
-        v = [0] * algebra.dim
-        for s, bits in value.items():
-            v[s] = bits
-        vecs.append(v)
-    derived = Subspace.from_vectors(algebra.field, vecs, algebra.dim)
-    return algebra.dim - derived.dim
+    f, d = algebra.field, algebra.dim
+    derived = [_pack_lanes(value.items(), d, f) for value in algebra.brackets.values()]
+    return d - Subspace.from_packed(f, derived, d).dim
 
 
 def outer_derivation_dim(algebra: AlgebraPresentation) -> int:
@@ -402,19 +397,13 @@ def zassenhaus_relation_space(n: int) -> Subspace:
     Unknowns are indexed by the nonzero field elements in bitmask order.
     """
     f = make_field(n)
-    alphas = list(range(1, f.order))
-    index = {a: i for i, a in enumerate(alphas)}
-    rows = []
-    for x in range(len(alphas)):
-        for y in range(x + 1, len(alphas)):
-            a, b = alphas[x], alphas[y]
-            c = a ^ b
-            row = [0] * len(alphas)
-            row[index[a]] = f.add(row[index[a]], a)
-            row[index[b]] = f.add(row[index[b]], b)
-            row[index[c]] = f.add(row[index[c]], c)
-            rows.append(row)
-    return kernel_basis(Matrix.from_rows(f, rows, len(alphas)))
+    alphas = range(1, f.order)  # lam_a is unknown a - 1
+    rows = [
+        _pack_lanes(((a - 1, a), (b - 1, b), ((a ^ b) - 1, a ^ b)), len(alphas), f)
+        for a in alphas
+        for b in alphas[a:]
+    ]
+    return kernel_basis(Matrix.from_packed(f, rows, len(alphas)))
 
 
 def zassenhaus_printed_cocycles(n: int, fld: FiniteField | None = None) -> list[Cochain]:

@@ -262,6 +262,25 @@ def test_algebra_from_file_and_out(capsys, tmp_path):
     assert json.loads(dest.read_text()) == payload
 
 
+@pytest.mark.parametrize("module", ["adjoint", "dual"])
+def test_check_on_a_nonzero_square_ideal(capsys, tmp_path, module):
+    # [x, x] = y: the square ideal is span(y), so check runs its centrality
+    # test and the module axiom on a nonzero square; payload recorded before
+    # these layers moved onto packed rows
+    code, out, _ = run(
+        capsys, "check", "--algebra", square_file(tmp_path), "--module", module, "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "algebra": {"dim": 3, "field_degree": 1, "basis": ["x", "y", "w"]},
+        "jacobi_ok": True,
+        "jacobi_violations": [],
+        "is_lie": False,
+        "square_ideal_dim": 1,
+        "module": {"dim": 3, "ok": True, "violations": []},
+    }
+
+
 def test_module_from_file(capsys, tmp_path):
     mod = tmp_path / "mod.json"
     # a two-dimensional module over the one-dimensional algebra, nilpotent action
