@@ -19,14 +19,12 @@ from .algebra import (
     PresentationError,
     abelian,
     adjoint_module,
-    derivation_space,
     dim2,
     dual_module,
     heisenberg,
     import_algebra,
     import_module,
     module_from_actions,
-    span_subalgebra,
     trivial_module,
     zassenhaus_e,
     zassenhaus_f,
@@ -54,7 +52,6 @@ from .morse import (
     complex_from_cochains,
     greedy_matching,
     heisenberg_matching,
-    heisenberg_unmatched_cells,
     morse_complex,
     validate_matching,
 )
@@ -62,15 +59,12 @@ from .morse import (
 # the structure maps, loaded on first access (PEP 562) so that importing the
 # package does not compile them
 _STRUCTURE = (
-    "abelianization_dual_dim",
     "alternating_invariant_forms",
     "base_change",
     "central_extension",
     "comparison_comm_to_leibniz",
     "comparison_lie_to_comm",
     "exact_sequence_check",
-    "invariants_subspace",
-    "outer_derivation_dim",
 )
 
 __all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_STRUCTURE))

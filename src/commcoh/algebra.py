@@ -12,20 +12,20 @@ characteristic-2 axiom rho([x,y]) = rho(x)rho(y) + rho(y)rho(x), which in
 particular forces every square [x,x] to act trivially.
 
 Internally vectors are rows lane-packed as in linalg, and `packed_bracket`
-is the one bracket arithmetic: the square ideal, quotients, subalgebras and
-derivations are computed on packed rows.  Dense vectors appear only at the
-API, in `bracket` (which packs, brackets and unpacks) and `act`.
+is the one bracket arithmetic, on which the square ideal is computed.  Dense
+vectors appear only at the API, in `bracket` (which packs, brackets and
+unpacks) and `act`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from types import MappingProxyType
 
 from .field import GF2, FieldError, FiniteField, _is_int, binom_mod2, scalar_from_hex, scalar_to_hex
-from .linalg import Matrix, Subspace, _pack_lanes, _pack_row, _unpack_row, kernel_basis
+from .linalg import Matrix, Subspace, _pack_lanes, _pack_row, _unpack_row
 from .linalg import nonzeros, scale_packed
 
 Vec = Sequence[int]
@@ -145,11 +145,6 @@ class AlgebraPresentation:
                 rows[s][j] = bits
         return rows
 
-    def basis_vector(self, i: int) -> list[int]:
-        v = [0] * self.dim
-        v[i] = 1
-        return v
-
     # -- axioms -----------------------------------------------------------------
 
     def jacobi_violations(self) -> list[tuple[int, int, int, tuple[int, ...]]]:
@@ -193,41 +188,6 @@ class AlgebraPresentation:
                         f"square ideal is not central at basis index {j}; Jacobi must fail"
                     )
         return sub
-
-    def quotient_by(self, ideal: Subspace) -> tuple["AlgebraPresentation", Matrix]:
-        """Quotient algebra L/I and the projection matrix onto the complement basis.
-
-        Raises PresentationError if I is not an ideal.  The complement basis is
-        the e_c off I's pivots, and the coordinates of x mod I are the lanes at
-        those c of x's residual against I.
-        """
-        f, d, k = self.field, self.dim, self.field.degree
-        if ideal.ambient_dim != d or ideal.field != f:
-            raise PresentationError("ideal does not live in this algebra")
-        for v in ideal._packed_basis():
-            for j in range(d):
-                img = self.packed_bracket(v, 1 << (k * j))
-                if ideal._residual(img):
-                    v, img = (tuple(_unpack_row(r, d, f)) for r in (v, img))
-                    raise PresentationError(
-                        f"subspace is not an ideal: [{v}, e_{j}] = {img} escapes it"
-                    )
-        free = [c for c in range(d) if c not in ideal.pivots]
-        slot = {c: t for t, c in enumerate(free)}
-
-        def modulo(x: int) -> dict[int, int]:
-            return {slot[c]: a for c, a in nonzeros(ideal._residual(x), k)}
-
-        # projection: column j holds the coordinates of e_j mod I
-        cols = [_pack_lanes(modulo(1 << (k * j)).items(), len(free), f) for j in range(d)]
-        brackets = {
-            (a, b): modulo(self.packed_bracket(1 << (k * free[a]), 1 << (k * free[b])))
-            for a in range(len(free))
-            for b in range(a, len(free))
-        }
-        names = [self.basis_names[c] for c in free]
-        proj = Matrix.from_packed(f, cols, len(free)).transpose()
-        return AlgebraPresentation(f, len(free), names, brackets), proj
 
     # -- serialization -----------------------------------------------------------
 
@@ -338,38 +298,6 @@ def zassenhaus_f(n: int) -> AlgebraPresentation:
             if gamma:
                 brackets[(ia, ib)] = {gamma - 1: gamma}
     return AlgebraPresentation(f, len(alphas), names, brackets)
-
-
-def span_subalgebra(
-    algebra: AlgebraPresentation, generators: Iterable[Vec]
-) -> tuple[AlgebraPresentation, Subspace]:
-    """The subalgebra generated by the given vectors.
-
-    The span is closed under the bracket iteratively until stable; the
-    result is presented in the RREF basis of the closure, together with
-    that subspace of the ambient algebra.
-    """
-    f, d = algebra.field, algebra.dim
-    span = Subspace.from_packed(f, [_pack_row(list(v), f, d) for v in generators], d)
-    while True:
-        basis = span._packed_basis()
-        r = len(basis)
-        images = {
-            (x, y): algebra.packed_bracket(basis[x], basis[y])
-            for x in range(r)
-            for y in range(x, r)
-        }
-        new = [img for img in images.values() if span._residual(img)]
-        if not new:
-            break
-        span = Subspace.from_packed(f, basis + new, d)
-    # every image lies in the span, and its coordinates in the RREF basis are its pivot lanes
-    slot = {p: t for t, p in enumerate(span.pivots)}
-    brackets = {
-        pair: {slot[p]: c for p, c in nonzeros(img, f.degree) if p in slot}
-        for pair, img in images.items()
-    }
-    return AlgebraPresentation(f, r, [f"g{i}" for i in range(r)], brackets), span
 
 
 def _read_json(source):
@@ -587,37 +515,3 @@ def import_module(algebra: AlgebraPresentation, source) -> ModulePresentation:
     except (TypeError, KeyError, AttributeError, ValueError) as exc:
         raise PresentationError(f"malformed module file: {exc}") from None
     return module_from_actions(algebra, actions, dim)
-
-
-# -- derivations -----------------------------------------------------------------------
-
-
-def derivation_space(algebra: AlgebraPresentation) -> tuple[Subspace, Subspace]:
-    """(All derivations, inner derivations ad_x) as subspaces of d x d matrices.
-
-    A derivation satisfies D[x,y] = [Dx,y] + [x,Dy]; matrices are flattened
-    row-major, unknown D[u][v] at index u*d + v.
-    """
-    f = algebra.field
-    d = algebra.dim
-    bb = algebra.bracket_basis
-    rows = []
-    for i in range(d):
-        for j in range(i, d):
-            # row t: D([e_i,e_j])_t = sum_s bb_s D[t][s] ...
-            terms = [[(t * d + s, bits) for s, bits in bb(i, j).items()] for t in range(d)]
-            for u in range(d):
-                # ... + [D e_i, e_j]_t = sum_u D[u][i] [e_u,e_j]_t ...
-                for t, c in bb(u, j).items():
-                    terms[t].append((u * d + i, c))
-                # ... + [e_i, D e_j]_t = sum_u D[u][j] [e_i,e_u]_t
-                for t, c in bb(i, u).items():
-                    terms[t].append((u * d + j, c))
-            rows.extend(filter(None, (_pack_lanes(row, d * d, f) for row in terms)))
-    ders = kernel_basis(Matrix.from_packed(f, rows, d * d))
-    # ad_{e_i} flattened: lane u*d + v holds [e_i, e_v]_u
-    inner = [
-        _pack_lanes([(u * d + v, c) for v in range(d) for u, c in bb(i, v).items()], d * d, f)
-        for i in range(d)
-    ]
-    return ders, Subspace.from_packed(f, inner, d * d)

@@ -464,11 +464,6 @@ class Subspace:
     def contains(self, vec: Sequence[int]) -> bool:
         return not self._residual(_pack_row(vec, self.field, self.ambient_dim))
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("subspaces of different ambient spaces")
-        return not any(self._residual(r) for r in other._packed_basis())
-
     def coordinates(self, vec: Sequence[int]) -> list[int] | None:
         """Coefficients of vec in the RREF basis, or None if not contained.
 

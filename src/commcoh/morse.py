@@ -25,17 +25,14 @@ multiple (`scale_packed`) of the row kept for that tail's head.
 
 `heisenberg_matching` builds the explicit matching that collapses the
 symmetric complex of a Heisenberg algebra with trivial coefficients to
-zero differential, and `heisenberg_unmatched_cells` is its closed-form
-critical-cell description, kept separate so the two can be compared: it
-classifies the sorted index multisets of a degree, so its families come in
-basis order.
+zero differential.  The tests keep the closed-form description of its
+critical cells and compare the reduced complex against it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from graphlib import CycleError, TopologicalSorter
-from itertools import combinations_with_replacement
 
 from .algebra import AlgebraPresentation, ModulePresentation, heisenberg, trivial_module
 from .cochain import cochain_space, differential_matrix
@@ -392,23 +389,3 @@ def heisenberg_matching(ell: int, top_degree: int) -> tuple[BasedComplex, Matchi
             j = spaces[n + 1].tuple_index(head)
             pairs.append((n, i, j))
     return cx, Matching(pairs)
-
-
-def heisenberg_unmatched_cells(ell: int, degree: int):
-    """Closed-form critical cells in one degree, as two disjoint families.
-
-    The first family has alpha = 0 and the largest both-even index above the
-    largest both-odd index; the second has no index both even and none both
-    odd, with any alpha.  Returned as (family0, family1) lists of triples,
-    each in basis order: the sorted index multisets of the degree, classified.
-    """
-    family0, family1 = [], []
-    for tpl in combinations_with_replacement(range(2 * ell + 1), degree):
-        alpha, beta, gamma = cell = tuple_to_triple(ell, tpl)
-        even_k = _max_both(beta, gamma, 0)
-        odd_k = _max_both(beta, gamma, 1)
-        if even_k == -1 and odd_k == -1:
-            family1.append(cell)
-        elif alpha == 0 and even_k > odd_k:
-            family0.append(cell)
-    return family0, family1

@@ -1,15 +1,16 @@
 """Structure maps built on the cohomology of the cochain complexes.
 
-* interpretation helpers for low degrees (invariants, dual of the
-  abelianization, outer derivations) used as independent cross-checks,
 * the comparison maps between the alternating, symmetric, and tensor
   flavors induced by the inclusions of cochain spaces,
 * the four-term sequence connecting degree-2 classes with trivial
   coefficients, degree-1 classes with dual coefficients, invariant
   alternating forms, and degree-3 classes,
 * base change of a presentation with prime-field structure constants,
-* central extensions by a symmetric 2-cocycle, with a splitting solver,
-* the degree-2 analysis specific to the Zassenhaus-type algebras.
+* central extensions by a symmetric 2-cocycle.
+
+The low-degree readings of cohomology (invariants, the dual of the
+abelianization, outer derivations) and the documented Zassenhaus degree-2
+family are oracles of the tests, which check `cohomology` against them.
 
 Each map into classes (the flavor comparisons and the three maps of the
 four-term sequence) is one product of packed rows with a packed matrix,
@@ -22,48 +23,11 @@ first access.
 
 from __future__ import annotations
 
-from .algebra import (
-    AlgebraPresentation,
-    ModulePresentation,
-    derivation_space,
-    dual_module,
-    trivial_module,
-    zassenhaus_e,
-)
+from .algebra import AlgebraPresentation, ModulePresentation, dual_module, trivial_module
 from .field import FiniteField, make_field
-from .linalg import (
-    Matrix,
-    Subspace,
-    _pack_lanes,
-    image_basis,
-    kernel_basis,
-    rank as matrix_rank,
-)
+from .linalg import Matrix, Subspace, image_basis, kernel_basis, rank as matrix_rank
 from .cochain import Cochain, cochain_space, delta, inclusion_matrix
 from .cohomology import CohomologyResult, NotACocycleError, cohomology
-
-
-# -- low-degree interpretations (independent cross-checks) ---------------------------
-
-
-def invariants_subspace(algebra: AlgebraPresentation, module: ModulePresentation) -> Subspace:
-    """The submodule {m : x.m = 0 for all x}, which degree-0 cohomology must equal."""
-    acting, rows = module.packed_action()
-    stacked = [row for t in acting for _, row in rows[t]]
-    return kernel_basis(Matrix.from_packed(algebra.field, stacked, module.dim))
-
-
-def abelianization_dual_dim(algebra: AlgebraPresentation) -> int:
-    """dim L - dim [L, L]: the dimension degree-1 cohomology with trivial coefficients must have."""
-    f, d = algebra.field, algebra.dim
-    derived = [_pack_lanes(value.items(), d, f) for value in algebra.brackets.values()]
-    return d - Subspace.from_packed(f, derived, d).dim
-
-
-def outer_derivation_dim(algebra: AlgebraPresentation) -> int:
-    """dim Der(L) - dim Inn(L): what degree-1 cohomology with adjoint coefficients must be."""
-    ders, inner = derivation_space(algebra)
-    return ders.dim - inner.dim
 
 
 # -- comparison maps between flavors ---------------------------------------------------
@@ -386,59 +350,3 @@ def central_extension(algebra: AlgebraPresentation, phi: Cochain) -> AlgebraPres
     return AlgebraPresentation(
         algebra.field, d + 1, list(algebra.basis_names) + [z_name], brackets
     )
-
-
-# -- Zassenhaus-type degree-2 analysis ----------------------------------------------------
-
-
-def zassenhaus_relation_space(n: int) -> Subspace:
-    """Solutions over GF(2^n) of a lam_a + b lam_b + (a+b) lam_{a+b} = 0 for all a != b.
-
-    Unknowns are indexed by the nonzero field elements in bitmask order.
-    """
-    f = make_field(n)
-    alphas = range(1, f.order)  # lam_a is unknown a - 1
-    rows = [
-        _pack_lanes(((a - 1, a), (b - 1, b), ((a ^ b) - 1, a ^ b)), len(alphas), f)
-        for a in alphas
-        for b in alphas[a:]
-    ]
-    return kernel_basis(Matrix.from_packed(f, rows, len(alphas)))
-
-
-def zassenhaus_printed_cocycles(n: int, fld: FiniteField | None = None) -> list[Cochain]:
-    """The documented candidate degree-2 cocycle basis for the e-basis commutant.
-
-    Candidate k is supported on the multisets {e_t, e_t} with t = 2^k - 2 and
-    {e_{-1}, e_{2^{k+1} - 3}} (which coincide for k = 0).  Whether these are
-    actually cocycles spanning degree-2 cohomology is checked by callers, not
-    assumed.
-    """
-    algebra = zassenhaus_e(n, fld)
-    triv = trivial_module(algebra)
-    space = cochain_space(algebra, triv, 2)
-    out = []
-    for k in range(n):
-        t = (1 << k) - 2 + 1  # subscript 2^k - 2 sits at slot +1 since e_{-1} is slot 0
-        support = {(t, t), (0, (1 << (k + 1)) - 3 + 1)}
-        out.append(space.from_items({(tpl, 0): 1 for tpl in support}))
-    return out
-
-
-def zassenhaus_printed_basis_report(n: int) -> dict:
-    """Compare the documented degree-2 basis against the computed cohomology."""
-    algebra = zassenhaus_e(n)
-    triv = trivial_module(algebra)
-    h2 = cohomology(algebra, triv, 2)
-    candidates = zassenhaus_printed_cocycles(n)
-    cocycle_flags = [delta(c).is_zero() for c in candidates]
-    span, _ = _induced(algebra.field, h2.class_coordinates, h2.dim_H, candidates)
-    span_rank = matrix_rank(span)
-    return {
-        "n": n,
-        "dimH2": h2.dim_H,
-        "candidates": len(candidates),
-        "cocycle_flags": cocycle_flags,
-        "span_rank": span_rank,
-        "spans": span_rank == h2.dim_H and all(cocycle_flags),
-    }

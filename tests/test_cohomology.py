@@ -11,7 +11,6 @@ from commcoh.algebra import (
     AlgebraPresentation,
     abelian,
     adjoint_module,
-    derivation_space,
     dim2,
     dual_module,
     heisenberg,
@@ -37,18 +36,20 @@ from commcoh.cohomology import (
     cohomology,
 )
 from commcoh.structure import (
-    abelianization_dual_dim,
     alternating_invariant_forms,
     base_change,
     central_extension,
     comparison_comm_to_leibniz,
     comparison_lie_to_comm,
     exact_sequence_check,
-    invariants_subspace,
-    outer_derivation_dim,
+)
+from oracles import (
+    naive_abelianization_dual_dim,
+    naive_derivation_space,
+    naive_invariants_subspace,
+    naive_zassenhaus_relation_space,
     zassenhaus_printed_basis_report,
     zassenhaus_printed_cocycles,
-    zassenhaus_relation_space,
 )
 
 GF2 = make_field(1)
@@ -161,7 +162,7 @@ def test_zassenhaus_printed_candidate_failure_witness():
 
 def test_zassenhaus_relation_space():
     for n in (2, 3):
-        assert zassenhaus_relation_space(n).dim == n
+        assert naive_zassenhaus_relation_space(n).dim == n
 
 
 def test_zassenhaus_f_matches_e_dimensions():
@@ -185,19 +186,69 @@ def test_degree_zero_is_invariants():
     for a in all_test_algebras():
         for mk in (trivial_module, adjoint_module, dual_module):
             m = mk(a)
-            assert cohomology(a, m, 0).dim_H == invariants_subspace(a, m).dim
+            assert cohomology(a, m, 0).dim_H == naive_invariants_subspace(a, m).dim
 
 
 def test_degree_one_trivial_is_abelianization_dual():
     for a in all_test_algebras():
         k = trivial_module(a)
-        assert cohomology(a, k, 1).dim_H == abelianization_dual_dim(a)
+        assert cohomology(a, k, 1).dim_H == naive_abelianization_dual_dim(a)
 
 
 def test_degree_one_adjoint_is_outer_derivations():
     for a in all_test_algebras():
         m = adjoint_module(a)
-        assert cohomology(a, m, 1).dim_H == outer_derivation_dim(a)
+        ders, inner = naive_derivation_space(a)
+        assert cohomology(a, m, 1).dim_H == ders.dim - inner.dim
+
+
+# ------------------------------------------------------------------
+# Poincare duality, a basis-free oracle for the top degrees
+# ------------------------------------------------------------------
+
+
+def dual_twisted_by_trace(module):
+    """M* (x) chi, where chi is x -> tr ad x: x acts by rho(x)^T + tr(ad x) I."""
+    a, f, m = module.algebra, module.algebra.field, module.dim
+    actions = []
+    for i, mat in enumerate(module.actions):
+        trace = 0
+        for j, row in enumerate(a.ad_matrix(i)):
+            trace = f.add(trace, row[j])
+        actions.append(
+            [[f.add(mat[nu][mu], trace if mu == nu else 0) for nu in range(m)] for mu in range(m)]
+        )
+    return module_from_actions(a, actions, m)
+
+
+POINCARE_CASES = {
+    # dim H^p(L; M) for p = 0 .. dim L, alternating flavor
+    "heisenberg1-trivial": (heisenberg(1), trivial_module, [1, 2, 2, 1]),
+    "heisenberg1-adjoint": (heisenberg(1), adjoint_module, [1, 4, 5, 2]),
+    "heisenberg1-gf4-adjoint": (heisenberg(1, make_field(2)), adjoint_module, [1, 4, 5, 2]),
+    "heisenberg2-adjoint": (heisenberg(2), adjoint_module, [1, 11, 20, 21, 15, 4]),
+    "zassenhaus_e3-trivial": (zassenhaus_e(3), trivial_module, [1, 0, 0, 5, 5, 0, 0, 1]),
+    "zassenhaus_e3-adjoint": (zassenhaus_e(3), adjoint_module, [0, 3, 7, 4, 4, 7, 3, 0]),
+    "abelian3-trivial": (abelian(3), trivial_module, [1, 3, 3, 1]),
+    # [a, b] = a, so tr ad b = 1: without the twist by chi the dims are no palindrome
+    "dim2-trivial": (dim2(), trivial_module, [1, 1, 0]),
+}
+
+
+@pytest.mark.parametrize("case", POINCARE_CASES)
+def test_poincare_duality_with_the_trace_twist(case):
+    # dim H^p(L; M) = dim H^{d-p}(L; M* (x) chi) for a Lie algebra of dimension d
+    # (Fuks, "Cohomology of Infinite-Dimensional Lie Algebras", 1986); the
+    # pairing into the top exterior power uses no division, so it holds in
+    # characteristic 2
+    a, make_module, want = POINCARE_CASES[case]
+    module = make_module(a)
+
+    def dims(m):
+        return [cohomology(a, m, p, "alternating").dim_H for p in range(a.dim + 1)]
+
+    assert dims(module) == want
+    assert dims(dual_twisted_by_trace(module)) == want[::-1]
 
 
 def test_cocycles_are_cocycles_and_coboundaries_vanish():
@@ -429,13 +480,6 @@ def test_empty_systems_give_the_whole_space():
     # no equation at all: every vector solves it
     assert alternating_invariant_forms(abelian(3)).dim == 3
     assert alternating_invariant_forms(abelian(1)).dim == 0
-    assert derivation_space(abelian(2))[0].dim == 4
-    point = abelian(0)
-    assert invariants_subspace(point, trivial_module(point)).dim == 1
-    # the quotient by everything is the zero algebra, with a 0 x 2 projection
-    plane = abelian(2)
-    q, proj = plane.quotient_by(Subspace.from_vectors(GF2, [[1, 0], [0, 1]], 2))
-    assert (q.dim, proj.nrows, proj.ncols) == (0, 0, 2)
 
 
 def naive_invariant_forms(algebra):

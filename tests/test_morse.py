@@ -23,12 +23,12 @@ from commcoh.morse import (
     complex_from_cochains,
     greedy_matching,
     heisenberg_matching,
-    heisenberg_unmatched_cells,
     morse_complex,
     triple_to_tuple,
     tuple_to_triple,
     validate_matching,
 )
+from oracles import heisenberg_unmatched_cells
 
 GF2 = make_field(1)
 
