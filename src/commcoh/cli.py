@@ -248,7 +248,7 @@ def cmd_sequence(args):
 
     algebra = parse_algebra(args.algebra, args.field_degree)
     report = exact_sequence_check(algebra)
-    return report.to_json(), 2 if report.defects else 0
+    return report.to_json(), 0 if report.ok else 2
 
 
 def cmd_compare(args):
@@ -256,16 +256,14 @@ def cmd_compare(args):
 
     algebra, module = _setup(args)
     lie = algebra.is_lie()
-    rows = []
+    rows, defects = [], False
     for n in range(args.max_degree + 1):
-        entry = {
-            "degree": n,
-            "comm_to_leibniz": comparison_comm_to_leibniz(algebra, module, n).to_json(),
-        }
+        reports = {"comm_to_leibniz": comparison_comm_to_leibniz(algebra, module, n)}
         if lie:
-            entry["alt_to_comm"] = comparison_lie_to_comm(algebra, module, n).to_json()
-        rows.append(entry)
-    return {"algebra": args.algebra, "module": args.module, "degrees": rows}, 0
+            reports["alt_to_comm"] = comparison_lie_to_comm(algebra, module, n)
+        rows.append({"degree": n, **{key: c.to_json() for key, c in reports.items()}})
+        defects = defects or any(c.chain_defects for c in reports.values())
+    return {"algebra": args.algebra, "module": args.module, "degrees": rows}, 2 if defects else 0
 
 
 def cmd_basechange(args):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .algebra import AlgebraPresentation, ModulePresentation, dual_module, trivial_module
 from .field import FiniteField, make_field
-from .linalg import Matrix, Subspace, image_basis, kernel_basis, rank as matrix_rank
+from .linalg import Matrix, Subspace, kernel_basis, rank as matrix_rank
 from .cochain import Cochain, cochain_space, delta, inclusion_matrix
 from .cohomology import CohomologyResult, NotACocycleError, cohomology
 
@@ -34,23 +34,25 @@ from .cohomology import CohomologyResult, NotACocycleError, cohomology
 
 
 class ComparisonReport:
-    """The map a flavor inclusion induces on classes, with its rank and kernel."""
+    """The map a flavor inclusion induces on classes, with its rank."""
 
-    __slots__ = ("source", "target", "rank", "kernel_dim", "chain_defects")
+    __slots__ = ("source", "target", "rank", "chain_defects")
 
     def __init__(
         self,
         source: CohomologyResult,
         target: CohomologyResult,
         rank: int,
-        kernel_dim: int,
-        chain_defects: list | None = None,
+        chain_defects: list,
     ):
         self.source = source
         self.target = target
         self.rank = rank
-        self.kernel_dim = kernel_dim
-        self.chain_defects = [] if chain_defects is None else chain_defects
+        self.chain_defects = chain_defects
+
+    @property
+    def kernel_dim(self) -> int:
+        return self.source.dim_H - self.rank
 
     @property
     def is_injective(self) -> bool:
@@ -58,10 +60,7 @@ class ComparisonReport:
 
     @property
     def is_isomorphism(self) -> bool:
-        return (
-            self.kernel_dim == 0
-            and self.rank == self.target.dim_H == self.source.dim_H
-        )
+        return self.rank == self.target.dim_H == self.source.dim_H
 
     def to_json(self) -> dict:
         return {
@@ -78,20 +77,20 @@ class ComparisonReport:
 
 
 def _induced(f: FiniteField, coordinates, dim: int, images) -> tuple[Matrix, list[int]]:
-    """The dim-row matrix whose columns are the coordinates of the images, and the misses.
+    """The matrix with one row of class coordinates per image, and the misses.
 
-    `coordinates` gives an image's coordinates, or None when it does not
-    recognize the image; that image gets a zero column, which leaves the
-    rank of the span unchanged, and its position goes into the misses.
+    It is the transposed map, with the same rank.  `coordinates` gives an
+    image's coordinates, or None for an image it does not recognize, which
+    gets a zero row and goes into the misses.
     """
-    cols, misses = [], []
+    rows, misses = [], []
     for n, image in enumerate(images):
         coords = coordinates(image)
         if coords is None:
             misses.append(n)
             coords = [0] * dim
-        cols.append(coords)
-    return Matrix.from_rows(f, cols, dim).transpose(), misses
+        rows.append(coords)
+    return Matrix.from_rows(f, rows, dim), misses
 
 
 def _images(f: FiniteField, rows: list[int], mat: Matrix, space) -> list[Cochain]:
@@ -106,9 +105,8 @@ def _comparison(algebra, module, degree, src_flavor, dst_flavor) -> ComparisonRe
     inc = inclusion_matrix(algebra, module, degree, src_flavor, dst_flavor).transpose()
     images = _images(algebra.field, [rep.bits for rep in src.representatives], inc, dst.space)
     mat, misses = _induced(algebra.field, dst.class_coordinates, dst.dim_H, images)
-    r = matrix_rank(mat)
     defects = [src.representatives[n] for n in misses]
-    return ComparisonReport(src, dst, r, src.dim_H - r, defects)
+    return ComparisonReport(src, dst, matrix_rank(mat), defects)
 
 
 def comparison_lie_to_comm(
@@ -266,21 +264,20 @@ def exact_sequence_check(algebra: AlgebraPresentation) -> ExactSequenceReport:
     map3, misses = _induced(f, h3.class_coordinates, h3.dim_H, images3)
     defects.extend("map3 image not recognized as a degree-3 class" for _ in misses)
 
-    image1 = image_basis(map1)
-    kernel2 = kernel_basis(map2)
-    image2 = image_basis(map2)
-    kernel3 = kernel_basis(map3)
+    # an image is a kernel iff the ranks fill the middle and the composition is
+    # zero; the maps are held transposed, so map1.mul(map2) is (map2 after map1)^T
+    r1, r2, r3 = matrix_rank(map1), matrix_rank(map2), matrix_rank(map3)
     return ExactSequenceReport(
         dim_h2=h2.dim_H,
         dim_h1_dual=h1d.dim_H,
         dim_balt=balt.dim,
         dim_h3=h3.dim_H,
-        map1_rank=image1.dim,
-        map2_rank=image2.dim,
-        map3_rank=balt.dim - kernel3.dim,
-        map1_injective=image1.dim == h2.dim_H,
-        exact_at_h1=image1 == kernel2,
-        exact_at_balt=image2 == kernel3,
+        map1_rank=r1,
+        map2_rank=r2,
+        map3_rank=r3,
+        map1_injective=r1 == h2.dim_H,
+        exact_at_h1=r1 + r2 == h1d.dim_H and map1.mul(map2).is_zero(),
+        exact_at_balt=r2 + r3 == balt.dim and map2.mul(map3).is_zero(),
         defects=defects,
     )
 

@@ -12,11 +12,14 @@ the dual of the abelianization (H^1 with trivial coefficients), derivations
 (H^1 with adjoint coefficients, modulo the inner ones) and the Zassenhaus
 relation space, against which the tests check `cohomology`.  So do the
 documented degree-2 family of the Zassenhaus e-basis and the closed-form
-critical cells of the Heisenberg collapse.
+critical cells of the Heisenberg collapse.  One fault injector lives here
+too: a wrong class coordinate in the four-term sequence, which the library
+and CLI tests both use.
 """
 
 from itertools import combinations_with_replacement
 
+from commcoh import structure
 from commcoh.algebra import PresentationError, trivial_module, zassenhaus_e
 from commcoh.cochain import cochain_space, delta
 from commcoh.cohomology import cohomology
@@ -240,3 +243,26 @@ def heisenberg_unmatched_cells(ell, degree):
         elif alpha == 0 and even_k > odd_k:
             family0.append(cell)
     return family0, family1
+
+
+# ------------------------------------------------------------------
+# a fault in one class coordinate of the four-term sequence
+# ------------------------------------------------------------------
+
+
+def shift_first_map1_coordinate(monkeypatch, lane):
+    """Make the next `exact_sequence_check` flip one coordinate of map1's first image.
+
+    The first map that `_induced` builds is map1; the patch undoes itself on
+    that call, so maps 2 and 3 read their true coordinates.
+    """
+    induced = structure._induced
+
+    def shifted(f, coordinates, dim, images):
+        monkeypatch.setattr(structure, "_induced", induced)
+        images = list(images)
+        first = list(coordinates(images[0]))
+        first[lane] ^= 1
+        return induced(f, lambda im: first if im is images[0] else coordinates(im), dim, images)
+
+    monkeypatch.setattr(structure, "_induced", shifted)

@@ -13,7 +13,9 @@ from commcoh.cli import main, parse_algebra, render_text
 from commcoh.field import make_field
 from commcoh.algebra import AlgebraPresentation
 from commcoh.cochain import CochainSpace
+from commcoh.cohomology import CohomologyResult
 from commcoh.linalg import Matrix
+from oracles import shift_first_map1_coordinate
 
 GF2 = make_field(1)
 
@@ -220,11 +222,38 @@ RECORDED = {
 
 
 @pytest.mark.parametrize("recorded", list(RECORDED))
-def test_compare_prints_the_recorded_bytes(capsys, recorded):
+def test_compare_prints_the_recorded_bytes(capsys, monkeypatch, recorded):
+    # every verdict of compare and sequence is a rank, and exactness a rank and
+    # a zero composition, so the bytes hold with subspace equality gone
+    def no_equality(self, other):
+        raise AssertionError("a verdict compared two subspaces")
+
+    monkeypatch.setattr(linalg.Subspace, "__eq__", no_equality)
     want = (Path(__file__).parent / f"{recorded}.json").read_text()
-    code, out, _ = run(capsys, *RECORDED[recorded], "--format", "json")
-    assert code == 0
+    code, out, err = run(capsys, *RECORDED[recorded], "--format", "json")
+    assert code == 0, err
     assert out == want
+
+
+def test_a_sequence_that_is_not_exact_exits_2(capsys, monkeypatch):
+    # no defect, but map2 after map1 is nonzero (see
+    # test_exactness_needs_a_zero_composition_besides_the_ranks)
+    shift_first_map1_coordinate(monkeypatch, 3)
+    code, out, _ = run(capsys, "sequence", "--algebra", "heisenberg:1", "--format", "json")
+    payload = json.loads(out)
+    assert code == 2
+    assert payload["defects"] == [] and payload["exact_at_H1_dual"] is False
+    assert payload["ok"] is False
+
+
+def test_a_comparison_with_unrecognized_classes_exits_2(capsys, monkeypatch):
+    # every image misses, so every rank reads 0 (see
+    # test_unrecognized_images_are_defects_with_zero_columns)
+    monkeypatch.setattr(CohomologyResult, "class_coordinates", lambda self, vec: None)
+    argv = ("compare", "--algebra", "heisenberg:1", "--max-degree", "2", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["degrees"][2]["comm_to_leibniz"]["rank"] == 0
 
 
 def test_basechange(capsys):

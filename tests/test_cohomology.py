@@ -48,6 +48,7 @@ from oracles import (
     naive_derivation_space,
     naive_invariants_subspace,
     naive_zassenhaus_relation_space,
+    shift_first_map1_coordinate,
     zassenhaus_printed_basis_report,
     zassenhaus_printed_cocycles,
 )
@@ -249,6 +250,60 @@ def test_poincare_duality_with_the_trace_twist(case):
 
     assert dims(module) == want
     assert dims(dual_twisted_by_trace(module)) == want[::-1]
+
+
+# ------------------------------------------------------------------
+# Kunneth, a basis-free oracle for direct sums
+# ------------------------------------------------------------------
+
+
+def direct_sum(a, b):
+    """L1 + L2 with [L1, L2] = 0: b's basis follows a's, each index shifted by a.dim."""
+    d = a.dim
+    brackets = dict(a.brackets)
+    for (i, j), value in b.brackets.items():
+        brackets[(i + d, j + d)] = {s + d: bits for s, bits in value.items()}
+    names = [f"{n}'" for n in a.basis_names] + [f"{n}''" for n in b.basis_names]
+    return AlgebraPresentation(a.field, d + b.dim, names, brackets)
+
+
+def trivial_dims(a, flavor, top=3):
+    return [cohomology(a, trivial_module(a), n, flavor).dim_H for n in range(top + 1)]
+
+
+def kunneth_product(x, y):
+    return [sum(x[i] * y[n - i] for i in range(n + 1)) for n in range(len(x))]
+
+
+KUNNETH_CASES = {
+    # dim H^n of L1 + L2 with trivial coefficients, n = 0 .. 3
+    "heisenberg1+dim2": (heisenberg(1), dim2(), {"symmetric": [1, 3, 8, 16],
+                                                  "alternating": [1, 3, 4, 3]}),
+    "dim2+dim2": (dim2(), dim2(), {"symmetric": [1, 2, 5, 8], "alternating": [1, 2, 1, 0]}),
+    "zassenhaus_e2+dim2": (zassenhaus_e(2), dim2(), {"symmetric": [1, 1, 4, 4],
+                                                      "alternating": [1, 1, 0, 1]}),
+    # [x, x] = y is no Lie algebra, so only the symmetric complex applies
+    "square+dim2": (AlgebraPresentation(GF2, 2, ["x", "y"], {(0, 0): {1: 1}}), dim2(),
+                    {"symmetric": [1, 2, 3, 4]}),
+}
+
+
+@pytest.mark.parametrize("case", KUNNETH_CASES)
+def test_kunneth_for_direct_sums(case):
+    # dim H^n(L1 + L2) = sum_i dim H^i(L1) dim H^{n-i}(L2) with trivial
+    # coefficients in the symmetric and alternating flavors (Fuks, 1986, as above)
+    a, b, want = KUNNETH_CASES[case]
+    total = direct_sum(a, b)
+    for flavor, dims in want.items():
+        assert trivial_dims(total, flavor) == dims, flavor
+        assert kunneth_product(trivial_dims(a, flavor), trivial_dims(b, flavor)) == dims, flavor
+
+
+def test_the_tensor_flavor_breaks_kunneth():
+    # the tensor complex of a direct sum has more classes than the product predicts
+    a, b = heisenberg(1), dim2()
+    assert trivial_dims(direct_sum(a, b), "tensor") == [1, 3, 11, 39]
+    assert kunneth_product(trivial_dims(a, "tensor"), trivial_dims(b, "tensor")) == [1, 3, 9, 24]
 
 
 def test_cocycles_are_cocycles_and_coboundaries_vanish():
@@ -584,6 +639,18 @@ def test_exact_sequence_frozen_numbers():
     rep = exact_sequence_check(square_example())
     assert (rep.dim_h2, rep.dim_h1_dual, rep.dim_balt, rep.dim_h3) == (2, 4, 2, 2)
     assert (rep.map1_rank, rep.map2_rank, rep.map3_rank) == (2, 2, 0)
+
+
+def test_exactness_needs_a_zero_composition_besides_the_ranks(monkeypatch):
+    # on heisenberg:1 map1's images are classes 0, 1, 2 and 4 of H1(L, L*), and map2
+    # is nonzero on class 3 alone; adding class 3 to map1's first image keeps every
+    # rank, so r1 + r2 = dim H1(L, L*) still, but map2 after map1 is no longer zero
+    shift_first_map1_coordinate(monkeypatch, 3)
+    rep = exact_sequence_check(heisenberg(1))
+    assert (rep.map1_rank, rep.map2_rank, rep.map3_rank) == (4, 1, 0)
+    assert rep.map1_rank + rep.map2_rank == rep.dim_h1_dual
+    assert rep.defects == [] and rep.map1_injective and rep.exact_at_balt
+    assert not rep.exact_at_h1 and not rep.ok
 
 
 def sequence_images_by_entry(a):
