@@ -7,14 +7,14 @@ coefficient vector, and [e_j, e_i] is the same element.  Diagonal entries
 zero is an ordinary Lie algebra (in characteristic 2 the Jacobi identity
 is required either way, and `jacobi_violations` lists where it fails).
 
-A module is a list of action matrices rho(e_i) subject to the
+A module is its action matrices rho(e_i), held as packed rows, subject to the
 characteristic-2 axiom rho([x,y]) = rho(x)rho(y) + rho(y)rho(x), which in
 particular forces every square [x,x] to act trivially.
 
 Internally vectors are rows lane-packed as in linalg, and `packed_bracket`
 is the one bracket arithmetic, on which the square ideal is computed.  Dense
 vectors appear only at the API, in `bracket` (which packs, brackets and
-unpacks) and `act`.
+unpacks), `act` and the `actions` view.
 """
 
 from __future__ import annotations
@@ -360,12 +360,15 @@ def import_algebra(source) -> AlgebraPresentation:
 
 
 class ModulePresentation:
-    """A module over an AlgebraPresentation, given by one action matrix per basis element.
+    """A module over an AlgebraPresentation, given by rho(e_t) for each basis element.
 
-    `actions` is a tuple of row tuples, read-only like the algebra's brackets.
+    `rho[t]` is the tuple of the m rows of rho(e_t), each lane-packed over nu as in
+    linalg and checked by `_pack_row`, and `acting` lists, ascending, the t with
+    rho(e_t) != 0.  Both are read-only like the algebra's brackets; `actions`
+    unpacks the matrices on every read.
     """
 
-    __slots__ = ("algebra", "dim", "actions", "_packed", "_key")
+    __slots__ = ("algebra", "dim", "rho", "acting", "_key")
 
     def __init__(self, algebra: AlgebraPresentation, dim: int, actions: Sequence[Sequence[Sequence[int]]]):
         if len(actions) != algebra.dim:
@@ -374,43 +377,35 @@ class ModulePresentation:
             )
         if not _is_int(dim):
             raise PresentationError(f"module dimension must be an int, got {dim!r}")
-        mats = tuple(tuple(tuple(r) for r in a) for a in actions)
-        for rows in mats:
+        rho = []
+        for mat in actions:
+            rows = [tuple(r) for r in mat]
             if len(rows) != dim or any(len(r) != dim for r in rows):
                 raise PresentationError("action matrix is not dim x dim")
-            for r in rows:
-                algebra.field.check_vector(r, dim)
+            rho.append(tuple(_pack_row(r, algebra.field, dim) for r in rows))
         self.algebra = algebra
         self.dim = dim
-        self.actions = mats
-        self._packed = None
+        self.rho = tuple(rho)
+        self.acting = tuple(t for t, rows in enumerate(rho) if any(rows))
         self._key = None
 
-    def packed_action(self) -> tuple[list[int], list[list[tuple[int, int]]]]:
-        """(acting, rows): the indices t with rho(e_t) != 0, ascending, and for each
-        t the pairs (mu, row mu of rho(e_t)) of its nonzero rows, lane-packed over nu
-        as in linalg."""
-        if self._packed is None:
-            f, m = self.algebra.field, self.dim
-            rows = [
-                [(mu, _pack_row(row, f, m)) for mu, row in enumerate(mat) if any(row)]
-                for mat in self.actions
-            ]
-            self._packed = [t for t, r in enumerate(rows) if r], rows
-        return self._packed
+    @property
+    def actions(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The action matrices as tuples of dense rows, unpacked from `rho`."""
+        f, m = self.algebra.field, self.dim
+        return tuple(tuple(tuple(_unpack_row(r, m, f)) for r in rows) for rows in self.rho)
 
     def act(self, x: Vec, vec: Vec) -> list[int]:
-        """rho(x) v for checked coefficient vectors; a dense loop, apart from the packed engine."""
+        """rho(x) v for checked coefficient vectors, read off the nonzero lanes of `rho`."""
         f = self.algebra.field
         f.check_vector(x, self.algebra.dim)
         f.check_vector(vec, self.dim)
         out = [0] * self.dim
         for t, c in enumerate(x):
             if c:
-                for mu, row in enumerate(self.actions[t]):
-                    for nu, bits in enumerate(row):
-                        if bits and vec[nu]:
-                            out[mu] = f.add(out[mu], f.mul(c, f.mul(bits, vec[nu])))
+                for mu, row in enumerate(self.rho[t]):
+                    for nu, bits in nonzeros(row, f.degree):
+                        out[mu] ^= f.mul(c, f.mul(bits, vec[nu]))
         return out
 
     def axiom_violations(self) -> list[tuple[int, int, tuple]]:
@@ -418,7 +413,7 @@ class ModulePresentation:
         with its defects (mu, nu, lhs entry, rhs entry), the nonzero entries of lhs + rhs."""
         f = self.algebra.field
         m = self.dim
-        mats = [Matrix.from_rows(f, rows, m) for rows in self.actions]
+        mats = [Matrix.from_packed(f, rows, m) for rows in self.rho]
         violations = []
         for i in range(self.algebra.dim):
             for j in range(i, self.algebra.dim):
@@ -456,7 +451,7 @@ class ModulePresentation:
             self._key = (
                 self.algebra._content_key(),
                 self.dim,
-                self.actions,
+                self.rho,
             )
         return self._key
 

@@ -17,7 +17,9 @@ the output early (``| head``) gets the command's own code and no traceback.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -394,6 +396,7 @@ READS = {
     "basechange": "module flavor max-degree",
     "scan": "module max-degree",
 }
+_EXIT_HOOK: list = []  # gc.freeze, once main has registered it
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,6 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code. The first call registers `gc.freeze` at exit
+    for the whole process, so the shutdown collection walks none of its heap: objects held
+    only in reference cycles, the caller's included, are then not finalized at exit."""
+    if not _EXIT_HOOK:
+        _EXIT_HOOK.append(atexit.register(gc.freeze))
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

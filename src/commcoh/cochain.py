@@ -54,8 +54,8 @@ direct multilinear evaluation of the defining formula.
 A cochain is read on ordered basis arguments by one rule per flavor: a
 symmetric cochain reads the sorted tuple, an alternating one reads it too
 and is zero on a repeat, and a tensor cochain reads the arguments in order.
-`CochainSpace.read` is that rule's one home; `Cochain.value`, `evaluate`,
-`contract`, `lie_derivative` and `inclusion_matrix` all read through it.
+`CochainSpace.read` is that rule's one home; `Cochain.value`, `cup`, `evaluate`,
+`contract`, `lie_derivative`, `inclusion_matrix` and `include_cochain` read it.
 
 A cochain is one packed row in linalg's lane layout, built only by
 `Cochain(space, bits)`: dense coefficients enter through `CochainSpace.cochain`,
@@ -352,7 +352,7 @@ def _source_terms(algebra, module, dst, source):
     keeps x_1 = source[0] in front, behind which it is a first-argument term of
     a shorter tail (see `_source_image_cached` and `_tensor_rows`).
     """
-    acting = module.packed_action()[0]
+    acting = module.acting
     n = len(source)
     bracket: dict[int, int] = {}
     if dst.flavor == "tensor":
@@ -413,7 +413,6 @@ def _source_image_cached(algebra, module, flavor, source, nu):
     dst = _space_cached(algebra, module, len(source) + 1, flavor)
     shift, lane = algebra.field.degree * nu, algebra.field.order - 1
     d, n, m = algebra.dim, len(source), module.dim
-    rho = module.packed_action()[1]
     out: dict[int, int] = {}
     # a tensor term that keeps source[:i] in front is a first-argument term of
     # source[i:] behind that prefix, whose rank scales by d^(n + 1 - i)
@@ -427,7 +426,7 @@ def _source_image_cached(algebra, module, flavor, source, nu):
             key = (offset + r) * m + nu
             out[key] = out.get(key, 0) ^ c
         for r, t in action:
-            for mu, packed in rho[t]:
+            for mu, packed in enumerate(module.rho[t]):
                 key = (offset + r) * m + mu
                 out[key] = out.get(key, 0) ^ ((packed >> shift) & lane)
     return tuple((flat, val) for flat, val in out.items() if val)
@@ -469,7 +468,7 @@ def _add_terms(algebra, module, dst, sources, rows):
     """XOR the `_source_terms` of each source, the i-th at column i * m, into packed rows."""
     k = algebra.field.degree
     m = module.dim
-    rho = module.packed_action()[1]
+    rho = [[(mu, p) for mu, p in enumerate(rows) if p] for rows in module.rho]  # nonzero rows
     for ti, source in enumerate(sources):
         base = k * m * ti  # lane of (source, nu = 0)
         bracket, action = _source_terms(algebra, module, dst, source)

@@ -31,7 +31,7 @@ def _check_trivial_scalar(phi: Cochain) -> None:
     space = phi.space
     if space.flavor != "symmetric":
         raise ValueError("cup products are defined on symmetric cochains")
-    if space.module.dim != 1 or space.module.packed_action()[0]:
+    if space.module.dim != 1 or space.module.acting:
         raise ValueError("cup products need trivial one-dimensional coefficients")
 
 

@@ -23,7 +23,7 @@ from commcoh.algebra import (
     zassenhaus_f,
 )
 from commcoh.cohomology import cohomology
-from commcoh.linalg import Matrix
+from commcoh.linalg import Matrix, _pack_row, entry_cap_override
 from oracles import naive_derivation_space
 
 GF2 = make_field(1)
@@ -395,6 +395,61 @@ def test_module_json_roundtrip():
     m = adjoint_module(a)
     data = m.to_json()
     assert import_module(a, data) == m
+
+
+def module_inputs(fld, tmp_path):
+    """(name, algebra, the action rows a module is built from, the module) for the
+    trivial, adjoint and dual modules and a module file over `fld`."""
+    a = heisenberg(1, fld) if fld.degree == 1 else zassenhaus_f(fld.degree)
+    d = a.dim
+    ad = [a.ad_matrix(i) for i in range(d)]
+    dual = [[[ad[i][nu][mu] for nu in range(d)] for mu in range(d)] for i in range(d)]
+    # any one matrix is a module of the one-dimensional abelian algebra
+    line = abelian(1, fld)
+    rows = [[[fld.order - 1, 1], [0, fld.order - 1]]]
+    path = tmp_path / f"module{fld.degree}.json"
+    path.write_text(json.dumps(ModulePresentation(line, 2, rows).to_json()))
+    return [
+        ("trivial", a, [[[0]] for _ in range(d)], trivial_module(a)),
+        ("adjoint", a, ad, adjoint_module(a)),
+        ("dual", a, dual, dual_module(a)),
+        ("file", line, rows, import_module(line, str(path))),
+    ]
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_the_actions_view_returns_the_input_rows(degree, tmp_path):
+    fld = make_field(degree)
+    for name, a, rows, m in module_inputs(fld, tmp_path):
+        want = tuple(tuple(tuple(r) for r in mat) for mat in rows)
+        assert m.actions == want, name
+        assert m.rho == tuple(tuple(_pack_row(r, fld, m.dim) for r in mat) for mat in rows)
+        assert m.acting == tuple(t for t, mat in enumerate(rows) if any(map(any, mat)))
+    if degree == 2:  # an entry other than 0 and 1 survives the packing
+        assert module_inputs(fld, tmp_path)[-1][3].actions == (((3, 1), (0, 3)),)
+
+
+def test_a_module_built_from_lists_equals_one_built_from_tuples():
+    a = heisenberg(1)
+    lists = [a.ad_matrix(i) for i in range(a.dim)]
+    tuples = tuple(tuple(tuple(r) for r in mat) for mat in lists)
+    from_lists = ModulePresentation(a, a.dim, lists)
+    from_tuples = ModulePresentation(a, a.dim, tuples)
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    assert from_lists == adjoint_module(a) and from_lists != dual_module(a)
+    assert {from_lists: "first"}[from_tuples] == "first"
+
+
+def test_a_module_above_the_entry_cap_still_constructs():
+    # the store packs each row and goes through no matrix constructor, so no cap applies,
+    # and neither does one to the vectors of `act`
+    a = heisenberg(2)
+    with entry_cap_override(a.dim - 1):
+        m = adjoint_module(a)
+        assert m.actions == tuple(tuple(map(tuple, a.ad_matrix(i))) for i in range(a.dim))
+        assert m.acting == (1, 2, 3, 4)
+        assert m == adjoint_module(a)
+        assert m.act([0, 1, 0, 0, 0], [0, 0, 0, 1, 0]) == [1, 0, 0, 0, 0]
 
 
 def test_trivial_module_shape():

@@ -439,6 +439,46 @@ def test_closed_pipe_exits_quietly():
     assert (proc.wait(), err) == (0, b"")
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["cohomology", "--algebra", "heisenberg:1", "--max-degree", "2", "--reps", "--format", "json"], 0),
+        (["cohomology", "--algebra", "heisenberg:1", "--max-degree", "2", "--reps"], 0),
+        (["cupring", "--algebra", "heisenberg:1", "--max-degree", "2", "--out", "{tmp}/out.json"], 0),
+        (["cohomology", "--max-degree", "x"], 1),
+        (["cohomology", "--algebra", "{broken}"], 2),
+    ],
+    ids=["json", "text", "out", "usage-error", "validation-failure"],
+)
+def test_a_process_prints_and_exits_as_main_returns(capsys, tmp_path, argv, want):
+    # the exit hook that freezes the heap changes no byte of output and no exit code
+    argv = [a.format(tmp=tmp_path, broken=broken_file(tmp_path)) for a in argv]
+    code, out, err = run(capsys, *argv)
+    written = (tmp_path / "out.json").read_bytes() if "--out" in argv else None
+    (tmp_path / "out.json").unlink(missing_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "commcoh.cli", *argv], capture_output=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (want, out.encode(), err.encode())
+    assert code == want and (out or want) and (err or not want)
+    if written is not None:
+        assert (tmp_path / "out.json").read_bytes() == written
+
+
+def test_main_leaves_one_exit_hook_however_often_it_runs():
+    # main registers gc.freeze as it finds it, so a counting stand-in counts the hooks
+    # that run at exit; the printing hook, registered first, runs after them.  Two calls
+    # add one callback slot to the interpreter's atexit array, not one per call.
+    out = run_fresh(
+        "import atexit, contextlib, gc, io; calls = []; freeze = gc.freeze; "
+        "gc.freeze = lambda: calls.append(1) or freeze(); "
+        "atexit.register(lambda: print(len(calls))); from commcoh.cli import main; "
+        "slots = atexit._ncallbacks(); quiet = contextlib.redirect_stdout(io.StringIO()); "
+        "quiet.__enter__(); codes = [main(['cohomology', '--max-degree', '1']) for _ in range(2)]; "
+        "quiet.__exit__(None, None, None); print(codes, atexit._ncallbacks() - slots)"
+    )
+    assert out.split("\n") == ["[0, 0] 1", "1", ""]
+
+
 def test_missing_file_exits_1(capsys, tmp_path):
     code, _, err = run(capsys, "check", "--algebra", "does-not-exist.json")
     assert code == 1
