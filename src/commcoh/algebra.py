@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from types import MappingProxyType
 
 from .field import GF2, FieldError, FiniteField, _is_int, binom_mod2, scalar_from_hex, scalar_to_hex
-from .linalg import Matrix, Subspace, _pack_lanes, _pack_row, _unpack_row
+from .linalg import Matrix, Subspace, _pack_lanes, _pack_row, _unpack_row, check_entry_count
 from .linalg import nonzeros, scale_packed
 
 Vec = Sequence[int]
@@ -230,10 +230,13 @@ class AlgebraPresentation:
 
 
 # -- builders ---------------------------------------------------------------------
+# A builder of a sized family checks its d x d bracket table against the entry cap
+# before it builds any list.
 
 
 def abelian(dim: int, fld: FiniteField | None = None) -> AlgebraPresentation:
     """The abelian algebra of the given dimension (all brackets zero)."""
+    check_entry_count(dim, dim)
     f = fld if fld is not None else GF2
     return AlgebraPresentation(f, dim, [f"x{i}" for i in range(dim)], {})
 
@@ -248,6 +251,7 @@ def heisenberg(ell: int, fld: FiniteField | None = None) -> AlgebraPresentation:
     """The (2*ell+1)-dimensional Heisenberg algebra: [b_i, c_i] = a, a central."""
     if ell < 1:
         raise PresentationError(f"heisenberg needs ell >= 1, got {ell}")
+    check_entry_count(2 * ell + 1, 2 * ell + 1)
     f = fld if fld is not None else GF2
     names = ["a"] + [f"b{i}" for i in range(1, ell + 1)] + [f"c{i}" for i in range(1, ell + 1)]
     brackets = {(i, ell + i): {0: 1} for i in range(1, ell + 1)}
@@ -264,6 +268,7 @@ def zassenhaus_e(n: int, fld: FiniteField | None = None) -> AlgebraPresentation:
     """
     if n < 2:
         raise PresentationError(f"zassenhaus_e needs n >= 2, got {n}")
+    check_entry_count((1 << n) - 1, (1 << n) - 1)
     f = fld if fld is not None else GF2
     top = (1 << n) - 3
     indices = list(range(-1, top + 1))
@@ -287,6 +292,7 @@ def zassenhaus_f(n: int) -> AlgebraPresentation:
     """
     if n < 2:
         raise PresentationError(f"zassenhaus_f needs n >= 2, got {n}")
+    check_entry_count((1 << n) - 1, (1 << n) - 1)
     f = FiniteField(n)
     alphas = list(range(1, f.order))
     names = [f"f{a}" for a in alphas]

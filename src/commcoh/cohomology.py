@@ -153,16 +153,16 @@ class CohomologyResult:
         """Coordinates of a cocycle's class in the representative basis.
 
         None if phi is not a cocycle; ValueError if it lies in another space.
-        Coboundaries map to all zeros.  The [representatives | coboundaries]
-        matrix is built once per result from the packed rows, and `solve`
-        eliminates it once and reuses that for every query.
+        Coboundaries map to all zeros.  The matrix whose rows are the
+        representatives and then B's basis is built once per result from the
+        packed rows, and `solve` eliminates it once and reuses that for every query.
         """
         if phi.space != self.space:
             raise ValueError("the cochain is not in this result's cochain space")
         if self._solver is None:
             f, n = self.space.algebra.field, self.space.dim
-            cols = [rep.bits for rep in self.representatives] + self.coboundaries._packed_basis()
-            self._solver = Matrix.from_packed(f, cols, n).transpose()
+            rows = [rep.bits for rep in self.representatives] + self.coboundaries._packed_basis()
+            self._solver = Matrix.from_packed(f, rows, n)
         sol = solve(self._solver, phi.bits)
         if sol is None:
             return None
@@ -195,7 +195,7 @@ def coboundary_witness(phi: Cochain) -> Cochain | None:
     if space.degree == 0:
         return None if phi.bits else space.zero()
     mat = differential_matrix(space.algebra, space.module, space.degree - 1, space.flavor)
-    sol = solve(mat, phi.bits)
+    sol = solve(mat.transpose(), phi.bits)
     if sol is None:
         return None
     below = cochain_space(space.algebra, space.module, space.degree - 1, space.flavor)

@@ -31,8 +31,8 @@ has counted them (see `independent_rows`).
 The rest is built from one product (`Matrix.mul`; `mul_vec` is a
 one-column product), that elimination (`_echelon`, `_rref`) and one
 reduction against a stored RREF (`Subspace._residual`).  `solve` reduces the
-right-hand side against the RREF of A's columns, each column tagged with a
-unit vector, and reads the solution off the tags of the residual.  The
+right-hand side b against the RREF of A's rows, each row tagged with a unit
+vector, and reads x with x A = b off the tags of the residual.  The
 dense random rows of Freivalds' test (see cohomology) are multiplied by
 `dense_row_product`, which sums the rows of a matrix in C.
 
@@ -100,7 +100,7 @@ class Matrix:
         self.nrows = nrows
         self.ncols = ncols
         self._packed = packed  # one lane-packed int per row
-        self._solver = None    # solve()'s subspace of tagged columns, made on first use
+        self._solver = None    # solve()'s subspace of tagged rows, made on first use
         self._independent = None  # independent_rows()'s list, so that a matrix is eliminated once
 
     # -- constructors --------------------------------------------------------
@@ -532,30 +532,30 @@ def image_basis(a: Matrix) -> Subspace:
 
 
 def solve(a: Matrix, b: int) -> list[int] | None:
-    """One solution x of A x = b (free variables set to 0), or None.
+    """One solution x of x A = b (free rows set to 0), or None: b's coordinates in A's rows.
 
-    b is lane-packed over the nrows lanes; ValueError for a bit beyond them.
-    On the first call the columns of A are eliminated once, column j tagged
-    with e_j in lane ncols - 1 - j after the nrows lanes of the column, and
-    the subspace is kept on the matrix.  Each row of its RREF is A y | y
-    reversed for some y, so b's residual against it is b + A y | y reversed:
-    b is in the image iff the residual has no entry in the column lanes, and
-    then A y = b.  The tags are reversed so that a column depending on the
-    columns before it is the pivot of a kernel row, which leaves y zero there.
+    b is lane-packed over the ncols lanes; ValueError for a bit beyond them.
+    On the first call the rows of A are eliminated once, row i tagged with
+    e_i in lane nrows - 1 - i after the ncols lanes of the row, and the
+    subspace is kept on the matrix.  Each row of its RREF is y A | y reversed
+    for some y, so b's residual against it is b + y A | y reversed: b is in
+    the row space iff the residual has no entry in its first ncols lanes, and
+    then y A = b.  The tags are reversed so that a row depending on the rows
+    above it is the pivot of a kernel row, which leaves y zero there.
     """
     f = a.field
-    shift = f.degree * a.nrows
+    shift = f.degree * a.ncols
     if b >> shift:
-        raise ValueError(f"right-hand side has entries beyond its {a.nrows} rows")
+        raise ValueError(f"right-hand side has entries beyond its {a.ncols} columns")
     if a._solver is None:
         width = a.nrows + a.ncols
         top = f.degree * (width - 1)
-        tagged = (c | 1 << (top - f.degree * j) for j, c in enumerate(a.transpose()._packed))
+        tagged = (row | 1 << (top - f.degree * i) for i, row in enumerate(a._packed))
         a._solver = Subspace.from_packed(f, tagged, width)
     r = a._solver._residual(b)
     if r & ((1 << shift) - 1):
         return None
-    return _unpack_row(r >> shift, a.ncols, f)[::-1]
+    return _unpack_row(r >> shift, a.nrows, f)[::-1]
 
 
 def quotient_basis(z: Subspace, b_pivots: Iterable[int]) -> list[int]:

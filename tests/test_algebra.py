@@ -23,7 +23,7 @@ from commcoh.algebra import (
     zassenhaus_f,
 )
 from commcoh.cohomology import cohomology
-from commcoh.linalg import Matrix, _pack_row, entry_cap_override
+from commcoh.linalg import Matrix, SizeCapError, _pack_row, entry_cap_override
 from oracles import naive_derivation_space
 
 GF2 = make_field(1)
@@ -450,6 +450,28 @@ def test_a_module_above_the_entry_cap_still_constructs():
         assert m.acting == (1, 2, 3, 4)
         assert m == adjoint_module(a)
         assert m.act([0, 1, 0, 0, 0], [0, 0, 0, 1, 0]) == [1, 0, 0, 0, 0]
+
+
+def test_builders_check_the_entry_cap_before_they_build():
+    # a runaway size fails at once, before the d^2 pairs of its bracket table
+    for build in (
+        lambda: abelian(10**12),
+        lambda: heisenberg(10**12),
+        lambda: zassenhaus_e(40),
+        lambda: zassenhaus_f(40),
+    ):
+        with pytest.raises(SizeCapError, match="exceeds the cap 1000000"):
+            build()
+    # every builder below has dimension 7, so a 7 x 7 table is refused under a cap of 48
+    builders = (
+        lambda: abelian(7), lambda: heisenberg(3), lambda: zassenhaus_e(3), lambda: zassenhaus_f(3)
+    )
+    with entry_cap_override(48):
+        for build in builders:
+            with pytest.raises(SizeCapError, match="7 x 7 = 49 entries exceeds the cap 48"):
+                build()
+    with entry_cap_override(49):
+        assert [build().dim for build in builders] == [7] * 4
 
 
 def test_trivial_module_shape():

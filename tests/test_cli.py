@@ -414,6 +414,23 @@ def test_degree_cap_fails_before_any_work(capsys, monkeypatch):
         assert (code, out, err) == (1, "", want), argv
 
 
+def test_a_builder_past_the_entry_cap_exits_1_before_it_builds(capsys):
+    # the d x d bracket table is checked first, so a runaway size neither loops over
+    # its d^2 pairs nor runs out of memory, and --cap lets a large algebra through
+    for argv, d in (
+        (["check", "--algebra", "zassenhaus-e:16"], 65535),
+        (["cohomology", "--algebra", "abelian:30000000", "--max-degree", "0"], 30000000),
+        (["cohomology", "--algebra", "zassenhaus-f:10", "--max-degree", "0"], 1023),
+    ):
+        code, out, err = run(capsys, *argv)
+        want = f"error: {d} x {d} = {d * d} entries exceeds the cap 1000000\n"
+        assert (code, out, err) == (1, "", want), argv
+    code, out, _ = run(
+        capsys, "cohomology", "--algebra", "abelian:1001", "--max-degree", "0", "--cap", "1002001"
+    )
+    assert code == 0 and "dimH=1" in out
+
+
 def test_bad_cap_and_unwritable_out_exit_1(capsys, tmp_path):
     code, _, err = run(capsys, "cohomology", "--algebra", "dim2", "--cap", "0")
     assert (code, err) == (1, "error: entry cap must be positive, got 0\n")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -251,6 +252,22 @@ def test_ring_table_eliminates_once_per_degree_over_gf4(monkeypatch):
     assert table.dims() == [1, 2, 4, 6, 9]
     assert table.defects == []
     assert 0 < len(calls) <= 20
+
+
+def test_ring_table_transposes_only_for_images(monkeypatch):
+    # solve tags the rows it is given, and class_coordinates hands it the rows of
+    # [representatives; B], so the one transpose left is the column space of d_{n-1}
+    callers = []
+    transpose = linalg.Matrix.transpose
+
+    def recorded(self):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return transpose(self)
+
+    monkeypatch.setattr(linalg.Matrix, "transpose", recorded)
+    table = ring_table(heisenberg(1, make_field(2)), 4)
+    assert table.dims() == [1, 2, 4, 6, 9]
+    assert callers and set(callers) == {"image_basis"}
 
 
 def test_ring_table_to_json_shape():

@@ -150,11 +150,11 @@ def test_engine_matches_naive_rref_over_every_field(system):
         assert all(dot(f, row, v) == 0 for row in rows)
     b = [dot(f, row, x) for row in rows]
     assert a.mul_vec(x) == b
-    sol = solve(a, _pack_row(b, f, a.nrows))
+    sol = solve(a.transpose(), _pack_row(b, f, a.nrows))
     assert sol is not None
     assert [dot(f, row, sol) for row in rows] == b
     assert sol == naive_solve(a, b)
-    assert solve(a, _pack_row(rhs, f, a.nrows)) == naive_solve(a, rhs)
+    assert solve(a.transpose(), _pack_row(rhs, f, a.nrows)) == naive_solve(a, rhs)
 
 
 def naive_rref_packed(rows, ncols):
@@ -245,7 +245,9 @@ def test_packed_vs_generic_rank_and_kernel():
         assert b2.reduce(v) == b4.reduce(v)
         assert k2.reduce(v) == k4.reduce(v)
         rhs = [rng.randrange(2) for _ in range(nrows)]
-        assert solve(a2, _pack_row(rhs, GF2, nrows)) == solve(a4, _pack_row(rhs, GF4, nrows))
+        assert solve(a2.transpose(), _pack_row(rhs, GF2, nrows)) == solve(
+            a4.transpose(), _pack_row(rhs, GF4, nrows)
+        )
 
 
 def test_packed_vs_generic_product():
@@ -406,7 +408,7 @@ def test_image_members_are_solvable():
             img = image_basis(a)
             assert img.dim == rank(a)
             for v in img.basis:
-                assert solve(a, _pack_row(v, f, a.nrows)) is not None
+                assert solve(a.transpose(), _pack_row(v, f, a.nrows)) is not None
 
 
 def test_solve_roundtrip_and_inconsistency():
@@ -417,7 +419,7 @@ def test_solve_roundtrip_and_inconsistency():
             a = random_matrix(rng, f, nrows, ncols)
             x = [rng.randrange(f.order) for _ in range(ncols)]
             b = a.mul_vec(x)
-            sol = solve(a, _pack_row(b, f, nrows))
+            sol = solve(a.transpose(), _pack_row(b, f, nrows))
             assert sol is not None
             assert a.mul_vec(sol) == b
             img = image_basis(a)
@@ -427,7 +429,7 @@ def test_solve_roundtrip_and_inconsistency():
                     probe = list(b)
                     probe[j] = f.add(probe[j], 1)
                     if not img.contains(probe):
-                        assert solve(a, _pack_row(probe, f, nrows)) is None
+                        assert solve(a.transpose(), _pack_row(probe, f, nrows)) is None
                         break
 
 
@@ -559,13 +561,15 @@ def test_a_dense_vector_of_the_wrong_length_is_rejected_where_it_enters():
         assert s.coordinates([1, 0, 0]) == [1] and s.reduce([1, 1, 0]) == (0, 1, 0)
 
 
-def test_solve_rejects_a_right_hand_side_wider_than_its_rows():
+def test_solve_rejects_a_right_hand_side_wider_than_its_columns():
+    # a 2 x 3 A, so that its rows and its columns differ in number
     for f in (GF2, GF4):
-        a = Matrix.identity(f, 2)
-        assert solve(a, _pack_row([1, 1], f, 2)) == [1, 1]
-        with pytest.raises(ValueError, match="beyond its 2 rows"):
-            solve(a, _pack_row([0, 0, 1], f, 3))
-        with pytest.raises(ValueError, match="beyond its 2 rows"):
+        a = Matrix.from_rows(f, [[1, 0, 0], [0, 1, 1]])
+        assert solve(a, _pack_row([1, 1, 1], f, 3)) == [1, 1]
+        assert solve(a, _pack_row([0, 1, 0], f, 3)) is None
+        with pytest.raises(ValueError, match="beyond its 3 columns"):
+            solve(a, _pack_row([0, 0, 0, 1], f, 4))
+        with pytest.raises(ValueError, match="beyond its 3 columns"):
             solve(a, -1)
 
 
@@ -599,7 +603,7 @@ def test_solve_always_verifies(seed, nrows, ncols):
     rng = random.Random(seed)
     a = random_matrix(rng, GF2, nrows, ncols)
     b = [rng.randrange(2) for _ in range(nrows)]
-    sol = solve(a, _pack_row(b, GF2, nrows))
+    sol = solve(a.transpose(), _pack_row(b, GF2, nrows))
     if sol is None:
         assert not image_basis(a).contains(b)
     else:

@@ -421,12 +421,12 @@ def schur_complement(cx, matching, n, unmatched):
     if not tails:
         return direct
     square = block(heads, tails)
-    inverse_cols = []
+    inverse_rows = []
     for r in range(len(tails)):
         x = solve(square, _pack_row([int(r == c) for c in range(len(tails))], f, len(tails)))
         assert x is not None
-        inverse_cols.append(x)
-    inverse = Matrix.from_rows(f, inverse_cols, len(tails)).transpose()
+        inverse_rows.append(x)
+    inverse = Matrix.from_rows(f, inverse_rows, len(tails))
     return direct.add(block(up, tails).mul(inverse).mul(block(heads, low)))
 
 
