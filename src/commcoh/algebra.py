@@ -4,8 +4,11 @@ An algebra is given by structure constants for a *symmetric* bracket:
 for basis indices i <= j the table stores [e_i, e_j] as a sparse
 coefficient vector, and [e_j, e_i] is the same element.  Diagonal entries
 [e_i, e_i] are allowed and need not vanish; an algebra with all of them
-zero is an ordinary Lie algebra (in characteristic 2 the Jacobi identity
-is required either way, and `jacobi_violations` lists where it fails).
+zero is an ordinary Lie algebra.  In characteristic 2 the Jacobi identity
+is required either way, and `jacobi_violations` lists where it fails: the
+jacobiator of i <= j <= k sums [[e_a, e_b], e_c] over the stored brackets
+for the 3 ways to take c out of {i, j, k}, where a term with a != b and c
+in {a, b} comes twice and cancels.
 
 A module is its action matrices rho(e_i), held as packed rows, subject to the
 characteristic-2 axiom rho([x,y]) = rho(x)rho(y) + rho(y)rho(x), which in
@@ -22,11 +25,12 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Sequence
+from operator import xor
 from types import MappingProxyType
 
 from .field import GF2, FieldError, FiniteField, _is_int, binom_mod2, scalar_from_hex, scalar_to_hex
-from .linalg import Matrix, Subspace, _pack_lanes, _pack_row, _unpack_row, check_entry_count
-from .linalg import nonzeros, scale_packed
+from .linalg import Matrix, SizeCapError, Subspace, _entry_cap, _pack_lanes, _pack_row, _unpack_row
+from .linalg import check_entry_count, nonzeros, scale_packed
 
 Vec = Sequence[int]
 
@@ -148,24 +152,28 @@ class AlgebraPresentation:
     # -- axioms -----------------------------------------------------------------
 
     def jacobi_violations(self) -> list[tuple[int, int, int, tuple[int, ...]]]:
-        """Basis triples (i <= j <= k) where [[x,y],z] + [[z,x],y] + [[y,z],x] != 0.
-
-        Computed once per presentation, whose brackets are read-only; a new list per call."""
+        """Basis triples (i <= j <= k), ascending, whose jacobiator [[x,y],z] + [[z,x],y] +
+        [[y,z],x] is nonzero, each with it as a d-tuple.  The jacobiator sums [[e_a, e_b], e_c]
+        over the 3 ways to take c out of the multiset {i, j, k}: each stored [e_s, e_c], in
+        both orders, meets each (a, b, x) of `bracket_into(s)`, and a term with a != b and c
+        in {a, b} occurs twice and cancels, so it is skipped.  Computed once per presentation,
+        whose brackets are read-only, packed per sorted triple; a new list per call."""
         if self._jacobi is None:
-            f = self.field
-            d = self.dim
-            violations = []
-            for i in range(d):
-                for j in range(i, d):
-                    for k in range(j, d):
-                        acc = [0] * d
-                        for a, b, c in ((i, j, k), (k, i, j), (j, k, i)):
-                            for s, bits in self.bracket_basis(a, b).items():
-                                for t, bits2 in self.bracket_basis(s, c).items():
-                                    acc[t] = f.add(acc[t], f.mul(bits, bits2))
-                        if any(acc):
-                            violations.append((i, j, k, tuple(acc)))
-            self._jacobi = tuple(violations)
+            f, k = self.field, self.field.degree
+            acc: dict[tuple[int, int, int], int] = {}
+            for (p, q), value in self.brackets.items():
+                row = sum(bits << (k * t) for t, bits in value.items())
+                scaled = {1: row}  # x [e_s, e_c], made once per coefficient x
+                for s, c in ((p, q), (q, p)) if p != q else ((p, q),):
+                    for a, b, x in self.bracket_into(s):
+                        if a != b and (c == a or c == b):
+                            continue
+                        key = (c, a, b) if c <= a else (a, c, b) if c <= b else (a, b, c)
+                        term = scaled.get(x) or scaled.setdefault(x, scale_packed(row, x, f))
+                        acc[key] = acc.get(key, 0) ^ term
+            self._jacobi = tuple(
+                (*key, tuple(_unpack_row(acc[key], self.dim, f))) for key in sorted(acc) if acc[key]
+            )
         return list(self._jacobi)
 
     def is_lie(self) -> bool:
@@ -258,6 +266,16 @@ def heisenberg(ell: int, fld: FiniteField | None = None) -> AlgebraPresentation:
     return AlgebraPresentation(f, 2 * ell + 1, names, brackets)
 
 
+def _check_zassenhaus_n(name: str, n: int) -> None:
+    """Refuse n < 2, and an n whose (2^n - 1)^2 table passes the entry cap, as every n past
+    the cap's bit length does: that n is refused before 2^n is computed."""
+    if n < 2:
+        raise PresentationError(f"{name} needs n >= 2, got {n}")
+    if n > _entry_cap.get().bit_length():
+        raise SizeCapError(f"(2^{n} - 1) x (2^{n} - 1) entries exceeds the cap {_entry_cap.get()}")
+    check_entry_count((1 << n) - 1, (1 << n) - 1)
+
+
 def zassenhaus_e(n: int, fld: FiniteField | None = None) -> AlgebraPresentation:
     """The commutant of the Zassenhaus algebra W_1(n) over GF(2), in the e-basis.
 
@@ -266,9 +284,7 @@ def zassenhaus_e(n: int, fld: FiniteField | None = None) -> AlgebraPresentation:
     range, and 0 otherwise.  Out-of-range products carry an even binomial
     coefficient, so the truncation is exact.
     """
-    if n < 2:
-        raise PresentationError(f"zassenhaus_e needs n >= 2, got {n}")
-    check_entry_count((1 << n) - 1, (1 << n) - 1)
+    _check_zassenhaus_n("zassenhaus_e", n)
     f = fld if fld is not None else GF2
     top = (1 << n) - 3
     indices = list(range(-1, top + 1))
@@ -290,9 +306,7 @@ def zassenhaus_f(n: int) -> AlgebraPresentation:
     increasing bitmask of alpha.  Structure constants are not in the prime
     field, so this presentation is not eligible for base change.
     """
-    if n < 2:
-        raise PresentationError(f"zassenhaus_f needs n >= 2, got {n}")
-    check_entry_count((1 << n) - 1, (1 << n) - 1)
+    _check_zassenhaus_n("zassenhaus_f", n)
     f = FiniteField(n)
     alphas = list(range(1, f.order))
     names = [f"f{a}" for a in alphas]
@@ -416,23 +430,23 @@ class ModulePresentation:
 
     def axiom_violations(self) -> list[tuple[int, int, tuple]]:
         """Pairs (i <= j) where rho([e_i,e_j]) != rho(e_i)rho(e_j) + rho(e_j)rho(e_i), each
-        with its defects (mu, nu, lhs entry, rhs entry), the nonzero entries of lhs + rhs."""
+        with its defects (mu, nu, lhs entry, rhs entry), the nonzero entries of lhs + rhs:
+        lhs sums `scale_packed` rows of `rho`, rhs XORs the rows of two `Matrix.mul`s."""
         f = self.algebra.field
-        m = self.dim
+        k, mask, m = f.degree, f.order - 1, self.dim
         mats = [Matrix.from_packed(f, rows, m) for rows in self.rho]
         violations = []
         for i in range(self.algebra.dim):
             for j in range(i, self.algebra.dim):
-                lhs = Matrix.zeros(f, m, m)
+                lhs = [0] * m
                 for s, bits in self.algebra.bracket_basis(i, j).items():
-                    scaled = [scale_packed(r, bits, f) for r in mats[s].packed_rows()]
-                    lhs = lhs.add(Matrix.from_packed(f, scaled, m))
-                rhs = mats[i].mul(mats[j]).add(mats[j].mul(mats[i]))
+                    lhs = [a ^ scale_packed(r, bits, f) for a, r in zip(lhs, self.rho[s])]
+                products = mats[i].mul(mats[j]).packed_rows(), mats[j].mul(mats[i]).packed_rows()
                 defect = tuple(
-                    (mu, nu, lhs.entry(mu, nu), rhs.entry(mu, nu))
-                    for mu, row in enumerate(lhs.add(rhs).packed_rows())
-                    if row
-                    for nu, _ in nonzeros(row, f.degree)
+                    (mu, nu, (left >> (k * nu)) & mask, (right >> (k * nu)) & mask)
+                    for mu, (left, right) in enumerate(zip(lhs, map(xor, *products)))
+                    if left != right
+                    for nu, _ in nonzeros(left ^ right, k)
                 )
                 if defect:
                     violations.append((i, j, defect))
@@ -494,12 +508,8 @@ def adjoint_module(algebra: AlgebraPresentation) -> ModulePresentation:
 
 def dual_module(algebra: AlgebraPresentation) -> ModulePresentation:
     """The dual of the adjoint module: (x . f)(y) = f([x, y]), matrices transposed."""
-    mats = []
-    d = algebra.dim
-    for i in range(d):
-        ad = algebra.ad_matrix(i)
-        mats.append([[ad[nu][mu] for nu in range(d)] for mu in range(d)])
-    return ModulePresentation(algebra, d, mats)
+    mats = [list(zip(*algebra.ad_matrix(i))) for i in range(algebra.dim)]
+    return ModulePresentation(algebra, algebra.dim, mats)
 
 
 def import_module(algebra: AlgebraPresentation, source) -> ModulePresentation:

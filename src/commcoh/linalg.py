@@ -106,11 +106,6 @@ class Matrix:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zeros(cls, field: FiniteField, nrows: int, ncols: int) -> "Matrix":
-        check_entry_count(nrows, ncols)
-        return cls(field, nrows, ncols, [0] * nrows)
-
-    @classmethod
     def from_rows(
         cls, field: FiniteField, rows: Sequence[Sequence[int]], ncols: int | None = None
     ) -> "Matrix":
@@ -165,13 +160,6 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over GF(2^{self.field.degree}))"
 
     # -- arithmetic -------------------------------------------------------------
-
-    def add(self, other: "Matrix") -> "Matrix":
-        if (self.field, self.nrows, self.ncols) != (other.field, other.nrows, other.ncols):
-            raise ValueError("field or shape mismatch in matrix sum")
-        return Matrix(
-            self.field, self.nrows, self.ncols, [a ^ b for a, b in zip(self._packed, other._packed)]
-        )
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:

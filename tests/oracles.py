@@ -67,6 +67,25 @@ def naive_square_ideal(a):
     return sub
 
 
+def naive_jacobi_violations(a):
+    """The jacobiator of every basis triple i <= j <= k, by the dense walk over all d^3 / 6
+    triples: the triples where it is nonzero, ascending, each with it as a d-tuple."""
+    f = a.field
+    d = a.dim
+    violations = []
+    for i in range(d):
+        for j in range(i, d):
+            for k in range(j, d):
+                acc = [0] * d
+                for x, y, z in ((i, j, k), (k, i, j), (j, k, i)):
+                    for s, bits in a.bracket_basis(x, y).items():
+                        for t, bits2 in a.bracket_basis(s, z).items():
+                            acc[t] = f.add(acc[t], f.mul(bits, bits2))
+                if any(acc):
+                    violations.append((i, j, k, tuple(acc)))
+    return violations
+
+
 def naive_axiom_violations(module):
     f = module.algebra.field
     d = module.algebra.dim
@@ -82,7 +101,8 @@ def naive_axiom_violations(module):
                     for nu in range(m):
                         if row[nu]:
                             lhs[mu][nu] = f.add(lhs[mu][nu], f.mul(bits, row[nu]))
-            rhs = mats[i].mul(mats[j]).add(mats[j].mul(mats[i])).rows()
+            left, right = mats[i].mul(mats[j]).rows(), mats[j].mul(mats[i]).rows()
+            rhs = [[f.add(a, b) for a, b in zip(*rows)] for rows in zip(left, right)]
             defect = [
                 (mu, nu, lhs[mu][nu], rhs[mu][nu])
                 for mu in range(m)

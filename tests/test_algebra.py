@@ -474,6 +474,23 @@ def test_builders_check_the_entry_cap_before_they_build():
         assert [build().dim for build in builders] == [7] * 4
 
 
+def test_zassenhaus_builders_bound_n_before_they_compute_2_to_the_n():
+    # 2^n for n = 10^11 would take about 12 GB, and every n past the cap's bit length
+    # has a (2^n - 1)^2 table past the cap, so it is refused without computing 2^n
+    n = 100_000_000_000
+    for build in (zassenhaus_e, zassenhaus_f):
+        with pytest.raises(SizeCapError) as err:
+            build(n)
+        assert str(err.value) == f"(2^{n} - 1) x (2^{n} - 1) entries exceeds the cap 1000000"
+        # n = 20, the bit length of the default cap, is checked by its d x d table
+        with pytest.raises(SizeCapError, match=r"^1048575 x 1048575 = \d+ entries exceeds"):
+            build(20)
+        with entry_cap_override(3 ** 2):
+            with pytest.raises(SizeCapError, match=r"^\(2\^5 - 1\)"):
+                build(5)
+            assert build(2).dim == 3
+
+
 def test_trivial_module_shape():
     m = trivial_module(zassenhaus_e(2))
     assert m.dim == 1

@@ -431,6 +431,15 @@ def test_a_builder_past_the_entry_cap_exits_1_before_it_builds(capsys):
     assert code == 0 and "dimH=1" in out
 
 
+def test_a_zassenhaus_n_past_the_cap_exits_1_before_it_computes_2_to_the_n(capsys):
+    # 2^n for this n would take about 12 GB; it is a cap refusal, not an internal error
+    n = 100_000_000_000
+    for name in ("zassenhaus-e", "zassenhaus-f"):
+        code, out, err = run(capsys, "check", "--algebra", f"{name}:{n}")
+        want = f"error: (2^{n} - 1) x (2^{n} - 1) entries exceeds the cap 1000000\n"
+        assert (code, out, err) == (1, "", want)
+
+
 def test_bad_cap_and_unwritable_out_exit_1(capsys, tmp_path):
     code, _, err = run(capsys, "cohomology", "--algebra", "dim2", "--cap", "0")
     assert (code, err) == (1, "error: entry cap must be positive, got 0\n")

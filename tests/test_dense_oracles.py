@@ -1,8 +1,9 @@
 """The packed algebra layer against the dense oracles in `oracles`.
 
 The library computes the bracket, the square ideal and the module axiom
-check on lane-packed rows with one packed bracket; each must agree with its
-dense `naive_*` twin, which accumulates field elements entry by entry.
+check on lane-packed rows with one packed bracket, and the Jacobi check over
+the stored brackets only; each must agree with its dense `naive_*` twin,
+which accumulates field elements entry by entry.
 """
 
 import random
@@ -31,6 +32,7 @@ from commcoh.structure import central_extension
 from oracles import (
     naive_axiom_violations,
     naive_bracket,
+    naive_jacobi_violations,
     naive_square_ideal,
     naive_zassenhaus_relation_space,
 )
@@ -113,6 +115,37 @@ def test_packed_structure_matches_dense_oracles(name, k, seed, extend):
     random_module = ModulePresentation(a, m, actions)
     for module in (trivial_module(a), adjoint_module(a), dual_module(a), random_module):
         assert module.axiom_violations() == naive_axiom_violations(module)
+
+
+def random_table(rng, f, d):
+    """A commutative table on d basis elements: each pair i <= j and each target drawn
+    with probability 1/2, each coefficient uniform, so most tables violate Jacobi."""
+    brackets = {
+        (i, j): {s: rng.randrange(f.order) for s in range(d) if rng.random() < 0.5}
+        for i in range(d)
+        for j in range(i, d)
+        if rng.random() < 0.5
+    }
+    return AlgebraPresentation(f, d, [f"x{i}" for i in range(d)], brackets)
+
+
+def test_jacobi_over_stored_brackets_matches_the_dense_walk():
+    # the triples, their order and the jacobiator tuples all agree
+    rng = random.Random(31)
+    violating = 0
+    for k in (1, 2, 3):
+        f = make_field(k)
+        for d in range(1, 5):
+            for _ in range(60):
+                a = random_table(rng, f, d)
+                want = naive_jacobi_violations(a)
+                assert a.jacobi_violations() == want, a.brackets
+                violating += bool(want)
+    assert violating > 720 // 2
+    builders = [dim2(), abelian(3)] + [heisenberg(n) for n in (1, 2, 3)]
+    builders += [zassenhaus_e(n) for n in range(2, 7)] + [zassenhaus_f(n) for n in (2, 3, 4)]
+    for a in builders:
+        assert a.jacobi_violations() == naive_jacobi_violations(a) == []
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

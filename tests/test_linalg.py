@@ -5,7 +5,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commcoh.algebra import dim2, trivial_module
+from commcoh.algebra import abelian, dim2, trivial_module
 from commcoh.cochain import cochain_space
 from commcoh.field import FieldError, make_field
 from commcoh import linalg
@@ -19,6 +19,7 @@ from commcoh.linalg import (
     _pack_row,
     _rref,
     _unpack_row,
+    check_entry_count,
     dense_row_product,
     entry_cap_override,
     image_basis,
@@ -295,7 +296,6 @@ def test_matrix_algebra_identities():
         b = random_matrix(rng, f, 7, 5)
         assert a.mul(b).transpose() == b.transpose().mul(a.transpose())
         assert Matrix.identity(f, 9).mul(a) == a
-        assert a.add(a).is_zero()
         vec = [rng.randrange(f.order) for _ in range(7)]
         product = a.mul(Matrix.from_rows(f, [[v] for v in vec], 1))
         assert a.mul_vec(vec) == [row[0] for row in product.rows()]
@@ -579,19 +579,27 @@ def test_solve_rejects_a_right_hand_side_wider_than_its_columns():
 
 
 def test_entry_cap_blocks_large_alloc():
+    # abelian(n) checks its n x n bracket table against the cap before it builds a list
     with entry_cap_override(100):
         with pytest.raises(SizeCapError):
-            Matrix.zeros(GF2, 101, 1)
-        Matrix.zeros(GF2, 10, 10)  # exactly at the cap is fine
-    Matrix.zeros(GF2, 101, 1)  # restored afterwards
+            check_entry_count(101, 1)
+        with pytest.raises(SizeCapError):
+            abelian(11)
+        check_entry_count(10, 10)  # exactly at the cap is fine
+        abelian(10)
+    check_entry_count(101, 1)  # restored afterwards
+    abelian(11)
 
 
 def test_entry_cap_is_per_context():
     with entry_cap_override(100):
         with pytest.raises(SizeCapError):
-            Matrix.zeros(GF2, 101, 1)
+            check_entry_count(101, 1)
+        with pytest.raises(SizeCapError):
+            abelian(11)
         # a fresh context, such as a new thread's, starts from the default cap
-        contextvars.Context().run(Matrix.zeros, GF2, 101, 1)
+        contextvars.Context().run(check_entry_count, 101, 1)
+        contextvars.Context().run(abelian, 11)
     with pytest.raises(ValueError, match="positive"):
         with entry_cap_override(0):
             pass

@@ -427,7 +427,9 @@ def schur_complement(cx, matching, n, unmatched):
         assert x is not None
         inverse_rows.append(x)
     inverse = Matrix.from_rows(f, inverse_rows, len(tails))
-    return direct.add(block(up, tails).mul(inverse).mul(block(heads, low)))
+    chains = block(up, tails).mul(inverse).mul(block(heads, low))
+    rows = [[f.add(a, b) for a, b in zip(*pair)] for pair in zip(direct.rows(), chains.rows())]
+    return Matrix.from_rows(f, rows, len(low))
 
 
 def test_reduced_differential_is_the_schur_complement():
