@@ -18,6 +18,9 @@ Internally vectors are rows lane-packed as in linalg, and `packed_bracket`
 is the one bracket arithmetic, on which the square ideal is computed.  Dense
 vectors appear only at the API, in `bracket` (which packs, brackets and
 unpacks), `act` and the `actions` view.
+
+Presentations key the cochain caches, so they are immutable once hashed, and
+each computes its hash once, from its content key, on first use.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from collections.abc import Sequence
 from operator import xor
 from types import MappingProxyType
 
-from .field import GF2, FieldError, FiniteField, _is_int, binom_mod2, scalar_from_hex, scalar_to_hex
+from .field import GF2, FieldError, FiniteField, _is_int, scalar_from_hex, scalar_to_hex
 from .linalg import Matrix, SizeCapError, Subspace, _entry_cap, _pack_lanes, _pack_row, _unpack_row
 from .linalg import check_entry_count, nonzeros, scale_packed
 
@@ -56,7 +59,7 @@ class AlgebraPresentation:
     Instances are hashed into the cochain caches, so `brackets` is read-only.
     """
 
-    __slots__ = ("field", "dim", "basis_names", "brackets", "_into", "_key", "_jacobi")
+    __slots__ = ("field", "dim", "basis_names", "brackets", "_into", "_key", "_hash", "_jacobi")
 
     def __init__(
         self,
@@ -103,6 +106,7 @@ class AlgebraPresentation:
         self.brackets = MappingProxyType(clean)
         self._into = None
         self._key = None
+        self._hash = None
         self._jacobi = None
 
     # -- bracket evaluation ---------------------------------------------------
@@ -217,10 +221,14 @@ class AlgebraPresentation:
         }
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, AlgebraPresentation) and self._content_key() == other._content_key()
+        return self is other or (
+            isinstance(other, AlgebraPresentation) and self._content_key() == other._content_key()
+        )
 
     def __hash__(self) -> int:
-        return hash(self._content_key())
+        if self._hash is None:
+            self._hash = hash(self._content_key())
+        return self._hash
 
     def _content_key(self):
         if self._key is None:
@@ -282,21 +290,26 @@ def zassenhaus_e(n: int, fld: FiniteField | None = None) -> AlgebraPresentation:
     Basis e_{-1}, e_0, ..., e_{2^n - 3} (dimension 2^n - 1) with
     [e_i, e_j] = C(i+j+2, i+1) mod 2 * e_{i+j} when the target index is in
     range, and 0 otherwise.  Out-of-range products carry an even binomial
-    coefficient, so the truncation is exact.
+    coefficient, so the truncation is exact.  At the positions a = i+1 and
+    b = j+1, Lucas's theorem makes C(a+b, a) odd exactly when a & b = 0, so
+    the stored pairs a <= b are the submasks b of the complement of a, and
+    then a + b = a | b is in range; only a = b = 0, whose target e_{-2} is
+    not, is left out.
     """
     _check_zassenhaus_n("zassenhaus_e", n)
     f = fld if fld is not None else GF2
-    top = (1 << n) - 3
-    indices = list(range(-1, top + 1))
-    names = [f"e{i}" for i in indices]
+    dim = (1 << n) - 1
+    names = [f"e{i}" for i in range(-1, dim - 1)]
     brackets: dict[tuple[int, int], dict[int, int]] = {}
-    for a, i in enumerate(indices):
-        for b in range(a, len(indices)):
-            j = indices[b]
-            t = i + j
-            if -1 <= t <= top and binom_mod2(i + j + 2, i + 1):
-                brackets[(a, b)] = {t + 1: 1}
-    return AlgebraPresentation(f, len(indices), names, brackets)
+    for a in range(dim):
+        free, b = dim ^ a, 0
+        while True:  # the submasks b of free, ascending
+            if a <= b < dim and b:
+                brackets[(a, b)] = {a + b - 1: 1}
+            if b == free:
+                break
+            b = (b - free) & free
+    return AlgebraPresentation(f, dim, names, brackets)
 
 
 def zassenhaus_f(n: int) -> AlgebraPresentation:
@@ -388,7 +401,7 @@ class ModulePresentation:
     unpacks the matrices on every read.
     """
 
-    __slots__ = ("algebra", "dim", "rho", "acting", "_key")
+    __slots__ = ("algebra", "dim", "rho", "acting", "_key", "_hash")
 
     def __init__(self, algebra: AlgebraPresentation, dim: int, actions: Sequence[Sequence[Sequence[int]]]):
         if len(actions) != algebra.dim:
@@ -408,6 +421,7 @@ class ModulePresentation:
         self.rho = tuple(rho)
         self.acting = tuple(t for t, rows in enumerate(rho) if any(rows))
         self._key = None
+        self._hash = None
 
     @property
     def actions(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -461,10 +475,14 @@ class ModulePresentation:
         }
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ModulePresentation) and self._content_key() == other._content_key()
+        return self is other or (
+            isinstance(other, ModulePresentation) and self._content_key() == other._content_key()
+        )
 
     def __hash__(self) -> int:
-        return hash(self._content_key())
+        if self._hash is None:
+            self._hash = hash(self._content_key())
+        return self._hash
 
     def _content_key(self):
         if self._key is None:

@@ -239,7 +239,7 @@ class CochainSpace:
         return Cochain(self, _pack_lanes(pairs, self.dim, f))
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, CochainSpace)
             and self.algebra == other.algebra
             and self.module == other.module

@@ -10,8 +10,11 @@ with respect to the differential, and therefore descends to classes.
 On dual basis cochains this reads e*_A cup e*_B = prod_t C(a_t + b_t, a_t)
 e*_{A+B}, with a_t and b_t the multiplicities of index t in the multisets
 A and B.  By Lucas's theorem C(a + b, a) is odd exactly when a & b = 0, so
-`cup` runs over pairs of nonzero lanes of the two packed factors and
-keeps those whose multiplicities share no bit.
+a term survives exactly when no multiplicity of A shares a bit with that
+of B.  `cup` tests this with one AND: it codes each multiset as an int
+that holds a_t in bits [w t, w (t+1)), with w the bit length of the
+target degree, which bounds every multiplicity, and keeps a pair of
+nonzero lanes of the two packed factors when their codes AND to zero.
 
 `ring_table` assembles the products of all class representatives up to
 a degree bound into a multiplication table with stable labels.
@@ -19,12 +22,13 @@ a degree bound into a multiplication table with stable labels.
 
 from __future__ import annotations
 
-from collections import Counter
+from itertools import compress
 
 from .algebra import AlgebraPresentation, trivial_module
 from .cochain import Cochain, cochain_space
 from .cohomology import CohomologyResult, cohomology
 from .field import scalar_to_hex
+from .linalg import nonzeros
 
 
 def _check_trivial_scalar(phi: Cochain) -> None:
@@ -43,14 +47,22 @@ def cup(phi: Cochain, psi: Cochain) -> Cochain:
     if sa.algebra != sb.algebra or sa.module != sb.module:
         raise ValueError("cup factors live over different algebras or modules")
     f = sa.algebra.field
+    k = f.degree
     target = cochain_space(sa.algebra, sa.module, sa.degree + sb.degree, "symmetric")
-    right = [(tpl, Counter(tpl), y) for (tpl, _), y in psi.items()]
+    w = target.degree.bit_length()
+
+    def coded(c: Cochain) -> list[tuple[tuple[int, ...], int, int]]:
+        """(tuple, multiplicity code, coefficient) of each nonzero lane; lane j is tuple j."""
+        tuples = c.space.tuples
+        lanes = nonzeros(c.bits, k)
+        return [(tuples[j], sum(1 << (w * t) for t in tuples[j]), x) for j, x in lanes]
+
+    right = coded(psi)
     bits = 0
-    for (left, _), x in phi.items():
-        mult = Counter(left)
+    for left, code, x in coded(phi):
         for tpl, other, y in right:
-            if all(a & other[t] == 0 for t, a in mult.items()):
-                bits ^= f.mul(x, y) << (f.degree * target.read(left + tpl))
+            if not code & other:
+                bits ^= f.mul(x, y) << (k * target.read(left + tpl))
     return Cochain(target, bits)
 
 
@@ -145,9 +157,5 @@ def ring_table(algebra: AlgebraPresentation, max_degree: int) -> RingTable:
                     if coords is None:
                         defects.append(f"{la}*{lb} is not a cocycle")
                         coords = [0] * results[na + nb].dim_H
-                    products[(la, lb)] = {
-                        lab: bits
-                        for lab, bits in zip(labels[na + nb], coords)
-                        if bits
-                    }
+                    products[(la, lb)] = dict(compress(zip(labels[na + nb], coords), coords))
     return RingTable(algebra, max_degree, results, labels, products, defects)

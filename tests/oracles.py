@@ -23,7 +23,7 @@ from commcoh import structure
 from commcoh.algebra import PresentationError, trivial_module, zassenhaus_e
 from commcoh.cochain import cochain_space, delta
 from commcoh.cohomology import cohomology
-from commcoh.field import make_field
+from commcoh.field import binom_mod2, make_field
 from commcoh.linalg import Matrix, Subspace, kernel_basis
 from commcoh.morse import tuple_to_triple
 
@@ -84,6 +84,21 @@ def naive_jacobi_violations(a):
                 if any(acc):
                     violations.append((i, j, k, tuple(acc)))
     return violations
+
+
+def naive_zassenhaus_e_brackets(n):
+    """The brackets of `zassenhaus_e(n)` by the walk over every index pair i <= j: those
+    whose target index i + j is in range and whose binomial C(i+j+2, i+1) is odd."""
+    top = (1 << n) - 3
+    indices = list(range(-1, top + 1))
+    brackets = {}
+    for a, i in enumerate(indices):
+        for b in range(a, len(indices)):
+            j = indices[b]
+            t = i + j
+            if -1 <= t <= top and binom_mod2(i + j + 2, i + 1):
+                brackets[(a, b)] = {t + 1: 1}
+    return brackets
 
 
 def naive_axiom_violations(module):

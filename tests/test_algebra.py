@@ -22,9 +22,10 @@ from commcoh.algebra import (
     zassenhaus_e,
     zassenhaus_f,
 )
+from commcoh.cochain import cochain_space
 from commcoh.cohomology import cohomology
 from commcoh.linalg import Matrix, SizeCapError, _pack_row, entry_cap_override
-from oracles import naive_derivation_space
+from oracles import naive_derivation_space, naive_zassenhaus_e_brackets
 
 GF2 = make_field(1)
 
@@ -139,6 +140,13 @@ def test_zassenhaus_e_structure():
         assert b.bracket_basis(0, j) == {j - 1: 1}
     # no diagonal entries anywhere: central binomials are even
     assert all(i != j for (i, j) in b.brackets)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_zassenhaus_e_submasks_match_the_walk_over_every_pair(n):
+    # the builder enumerates submasks; the walk reads C(i+j+2, i+1) on every pair i <= j
+    pairs = [(p, dict(value)) for p, value in zassenhaus_e(n).brackets.items()]
+    assert pairs == list(naive_zassenhaus_e_brackets(n).items())
 
 
 def test_zassenhaus_f_structure():
@@ -312,6 +320,36 @@ def test_content_equality_and_hash():
     assert dim2() != abelian(2)
     seen = {dim2(): "first"}
     assert seen[dim2()] == "first"
+
+
+def test_a_presentation_hashes_its_content_key_once(tmp_path):
+    # each presentation keeps the hash of its content key; separately built equal ones
+    # are equal, hash alike and share the cached cochain space
+    path = tmp_path / "heisenberg2.json"
+    path.write_text(json.dumps(heisenberg(2).to_json()))
+    algebras = [
+        lambda: abelian(3), dim2, lambda: heisenberg(2), lambda: zassenhaus_e(3),
+        lambda: zassenhaus_f(3), lambda: import_algebra(path),
+    ]
+    modules = [
+        lambda build=build, make=make: build(make())
+        for build in (trivial_module, adjoint_module, dual_module)
+        for make in (dim2, lambda: zassenhaus_f(3), lambda: import_algebra(path))
+    ]
+
+    def space(x):
+        if isinstance(x, ModulePresentation):
+            return cochain_space(x.algebra, x, 2)
+        return cochain_space(x, trivial_module(x), 2)
+
+    for make in algebras + modules:
+        x, y = make(), make()
+        key_hash = hash(x._content_key())
+        assert hash(x) == key_hash
+        first = space(x)
+        assert hash(x) == key_hash == hash(x._content_key())
+        assert y is not x and y == x and hash(y) == hash(x)
+        assert space(y) is first
 
 
 # ------------------------------------------------------------------

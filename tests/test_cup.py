@@ -128,6 +128,25 @@ def test_cup_matches_position_split_definition(k, build, p, q, density, seed):
     assert cup(phi, psi) == naive_cup(phi, psi)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [3, 4, 7, 8])
+def test_cup_codes_multiplicities_at_the_width_boundaries(n, k):
+    # cup codes a multiplicity in n.bit_length() bits, which grows past 3 and past 7;
+    # the basis pairs of every split of n on a 2-dimensional algebra reach multiplicities
+    # that would overflow into the next index's bits of a code only as wide as the other
+    # factor's degree needs
+    fld = make_field(k)
+    a = abelian(2, fld)
+    triv = trivial_module(a)
+    top = fld.order - 1  # over GF(4) its square is another element, so f.mul is read
+    for p in range(n + 1):
+        left, right = cochain_space(a, triv, p), cochain_space(a, triv, n - p)
+        for x in range(left.dim):
+            for y in range(right.dim):
+                phi, psi = left.basis_cochain(x).scale(top), right.basis_cochain(y).scale(top)
+                assert cup(phi, psi) == naive_cup(phi, psi), (p, left.tuples[x], right.tuples[y])
+
+
 # ------------------------------------------------------------------
 # ring axioms on random cochains
 # ------------------------------------------------------------------
