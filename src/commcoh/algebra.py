@@ -12,12 +12,15 @@ in {a, b} comes twice and cancels.
 
 A module is its action matrices rho(e_i), held as packed rows, subject to the
 characteristic-2 axiom rho([x,y]) = rho(x)rho(y) + rho(y)rho(x), which in
-particular forces every square [x,x] to act trivially.
+particular forces every square [x,x] to act trivially.  `ModulePresentation`
+takes the packed rows; the adjoint and dual modules read theirs off the stored
+brackets, and dense matrices enter only through `module_from_actions`, which
+packs them and checks the axiom.
 
 Internally vectors are rows lane-packed as in linalg, and `packed_bracket`
 is the one bracket arithmetic, on which the square ideal is computed.  Dense
 vectors appear only at the API, in `bracket` (which packs, brackets and
-unpacks), `act` and the `actions` view.
+unpacks), `act`, `module_from_actions` and the `actions` view.
 
 Presentations key the cochain caches, so they are immutable once hashed, and
 each computes its hash once, from its content key, on first use.
@@ -144,14 +147,6 @@ class AlgebraPresentation:
                     into[t].append((i, j, bits))
             self._into = into
         return self._into[s]
-
-    def ad_matrix(self, i: int) -> list[list[int]]:
-        """Matrix of x -> [e_i, x] in the chosen basis (column j = [e_i, e_j])."""
-        rows = [[0] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            for s, bits in self.bracket_basis(i, j).items():
-                rows[s][j] = bits
-        return rows
 
     # -- axioms -----------------------------------------------------------------
 
@@ -396,30 +391,32 @@ class ModulePresentation:
     """A module over an AlgebraPresentation, given by rho(e_t) for each basis element.
 
     `rho[t]` is the tuple of the m rows of rho(e_t), each lane-packed over nu as in
-    linalg and checked by `_pack_row`, and `acting` lists, ascending, the t with
-    rho(e_t) != 0.  Both are read-only like the algebra's brackets; `actions`
-    unpacks the matrices on every read.
+    linalg, and `acting` lists, ascending, the t with rho(e_t) != 0.  Both are
+    read-only like the algebra's brackets; `actions` unpacks the matrices on every
+    read.  The constructor checks only that each row is an int within m lanes (any
+    k-bit lane is a field element); dense matrices enter by `module_from_actions`.
     """
 
     __slots__ = ("algebra", "dim", "rho", "acting", "_key", "_hash")
 
-    def __init__(self, algebra: AlgebraPresentation, dim: int, actions: Sequence[Sequence[Sequence[int]]]):
-        if len(actions) != algebra.dim:
-            raise PresentationError(
-                f"{len(actions)} action matrices for an algebra of dimension {algebra.dim}"
-            )
+    def __init__(self, algebra: AlgebraPresentation, dim: int, rho: Sequence[Sequence[int]]):
         if not _is_int(dim):
             raise PresentationError(f"module dimension must be an int, got {dim!r}")
-        rho = []
-        for mat in actions:
-            rows = [tuple(r) for r in mat]
-            if len(rows) != dim or any(len(r) != dim for r in rows):
-                raise PresentationError("action matrix is not dim x dim")
-            rho.append(tuple(_pack_row(r, algebra.field, dim) for r in rows))
+        if dim < 0:
+            raise PresentationError("negative module dimension")
+        stored = tuple(map(tuple, rho))
+        if len(stored) != algebra.dim or any(len(rows) != dim for rows in stored):
+            raise PresentationError(f"rho needs {algebra.dim} action matrices of {dim} rows each")
+        width = algebra.field.degree * dim
+        for rows in stored:  # type(row) is int excludes bool, and each check runs in C
+            if rows and not (
+                {*map(type, rows)} == {int} and min(rows) >= 0 and max(rows).bit_length() <= width
+            ):
+                raise PresentationError(f"an action row is not a packed row of {dim} lanes")
         self.algebra = algebra
         self.dim = dim
-        self.rho = tuple(rho)
-        self.acting = tuple(t for t, rows in enumerate(rho) if any(rows))
+        self.rho = stored
+        self.acting = tuple(t for t, rows in enumerate(stored) if any(rows))
         self._key = None
         self._hash = None
 
@@ -467,12 +464,8 @@ class ModulePresentation:
         return violations
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "actions": [
-                [[scalar_to_hex(a) for a in row] for row in mat] for mat in self.actions
-            ],
-        }
+        hexes = [[[scalar_to_hex(a) for a in row] for row in mat] for mat in self.actions]
+        return {"dim": self.dim, "actions": hexes}
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -486,11 +479,7 @@ class ModulePresentation:
 
     def _content_key(self):
         if self._key is None:
-            self._key = (
-                self.algebra._content_key(),
-                self.dim,
-                self.rho,
-            )
+            self._key = (self.algebra._content_key(), self.dim, self.rho)
         return self._key
 
     def __repr__(self) -> str:
@@ -500,8 +489,14 @@ class ModulePresentation:
 def module_from_actions(
     algebra: AlgebraPresentation, actions: Sequence[Sequence[Sequence[int]]], dim: int
 ) -> ModulePresentation:
-    """Build and validate a module presentation from explicit action matrices."""
-    mod = ModulePresentation(algebra, dim, actions)
+    """Build and validate a module presentation from dense action matrices, the one
+    door for them: each row is packed by `_pack_row`, then the axiom is checked."""
+    rho = []
+    for mat in actions:
+        if len(mat) != dim or any(len(r) != dim for r in mat):
+            raise PresentationError("action matrix is not dim x dim")
+        rho.append([_pack_row(r, algebra.field, dim) for r in mat])
+    mod = ModulePresentation(algebra, dim, rho)
     violations = mod.axiom_violations()
     if violations:
         i, j, defect = violations[0]
@@ -514,30 +509,45 @@ def module_from_actions(
 
 def trivial_module(algebra: AlgebraPresentation) -> ModulePresentation:
     """The one-dimensional module with zero action."""
-    return ModulePresentation(algebra, 1, [[[0]] for _ in range(algebra.dim)])
+    return ModulePresentation(algebra, 1, [(0,)] * algebra.dim)
+
+
+def _ad_rows(algebra: AlgebraPresentation, dual: bool) -> list[list[int]]:
+    """The packed rows of ad(e_t), or of its transpose, read off the stored brackets:
+    each [e_t, e_nu] with a c e_s term puts c in lane nu of row s of ad(e_t), in both
+    orders when t != nu, and the transpose puts it in lane s of row nu."""
+    d, k = algebra.dim, algebra.field.degree
+    rho = [[0] * d for _ in range(d)]
+    for (i, j), value in algebra.brackets.items():
+        for t, nu in {(i, j), (j, i)}:
+            for s, c in value.items():
+                row, lane = (nu, s) if dual else (s, nu)
+                rho[t][row] ^= c << (k * lane)
+    return rho
 
 
 def adjoint_module(algebra: AlgebraPresentation) -> ModulePresentation:
     """The algebra acting on itself by x . y = [x, y]."""
-    return ModulePresentation(
-        algebra, algebra.dim, [algebra.ad_matrix(i) for i in range(algebra.dim)]
-    )
+    return ModulePresentation(algebra, algebra.dim, _ad_rows(algebra, dual=False))
 
 
 def dual_module(algebra: AlgebraPresentation) -> ModulePresentation:
     """The dual of the adjoint module: (x . f)(y) = f([x, y]), matrices transposed."""
-    mats = [list(zip(*algebra.ad_matrix(i))) for i in range(algebra.dim)]
-    return ModulePresentation(algebra, algebra.dim, mats)
+    return ModulePresentation(algebra, algebra.dim, _ad_rows(algebra, dual=True))
 
 
 def import_module(algebra: AlgebraPresentation, source) -> ModulePresentation:
-    """Load a module from a JSON file path or dict: {"dim": m, "actions": [d m x m hex matrices]}."""
+    """Load a module from a JSON file path or dict: {"dim": m, "actions": [d m x m hex
+    matrices]}, each matrix and each row a JSON array."""
     data = _read_json(source)
     f = algebra.field
     try:
-        actions = [
-            [[scalar_from_hex(a, f) for a in row] for row in mat] for mat in data["actions"]
-        ]
+        raw = data["actions"]
+        if not isinstance(raw, list) or not all(
+            isinstance(mat, list) and all(isinstance(row, list) for row in mat) for mat in raw
+        ):
+            raise TypeError("every action matrix and every row must be an array")
+        actions = [[[scalar_from_hex(a, f) for a in row] for row in mat] for mat in raw]
         dim = data["dim"]
     except FieldError:
         raise

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .algebra import AlgebraPresentation, ModulePresentation, dual_module, trivial_module
 from .field import FiniteField, make_field
-from .linalg import Matrix, Subspace, kernel_basis, rank as matrix_rank
+from .linalg import Matrix, Subspace, _pack_lanes, kernel_basis, nonzeros, rank as matrix_rank
 from .cochain import Cochain, cochain_space, delta, inclusion_matrix
 from .cohomology import CohomologyResult, NotACocycleError, cohomology
 
@@ -291,31 +291,19 @@ def base_change(
     degree: int,
 ) -> tuple[AlgebraPresentation, ModulePresentation | None]:
     """Reinterpret a presentation with prime-field constants over GF(2^degree)."""
-    for value in algebra.brackets.values():
-        for bits in value.values():
-            if bits > 1:
-                raise ValueError(
-                    "structure constants are not in the prime field; base change undefined"
-                )
+    if any(bits > 1 for value in algebra.brackets.values() for bits in value.values()):
+        raise ValueError("structure constants are not in the prime field; base change undefined")
     if module is not None:
-        for mat in module.actions:
-            for row in mat:
-                for bits in row:
-                    if bits > 1:
-                        raise ValueError(
-                            "module constants are not in the prime field; base change undefined"
-                        )
+        k = module.algebra.field.degree
+        lanes = [[nonzeros(row, k) for row in rows] for rows in module.rho]
+        if any(c > 1 for rows in lanes for row in rows for _, c in row):
+            raise ValueError("module constants are not in the prime field; base change undefined")
     f2 = make_field(degree)
-    a2 = AlgebraPresentation(
-        f2,
-        algebra.dim,
-        algebra.basis_names,
-        {p: dict(v) for p, v in algebra.brackets.items()},
-    )
+    a2 = AlgebraPresentation(f2, algebra.dim, algebra.basis_names, algebra.brackets)
     if module is None:
         return a2, None
-    m2 = ModulePresentation(a2, module.dim, [[list(r) for r in m] for m in module.actions])
-    return a2, m2
+    rho = [[_pack_lanes(row, module.dim, f2) for row in rows] for rows in lanes]
+    return a2, ModulePresentation(a2, module.dim, rho)
 
 
 # -- central extensions ------------------------------------------------------------------

@@ -48,6 +48,16 @@ def naive_bracket(a, x, y):
     return out
 
 
+def naive_ad_matrix(a, i):
+    """The dense matrix of x -> [e_i, x]: column j is [e_i, e_j].  The adjoint module's
+    rho(e_i) must equal it packed, and the dual module's its transpose."""
+    rows = [[0] * a.dim for _ in range(a.dim)]
+    for j in range(a.dim):
+        for s, bits in a.bracket_basis(i, j).items():
+            rows[s][j] = bits
+    return rows
+
+
 def naive_square_ideal(a):
     vecs = []
     for i in range(a.dim):
@@ -162,7 +172,7 @@ def naive_derivation_space(a):
     ders = kernel_basis(Matrix.from_rows(f, rows, d * d))
     inner_vecs = []
     for i in range(d):
-        ad = a.ad_matrix(i)
+        ad = naive_ad_matrix(a, i)
         inner_vecs.append([ad[u][v] for u in range(d) for v in range(d)])
     return ders, Subspace.from_vectors(f, inner_vecs, d * d)
 

@@ -25,7 +25,7 @@ from commcoh.algebra import (
 from commcoh.cochain import cochain_space
 from commcoh.cohomology import cohomology
 from commcoh.linalg import Matrix, SizeCapError, _pack_row, entry_cap_override
-from oracles import naive_derivation_space, naive_zassenhaus_e_brackets
+from oracles import naive_ad_matrix, naive_derivation_space, naive_zassenhaus_e_brackets
 
 GF2 = make_field(1)
 
@@ -118,7 +118,8 @@ def test_dim2_structure():
     assert a.bracket_basis(0, 1) == {0: 1}
     assert a.bracket_basis(1, 0) == {0: 1}
     assert a.bracket_basis(0, 0) == {}
-    assert a.ad_matrix(1) == [[1, 0], [0, 0]]
+    assert naive_ad_matrix(a, 1) == [[1, 0], [0, 0]]
+    assert adjoint_module(a).actions[1] == ((1, 0), (0, 0))
 
 
 def test_heisenberg_structure():
@@ -255,7 +256,7 @@ def test_dimensions_and_indices_must_be_ints():
             AlgebraPresentation(GF2, 2, ["a", "b"], {(0, 1): {target: 1}})
     for dim in (True, 1.0, "1"):
         with pytest.raises(PresentationError, match="module dimension must be an int"):
-            ModulePresentation(dim2(), dim, [[[0]], [[0]]])
+            ModulePresentation(dim2(), dim, [[0], [0]])
     for dim in (1.9, "1", True):
         with pytest.raises(PresentationError):
             import_module(dim2(), {"dim": dim, "actions": [[["0"]], [["0"]]]})
@@ -440,13 +441,13 @@ def module_inputs(fld, tmp_path):
     trivial, adjoint and dual modules and a module file over `fld`."""
     a = heisenberg(1, fld) if fld.degree == 1 else zassenhaus_f(fld.degree)
     d = a.dim
-    ad = [a.ad_matrix(i) for i in range(d)]
+    ad = [naive_ad_matrix(a, i) for i in range(d)]
     dual = [[[ad[i][nu][mu] for nu in range(d)] for mu in range(d)] for i in range(d)]
     # any one matrix is a module of the one-dimensional abelian algebra
     line = abelian(1, fld)
     rows = [[[fld.order - 1, 1], [0, fld.order - 1]]]
     path = tmp_path / f"module{fld.degree}.json"
-    path.write_text(json.dumps(ModulePresentation(line, 2, rows).to_json()))
+    path.write_text(json.dumps(module_from_actions(line, rows, 2).to_json()))
     return [
         ("trivial", a, [[[0]] for _ in range(d)], trivial_module(a)),
         ("adjoint", a, ad, adjoint_module(a)),
@@ -469,8 +470,8 @@ def test_the_actions_view_returns_the_input_rows(degree, tmp_path):
 
 def test_a_module_built_from_lists_equals_one_built_from_tuples():
     a = heisenberg(1)
-    lists = [a.ad_matrix(i) for i in range(a.dim)]
-    tuples = tuple(tuple(tuple(r) for r in mat) for mat in lists)
+    lists = [[_pack_row(r, a.field, a.dim) for r in naive_ad_matrix(a, i)] for i in range(a.dim)]
+    tuples = tuple(map(tuple, lists))
     from_lists = ModulePresentation(a, a.dim, lists)
     from_tuples = ModulePresentation(a, a.dim, tuples)
     assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
@@ -478,13 +479,67 @@ def test_a_module_built_from_lists_equals_one_built_from_tuples():
     assert {from_lists: "first"}[from_tuples] == "first"
 
 
+def test_a_negative_module_dimension_is_refused():
+    a = abelian(0)  # no action matrices, so nothing but the dimension can be wrong
+    with pytest.raises(PresentationError, match="negative module dimension"):
+        ModulePresentation(a, -1, [])
+    with pytest.raises(PresentationError, match="negative module dimension"):
+        import_module(a, {"dim": -1, "actions": []})
+    assert ModulePresentation(a, 0, []).dim == 0
+
+
+REJECTED_RHO = {
+    "bool row": [[True, 0], [0, 0]],
+    "negative row": [[-1, 0], [0, 0]],
+    "float row": [[1.0, 0], [0, 0]],
+    "bit at lane dim": [[1 << 2, 0], [0, 0]],
+    "dense row": [[[1, 0], 0], [0, 0]],
+    "wrong row count": [[0], [0, 0]],
+    "wrong matrix count": [[0, 0]],
+}
+
+
+@pytest.mark.parametrize("name", REJECTED_RHO)
+def test_the_constructor_refuses_what_is_not_packed_rows(name):
+    # over GF(2) a module of dimension 2 has rows below 2^2, and dim2 acts by 2 matrices
+    with pytest.raises(PresentationError):
+        ModulePresentation(dim2(), 2, REJECTED_RHO[name])
+
+
+def test_the_constructor_keeps_every_row_within_its_lanes():
+    assert ModulePresentation(dim2(), 2, [[3, 0], [0, 1]]).rho == ((3, 0), (0, 1))
+    gf4 = dim2(make_field(2))  # 2-bit lanes: a row of 2 lanes is below 2^4
+    assert ModulePresentation(gf4, 2, [[15, 0], [0, 0]]).actions[0] == ((3, 3), (0, 0))
+    with pytest.raises(PresentationError, match="not a packed row of 2 lanes"):
+        ModulePresentation(gf4, 2, [[16, 0], [0, 0]])
+
+
+def test_import_module_reads_matrices_and_rows_as_arrays_only():
+    # a row given as one string was once read a character at a time: "10" as [1, 0]
+    a = abelian(2)
+    for actions in (
+        [["10", "01"], ["00", "00"]],
+        ["1001", "0000"],
+        "ab",
+        {"0": [["1", "0"], ["0", "1"]]},
+        [[["1", "0"], "01"], [["0", "0"], ["0", "0"]]],
+    ):
+        with pytest.raises(PresentationError, match="malformed module file"):
+            import_module(a, {"dim": 2, "actions": actions})
+    with pytest.raises(PresentationError, match="malformed module file"):
+        import_module(abelian(1, make_field(4)), {"dim": 2, "actions": [["ab", "00"]]})
+    arrays = [[["1", "0"], ["0", "1"]], [["0", "0"], ["0", "0"]]]
+    m = import_module(a, {"dim": 2, "actions": arrays})
+    assert m.actions == (((1, 0), (0, 1)), ((0, 0), (0, 0)))
+
+
 def test_a_module_above_the_entry_cap_still_constructs():
-    # the store packs each row and goes through no matrix constructor, so no cap applies,
-    # and neither does one to the vectors of `act`
+    # the rows are read off the stored brackets and go through no matrix constructor, so
+    # no cap applies, and neither does one to the vectors of `act`
     a = heisenberg(2)
     with entry_cap_override(a.dim - 1):
         m = adjoint_module(a)
-        assert m.actions == tuple(tuple(map(tuple, a.ad_matrix(i))) for i in range(a.dim))
+        assert m.actions == tuple(tuple(map(tuple, naive_ad_matrix(a, i))) for i in range(a.dim))
         assert m.acting == (1, 2, 3, 4)
         assert m == adjoint_module(a)
         assert m.act([0, 1, 0, 0, 0], [0, 0, 0, 1, 0]) == [1, 0, 0, 0, 0]

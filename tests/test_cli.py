@@ -616,6 +616,15 @@ def test_bad_inputs_exit_1_as_user_errors(capsys, tmp_path):
         assert err.startswith("error:"), argv
 
 
+def test_a_negative_module_dimension_exits_1(capsys, tmp_path):
+    # check once printed "dim": -1 with exit 0, and cohomology and morse failed on a shift
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"dim": -1, "actions": []}))
+    for command in ("check", "cohomology", "morse"):
+        code, out, err = run(capsys, command, "--algebra", "abelian:0", "--module", str(path))
+        assert (code, out, err) == (1, "", "error: negative module dimension\n"), command
+
+
 def test_usage_errors_exit_1_and_help_exits_0(capsys):
     for argv, reason in (
         (["cohomology", "--max-degree", "x"], "argument --max-degree"),

@@ -45,6 +45,7 @@ from commcoh.structure import (
 )
 from oracles import (
     naive_abelianization_dual_dim,
+    naive_ad_matrix,
     naive_derivation_space,
     naive_invariants_subspace,
     naive_zassenhaus_relation_space,
@@ -214,7 +215,7 @@ def dual_twisted_by_trace(module):
     actions = []
     for i, mat in enumerate(module.actions):
         trace = 0
-        for j, row in enumerate(a.ad_matrix(i)):
+        for j, row in enumerate(naive_ad_matrix(a, i)):
             trace = f.add(trace, row[j])
         actions.append(
             [[f.add(mat[nu][mu], trace if mu == nu else 0) for nu in range(m)] for mu in range(m)]
@@ -736,6 +737,19 @@ def test_base_change_rejects_extension_constants():
     a = zassenhaus_f(2)  # structure constants live in GF(4)
     with pytest.raises(ValueError):
         base_change(a, None, 3)
+
+
+def test_base_change_moves_the_packed_rows_to_the_wider_lanes():
+    # the rows of the adjoint and dual modules over GF(2) become those of GF(2^k)
+    for a in (heisenberg(1), square_example(), zassenhaus_e(3)):
+        for build in (adjoint_module, dual_module, trivial_module):
+            for k in (2, 3):
+                a2, m2 = base_change(a, build(a), k)
+                assert m2 == build(a2) and m2.actions == build(a).actions
+    # a module constant outside the prime field is refused like a structure constant
+    line = abelian(1, make_field(2))
+    with pytest.raises(ValueError, match="module constants are not in the prime field"):
+        base_change(line, module_from_actions(line, [[[2, 1], [0, 2]]], 2), 3)
 
 
 # ------------------------------------------------------------------

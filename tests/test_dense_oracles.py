@@ -1,8 +1,9 @@
 """The packed algebra layer against the dense oracles in `oracles`.
 
 The library computes the bracket, the square ideal and the module axiom
-check on lane-packed rows with one packed bracket, and the Jacobi check over
-the stored brackets only; each must agree with its dense `naive_*` twin,
+check on lane-packed rows with one packed bracket, the Jacobi check over
+the stored brackets only, and the adjoint and dual modules' rows straight
+from the stored brackets; each must agree with its dense `naive_*` twin,
 which accumulates field elements entry by entry.
 """
 
@@ -20,6 +21,7 @@ from commcoh.algebra import (
     dim2,
     dual_module,
     heisenberg,
+    module_from_actions,
     trivial_module,
     zassenhaus_e,
     zassenhaus_f,
@@ -27,9 +29,10 @@ from commcoh.algebra import (
 from commcoh.cochain import Cochain
 from commcoh.cohomology import cohomology
 from commcoh.field import make_field
-from commcoh.linalg import Subspace, scale_packed
+from commcoh.linalg import Subspace, _pack_row, scale_packed
 from commcoh.structure import central_extension
 from oracles import (
+    naive_ad_matrix,
     naive_axiom_violations,
     naive_bracket,
     naive_jacobi_violations,
@@ -112,9 +115,43 @@ def test_packed_structure_matches_dense_oracles(name, k, seed, extend):
 
     m = rng.randrange(1, 4)
     actions = [[random_vector(rng, f, m) for _ in range(m)] for _ in range(d)]
-    random_module = ModulePresentation(a, m, actions)
+    # not a module in general: built from packed rows, it skips the axiom check
+    random_module = ModulePresentation(a, m, [[_pack_row(r, f, m) for r in mat] for mat in actions])
     for module in (trivial_module(a), adjoint_module(a), dual_module(a), random_module):
         assert module.axiom_violations() == naive_axiom_violations(module)
+
+
+ADJOINT_CASES = {
+    "dim2": dim2,
+    "square": lambda: square(make_field(1)),
+    **{f"heisenberg{n}": (lambda n=n: heisenberg(n)) for n in (1, 2, 3)},
+    **{f"zassenhaus_e{n}": (lambda n=n: zassenhaus_e(n)) for n in range(2, 7)},
+    **{f"zassenhaus_f{n}": (lambda n=n: zassenhaus_f(n)) for n in (2, 3, 4)},
+    **{
+        f"extension_{base}_k{k}": (
+            lambda base=base, k=k: random_extension(random.Random(k), BUILDERS[base](make_field(k)))
+        )
+        for base in ("heisenberg1", "zassenhaus_e3", "square")
+        for k in (1, 2, 3)
+    },
+}
+
+
+@pytest.mark.parametrize("name", ADJOINT_CASES)
+def test_adjoint_and_dual_rows_match_the_dense_ad_matrices(name):
+    # the rows read off the stored brackets are the dense ad(e_t), and its transpose, packed;
+    # the dense door `module_from_actions` builds the same modules, hashes included
+    a = ADJOINT_CASES[name]()
+    f, d = a.field, a.dim
+    ad = [naive_ad_matrix(a, t) for t in range(d)]
+    transposed = [[list(col) for col in zip(*mat)] for mat in ad]
+    adjoint, dual = adjoint_module(a), dual_module(a)
+    assert adjoint.rho == tuple(tuple(_pack_row(r, f, d) for r in mat) for mat in ad)
+    assert dual.rho == tuple(tuple(_pack_row(r, f, d) for r in mat) for mat in transposed)
+    assert adjoint.acting == dual.acting == tuple(t for t in range(d) if any(map(any, ad[t])))
+    for built, dense in ((adjoint, ad), (dual, transposed)):
+        from_dense = module_from_actions(a, dense, d)
+        assert from_dense == built and hash(from_dense) == hash(built)
 
 
 def random_table(rng, f, d):
