@@ -1,6 +1,6 @@
 """Exact cohomology for commutative Lie algebras in characteristic 2."""
 
-from .field import GF2, FiniteField, binom_mod2, make_field
+from .field import GF2, FiniteField, make_field
 from .linalg import (
     Matrix,
     SizeCapError,

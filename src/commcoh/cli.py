@@ -458,13 +458,11 @@ def main(argv=None) -> int:
             if "max-degree" in READS[args.command]:
                 _check_degree_cap(args)
             payload, code = args.handler(args)
+        dumped = json.dumps(payload, indent=2) if args.out or args.format == "json" else ""
         if args.out:
             with open(args.out, "w") as fh:
-                fh.write(json.dumps(payload, indent=2) + "\n")
-        if args.format == "json":
-            text = json.dumps(payload, indent=2)
-        else:
-            text = "\n".join(render_text(payload))
+                fh.write(dumped + "\n")
+        text = dumped if args.format == "json" else "\n".join(render_text(payload))
     except (AxiomError, MorseError, NotACocycleError) as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return 2

@@ -66,21 +66,16 @@ def cup(phi: Cochain, psi: Cochain) -> Cochain:
     return Cochain(target, bits)
 
 
-def _position(label: str) -> tuple[int, int]:
-    """(degree, index) of the label h{degree}_{index}: the order of a product key."""
-    degree, _, index = label[1:].partition("_")
-    return int(degree), int(index)
-
-
 class RingTable:
     """Multiplication table of cohomology classes up to a degree bound.
 
     Classes in degree n are labeled h{n}_{i} in the order of the
     representative basis.  `products` maps an unordered label pair to
-    the coordinates of the product, stored sparsely as label -> bits.
+    the coordinates of the product, stored sparsely as label -> bits, and
+    keys the pair in the order of the labels' (degree, index).
     """
 
-    __slots__ = ("algebra", "max_degree", "results", "labels", "products", "defects")
+    __slots__ = ("algebra", "max_degree", "results", "labels", "products", "defects", "_where")
 
     def __init__(
         self,
@@ -97,18 +92,20 @@ class RingTable:
         self.labels = labels
         self.products = products
         self.defects = defects
+        self._where = {lab: (n, i) for n, row in enumerate(labels) for i, lab in enumerate(row)}
 
     def dims(self) -> list[int]:
         return [r.dim_H for r in self.results]
 
     def product(self, left: str, right: str) -> dict[str, int]:
         """Coordinates of left * right; KeyError naming an unknown label or a degree off the table."""
+        where = self._where
         for label in (left, right):
-            if not any(label in row for row in self.labels):
+            if label not in where:
                 raise KeyError(f"unknown class label {label!r}")
-        key = (left, right) if _position(left) <= _position(right) else (right, left)
+        key = (left, right) if where[left] <= where[right] else (right, left)
         if key not in self.products:
-            degree = _position(left)[0] + _position(right)[0]
+            degree = where[left][0] + where[right][0]
             raise KeyError(
                 f"{left}*{right} lies in degree {degree} > max_degree {self.max_degree}"
             )
@@ -140,10 +137,6 @@ def ring_table(algebra: AlgebraPresentation, max_degree: int) -> RingTable:
     labels = [
         [f"h{n}_{i}" for i in range(results[n].dim_H)] for n in range(max_degree + 1)
     ]
-    by_label = {}
-    for n, row in enumerate(labels):
-        for i, lab in enumerate(row):
-            by_label[lab] = results[n].representatives[i]
     products: dict[tuple[str, str], dict[str, int]] = {}
     defects: list[str] = []
     for na in range(max_degree + 1):
@@ -152,7 +145,7 @@ def ring_table(algebra: AlgebraPresentation, max_degree: int) -> RingTable:
                 for ib, lb in enumerate(labels[nb]):
                     if na == nb and ib < ia:
                         continue
-                    prod = cup(by_label[la], by_label[lb])
+                    prod = cup(results[na].representatives[ia], results[nb].representatives[ib])
                     coords = results[na + nb].class_coordinates(prod)
                     if coords is None:
                         defects.append(f"{la}*{lb} is not a cocycle")

@@ -61,15 +61,6 @@ def default_modulus(degree: int) -> int:
     raise FieldError(f"no irreducible polynomial of degree {degree}")  # unreachable
 
 
-def binom_mod2(a: int, b: int) -> int:
-    """C(a, b) mod 2 for a, b >= 0, via the bit-subset test (b > a gives 0)."""
-    if a < 0 or b < 0:
-        raise ValueError(f"binom_mod2 needs nonnegative arguments, got ({a}, {b})")
-    if b > a:
-        return 0
-    return 1 if (a & b) == b else 0
-
-
 class FiniteField:
     """GF(2^degree) with a fixed irreducible modulus polynomial."""
 
@@ -99,15 +90,16 @@ class FiniteField:
     # -- low-level ops on bit representations ------------------------------
 
     def check_bits(self, a: int) -> int:
-        if not 0 <= a < self.order:
-            raise FieldError(f"{a} is not an element bitmask of {self}")
+        """a itself when it is an int, not a bool, in 0..order - 1; FieldError otherwise."""
+        if not (_is_int(a) and 0 <= a < self.order):
+            raise FieldError(f"{a!r} is not an element bitmask of {self}")
         return a
 
     def check_vector(self, vec, n: int) -> None:
         """ValueError unless vec has n entries; FieldError unless each is an element bitmask."""
         if len(vec) != n:
             raise ValueError(f"a vector of {len(vec)} entries where {n} are expected")
-        if vec and not (0 <= min(vec) and max(vec) < self.order):
+        if vec and not ({*map(type, vec)} <= {int} and 0 <= min(vec) and max(vec) < self.order):
             for a in vec:
                 self.check_bits(a)
 

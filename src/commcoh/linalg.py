@@ -497,11 +497,13 @@ def kernel_basis(a: Matrix) -> Subspace:
     minus is plus).  R_p has entries only below its pivot p, so the vector of j
     has its lowest nonzero lane at j and zeros at the other free columns: the
     vectors are already the kernel's canonical (lowest-lane) RREF, and no second
-    elimination is needed.
+    elimination is needed.  Once `rank` has found A's independent rows, only they
+    are eliminated: they span the same row space, so the RREF is the same.
     """
     f = a.field
     k = f.degree
-    echelon = _rref(a._packed, a.ncols, f, True)  # top: pivots on the highest lanes
+    rows = a._packed if a._independent is None else [a._packed[i] for i in a._independent]
+    echelon = _rref(rows, a.ncols, f, True)  # top: pivots on the highest lanes
     free_mask = ((1 << (k * a.ncols)) - 1) & ~sum(1 << b for b in echelon)
     vecs = {s: 1 << s for s in range(0, k * a.ncols, k) if s not in echelon}
     for s in list(echelon)[::k]:

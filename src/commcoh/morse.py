@@ -25,8 +25,10 @@ multiple (`scale_packed`) of the row kept for that tail's head.
 
 `heisenberg_matching` builds the explicit matching that collapses the
 symmetric complex of a Heisenberg algebra with trivial coefficients to
-zero differential.  The tests keep the closed-form description of its
-critical cells and compare the reduced complex against it.
+zero differential, reading each cell as its space's sorted index tuple.
+The tests keep the closed-form description of its critical cells and the
+same pairs built on the exponent form a^alpha b^beta c^gamma, with helpers
+of their own, and compare against both.
 """
 
 from __future__ import annotations
@@ -341,51 +343,32 @@ def _closes_cycle(hit_by, heads, i: int, j: int) -> bool:
 # -- the Heisenberg collapse ------------------------------------------------------------
 
 
-def triple_to_tuple(ell: int, alpha: int, beta, gamma) -> tuple[int, ...]:
-    """Sorted index multiset of the cell a^alpha b^beta c^gamma."""
-    return tuple(t for t, count in enumerate((alpha, *beta, *gamma)) for _ in range(count))
-
-
-def tuple_to_triple(ell: int, tpl: tuple[int, ...]):
-    counts = [tpl.count(t) for t in range(2 * ell + 1)]
-    return counts[0], tuple(counts[1 : ell + 1]), tuple(counts[ell + 1 :])
-
-
-def _max_both(beta, gamma, parity: int) -> int:
-    """Largest k with beta_k and gamma_k both of this parity (0 even, 1 odd), or -1 if none."""
-    out = -1
-    for k in range(len(beta)):
-        if beta[k] % 2 == parity and gamma[k] % 2 == parity:
-            out = k
-    return out
-
-
 def heisenberg_matching(ell: int, top_degree: int) -> tuple[BasedComplex, Matching]:
     """The collapsing matching on the symmetric complex with trivial coefficients.
 
-    A cell a^alpha b^beta c^gamma with alpha > 0 is a tail when the largest
-    index at which beta and gamma are both even exceeds the largest index at
-    which both are odd; it is matched with the cell obtained by trading one
-    copy of a for one b and one c at that index.
+    A cell is its space's sorted index tuple, in which index 0 is a, k is b_k
+    and ell + k is c_k.  A cell that holds a is a tail when the largest k in
+    1..ell at which k and ell + k both occur an even number of times exceeds
+    the largest k at which both occur an odd number of times; its head trades
+    one copy of a for one b_k and one c_k at that k.
     """
     algebra = heisenberg(ell)
-    cx = complex_from_cochains(algebra, trivial_module(algebra), "symmetric", top_degree)
-    spaces = [
-        cochain_space(algebra, trivial_module(algebra), n, "symmetric")
-        for n in range(top_degree + 1)
-    ]
+    triv = trivial_module(algebra)
+    cx = complex_from_cochains(algebra, triv, "symmetric", top_degree)
+    spaces = [cochain_space(algebra, triv, n, "symmetric") for n in range(top_degree + 1)]
     pairs = []
     for n in range(top_degree):
         for i, tpl in enumerate(spaces[n].tuples):
-            alpha, beta, gamma = tuple_to_triple(ell, tpl)
-            if alpha == 0:
+            if tpl[:1] != (0,):
                 continue
-            k = _max_both(beta, gamma, 0)
-            if k <= _max_both(beta, gamma, 1):
-                continue
-            head_beta = beta[:k] + (beta[k] + 1,) + beta[k + 1:]
-            head_gamma = gamma[:k] + (gamma[k] + 1,) + gamma[k + 1:]
-            head = triple_to_tuple(ell, alpha - 1, head_beta, head_gamma)
-            j = spaces[n + 1].tuple_index(head)
-            pairs.append((n, i, j))
+            # the largest k at which b_k and c_k both occur an even, an odd number of times
+            last = [0, 0]
+            for k in range(1, ell + 1):
+                parity = tpl.count(k) % 2
+                if tpl.count(ell + k) % 2 == parity:
+                    last[parity] = k
+            k = last[0]
+            if k > last[1]:
+                head = tuple(sorted(tpl[1:] + (k, ell + k)))
+                pairs.append((n, i, spaces[n + 1].tuple_index(head)))
     return cx, Matching(pairs)

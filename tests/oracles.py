@@ -11,21 +11,31 @@ The low-degree readings of cohomology live only here: invariants (H^0),
 the dual of the abelianization (H^1 with trivial coefficients), derivations
 (H^1 with adjoint coefficients, modulo the inner ones) and the Zassenhaus
 relation space, against which the tests check `cohomology`.  So do the
-documented degree-2 family of the Zassenhaus e-basis and the closed-form
-critical cells of the Heisenberg collapse.  One fault injector lives here
-too: a wrong class coordinate in the four-term sequence, which the library
-and CLI tests both use.
+documented degree-2 family of the Zassenhaus e-basis, the closed-form
+critical cells of the Heisenberg collapse and its pairs built on the
+exponent form a^alpha b^beta c^gamma, whose helpers share no code with
+`morse.py`, and `binom_mod2`, the binomial coefficient mod 2 by Lucas's
+theorem.  One fault injector lives here too: a wrong class coordinate in
+the four-term sequence, which the library and CLI tests both use.
 """
 
 from itertools import combinations_with_replacement
 
 from commcoh import structure
-from commcoh.algebra import PresentationError, trivial_module, zassenhaus_e
+from commcoh.algebra import PresentationError, heisenberg, trivial_module, zassenhaus_e
 from commcoh.cochain import cochain_space, delta
 from commcoh.cohomology import cohomology
-from commcoh.field import binom_mod2, make_field
+from commcoh.field import make_field
 from commcoh.linalg import Matrix, Subspace, kernel_basis
-from commcoh.morse import tuple_to_triple
+
+
+def binom_mod2(a, b):
+    """C(a, b) mod 2 for a, b >= 0, via the bit-subset test (b > a gives 0)."""
+    if a < 0 or b < 0:
+        raise ValueError(f"binom_mod2 needs nonnegative arguments, got ({a}, {b})")
+    if b > a:
+        return 0
+    return 1 if (a & b) == b else 0
 
 
 # ------------------------------------------------------------------
@@ -262,8 +272,46 @@ def zassenhaus_printed_basis_report(n):
 
 
 # ------------------------------------------------------------------
-# the closed-form Heisenberg critical cells
+# the Heisenberg collapse on the exponent form a^alpha b^beta c^gamma
 # ------------------------------------------------------------------
+
+
+def triple_to_tuple(ell, alpha, beta, gamma):
+    """Sorted index multiset of the cell a^alpha b^beta c^gamma of heisenberg(ell)."""
+    return tuple(t for t, count in enumerate((alpha, *beta, *gamma)) for _ in range(count))
+
+
+def tuple_to_triple(ell, tpl):
+    """(alpha, beta, gamma): the multiplicities of a, of each b_k and of each c_k in tpl."""
+    counts = [tpl.count(t) for t in range(2 * ell + 1)]
+    return counts[0], tuple(counts[1 : ell + 1]), tuple(counts[ell + 1 :])
+
+
+def max_both(beta, gamma, parity):
+    """Largest k with beta_k and gamma_k both of this parity (0 even, 1 odd), or -1 if none."""
+    return max((k for k in range(len(beta)) if beta[k] % 2 == gamma[k] % 2 == parity), default=-1)
+
+
+def naive_heisenberg_pairs(ell, top):
+    """The pairs (degree, tail, head) of `heisenberg_matching(ell, top)` on triples.
+
+    A cell with alpha > 0 is a tail when max_both of even parity exceeds that
+    of odd parity; its head has one a fewer and one more b and c at that index.
+    """
+    algebra = heisenberg(ell)
+    spaces = [cochain_space(algebra, trivial_module(algebra), n) for n in range(top + 1)]
+    pairs = []
+    for n in range(top):
+        for i, tpl in enumerate(spaces[n].tuples):
+            alpha, beta, gamma = tuple_to_triple(ell, tpl)
+            k = max_both(beta, gamma, 0)
+            if alpha == 0 or k <= max_both(beta, gamma, 1):
+                continue
+            head_beta = beta[:k] + (beta[k] + 1,) + beta[k + 1 :]
+            head_gamma = gamma[:k] + (gamma[k] + 1,) + gamma[k + 1 :]
+            head = triple_to_tuple(ell, alpha - 1, head_beta, head_gamma)
+            pairs.append((n, i, spaces[n + 1].tuple_index(head)))
+    return pairs
 
 
 def heisenberg_unmatched_cells(ell, degree):
@@ -275,10 +323,6 @@ def heisenberg_unmatched_cells(ell, degree):
     (family0, family1) lists of triples, each in basis order: the sorted index
     multisets of the degree, classified.
     """
-
-    def max_both(beta, gamma, parity):
-        return max((k for k in range(ell) if beta[k] % 2 == gamma[k] % 2 == parity), default=-1)
-
     family0, family1 = [], []
     for tpl in combinations_with_replacement(range(2 * ell + 1), degree):
         alpha, beta, gamma = cell = tuple_to_triple(ell, tpl)

@@ -6,7 +6,7 @@ summary prints.  Everything here is exact arithmetic; no tolerances.
 
 import random
 
-from commcoh.field import make_field, binom_mod2
+from commcoh.field import make_field
 from commcoh.algebra import (
     abelian,
     adjoint_module,
@@ -41,12 +41,13 @@ from commcoh.morse import (
     greedy_matching,
     heisenberg_matching,
     morse_complex,
-    triple_to_tuple,
     validate_matching,
 )
 from oracles import (
+    binom_mod2,
     heisenberg_unmatched_cells,
     naive_zassenhaus_relation_space,
+    triple_to_tuple,
     zassenhaus_printed_basis_report,
 )
 

@@ -195,6 +195,18 @@ def test_bracket_and_action_check_their_vectors(degree):
     assert triv.act([0, 1, 0], [1]) == [0]
 
 
+def test_bools_are_not_field_elements_where_the_algebra_layer_reads_them():
+    # each of these read True as 1: an identity module, [a, b] = a, a bracket value of 1
+    with pytest.raises(FieldError):
+        module_from_actions(abelian(1), [[[True, False], [False, True]]], 2)
+    with pytest.raises(FieldError):
+        dim2().bracket([True, False], [False, True])
+    with pytest.raises(FieldError):
+        AlgebraPresentation(make_field(1), 2, ["x", "y"], {(0, 0): {1: True}})
+    assert module_from_actions(abelian(1), [[[1, 0], [0, 1]]], 2).rho == ((1, 2),)
+    assert dim2().bracket([1, 0], [0, 1]) == [1, 0]
+
+
 # ------------------------------------------------------------------
 # serialization
 # ------------------------------------------------------------------

@@ -291,6 +291,19 @@ def test_algebra_from_file_and_out(capsys, tmp_path):
     assert json.loads(dest.read_text()) == payload
 
 
+def test_a_payload_is_dumped_once_for_the_out_file_and_stdout(capsys, tmp_path, monkeypatch):
+    dumps, calls = json.dumps, []
+    monkeypatch.setattr(json, "dumps", lambda *args, **kw: calls.append(1) or dumps(*args, **kw))
+    dest = tmp_path / "ring.json"
+    argv = ["cupring", "--algebra", "heisenberg:1", "--max-degree", "3", "--out", str(dest)]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert (code, len(calls)) == (0, 1)
+    assert dest.read_bytes() == out.encode()
+    code, text, _ = run(capsys, *argv)
+    assert (code, len(calls)) == (0, 2)
+    assert dest.read_bytes() == out.encode() and text != out
+
+
 @pytest.mark.parametrize("module", ["adjoint", "dual"])
 def test_check_on_a_nonzero_square_ideal(capsys, tmp_path, module):
     # [x, x] = y: the square ideal is span(y), so check runs its centrality
@@ -819,7 +832,7 @@ PUBLIC_NAMES = {
     "CohomologyResult", "DegreeCapError", "FiniteField", "GF2", "Matching", "Matrix",
     "ModulePresentation", "MorseError", "NotACocycleError", "PresentationError", "RingTable",
     "SizeCapError", "Subspace", "abelian", "adjoint_module",
-    "algebra", "alternating_invariant_forms", "base_change", "binom_mod2", "central_extension",
+    "algebra", "alternating_invariant_forms", "base_change", "central_extension",
     "coboundary_witness", "cochain", "cochain_space", "cohomology",
     "comparison_comm_to_leibniz", "comparison_lie_to_comm", "complex_from_cochains",
     "contract", "cup", "degree_cap_override", "delta",

@@ -109,6 +109,12 @@ def test_cochain_rejects_coefficients_outside_the_field():
         sp.cochain([0, -1, 0])
     with pytest.raises(FieldError):
         sp.cochain([1, 0, 1]).scale(2)
+    # a bool or a float is no field element, though True == 1.0 == 1
+    for bad in ([1.0, 0, 0], [True, 0, 0], [0, 0, False]):
+        with pytest.raises(FieldError):
+            sp.cochain(bad)
+    with pytest.raises(FieldError):
+        sp.cochain([1, 0, 1]).scale(True)
     assert sp.cochain([1, 0, 1]).coeffs == (1, 0, 1)
 
 

@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commcoh.field import make_field, binom_mod2
+from commcoh.field import make_field
 from commcoh.algebra import (
     AlgebraPresentation,
     abelian,
@@ -18,6 +18,7 @@ from commcoh.cochain import cochain_space, delta
 from commcoh.cohomology import cohomology
 from commcoh import linalg
 from commcoh.cup import cup, ring_table
+from oracles import binom_mod2
 
 GF2 = make_field(1)
 

@@ -7,7 +7,6 @@ from commcoh.field import (
     GF2,
     FieldError,
     FiniteField,
-    binom_mod2,
     default_modulus,
     find_factor,
     make_field,
@@ -16,6 +15,7 @@ from commcoh.field import (
     scalar_from_hex,
     scalar_to_hex,
 )
+from oracles import binom_mod2
 
 
 # ------------------------------------------------------------------
@@ -129,6 +129,19 @@ def test_check_bits_rejects_out_of_range():
         f.check_bits(8)
     with pytest.raises(FieldError):
         f.check_bits(-1)
+
+
+def test_bools_and_floats_are_not_field_elements():
+    # True and 1.0 compare equal to 1, so a range test alone lets them through
+    f = make_field(3)
+    for bad in (True, False, 1.5, 1.0):
+        with pytest.raises(FieldError):
+            f.check_bits(bad)
+        for vec in ([bad], [0, bad, 7], [bad, 1, 0]):
+            with pytest.raises(FieldError, match="not an element bitmask"):
+                f.check_vector(vec, len(vec))
+    f.check_vector([0, 1, 7], 3)
+    assert f.check_bits(7) == 7
 
 
 def test_degree_cap():

@@ -5,8 +5,8 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commcoh.algebra import abelian, dim2, trivial_module
-from commcoh.cochain import cochain_space
+from commcoh.algebra import abelian, adjoint_module, dim2, heisenberg, trivial_module, zassenhaus_f
+from commcoh.cochain import cochain_space, differential_matrix
 from commcoh.field import FieldError, make_field
 from commcoh import linalg
 from commcoh.linalg import (
@@ -358,6 +358,27 @@ def test_rank_eliminates_a_matrix_once(monkeypatch):
     assert [rank(a) for _ in range(3)] == [1, 1, 1]
     assert independent_rows(a) == [0]
     assert len(calls) == 1
+
+
+def test_the_kernel_of_a_ranked_matrix_eliminates_only_its_independent_rows(monkeypatch):
+    # they span the same row space as all the rows, so the RREF and Z are the same
+    seen = []
+    rref = linalg._rref
+    monkeypatch.setattr(
+        linalg, "_rref", lambda rows, *args: seen.append(len(rows)) or rref(rows, *args)
+    )
+    h, f3 = heisenberg(1), zassenhaus_f(3)
+    cases = [(h, trivial_module(h), n, "tensor") for n in range(7)]
+    cases += [(f3, adjoint_module(f3), n, "symmetric") for n in range(5)]
+    for algebra, module, n, flavor in cases:
+        with entry_cap_override(10**7):  # heisenberg:1 tensor d_6 is 2187 x 729
+            d = differential_matrix(algebra, module, n, flavor)
+            fresh = Matrix.from_packed(d.field, d.packed_rows(), d.ncols)
+        seen.clear()
+        r = rank(d)
+        z = kernel_basis(d)
+        assert seen == [r], (n, flavor)
+        assert z == kernel_basis(fresh), (n, flavor)
 
 
 @pytest.mark.parametrize("degree", [1, 3, 8])

@@ -24,11 +24,14 @@ from commcoh.morse import (
     greedy_matching,
     heisenberg_matching,
     morse_complex,
-    triple_to_tuple,
-    tuple_to_triple,
     validate_matching,
 )
-from oracles import heisenberg_unmatched_cells
+from oracles import (
+    heisenberg_unmatched_cells,
+    naive_heisenberg_pairs,
+    triple_to_tuple,
+    tuple_to_triple,
+)
 
 GF2 = make_field(1)
 
@@ -93,6 +96,15 @@ def test_heisenberg_matching_collapses():
         k = trivial_module(a)
         for n, want in enumerate(table):
             assert cohomology(a, k, n).dim_H == want
+
+
+def test_heisenberg_matching_equals_the_construction_on_triples():
+    # the collapse reads sorted index tuples; the oracle builds its pairs on
+    # (alpha, beta, gamma) with helpers that share no code with morse.py
+    for ell in (1, 2, 3, 4):
+        for top in range(6):
+            _, matching = heisenberg_matching(ell, top)
+            assert matching.pairs == naive_heisenberg_pairs(ell, top), (ell, top)
 
 
 def test_heisenberg_closed_form_cells():
