@@ -24,15 +24,14 @@ entries contribute once per position pair, so even multiplicities cancel.
 One private generator enumerates the terms of d on a source tuple once for
 every module index nu: the bracket terms, which land at mu = nu with the
 same coefficient for every nu, and the action terms by each basis vector
-that acts nontrivially.  Targets come out as ranks in the next space: a
-symmetric or alternating target through that space's index, a tensor target
-as a base-d numeral, the order of `itertools.product`.  `tuple_index` ranks
-a tensor tuple by the same numeral and `unindex` reads it back, so no tensor
-space is listed.  Alternating terms are the symmetric terms with repeat-free
-targets.  The matrix is assembled straight into lane-packed rows (see
-linalg): a bracket term XORs its coefficient into row (target, nu), and an
-action term XORs a packed row of rho(e_t) in at the source's lanes, so even
-multiplicities cancel in place.
+that acts nontrivially.  Targets come out as ranks in the next space by the
+one rank rule of every flavor (see `CochainSpace`): a tuple's rank is a sum
+of per-position entries of the space's table, which `unindex` inverts, so
+no space is listed or indexed.  Alternating terms are the symmetric terms
+with repeat-free targets.  The matrix is assembled straight into lane-packed
+rows (see linalg): a bracket term XORs its coefficient into row (target,
+nu), and an action term XORs a packed row of rho(e_t) in at the source's
+lanes, so even multiplicities cancel in place.
 
 For the tensor flavor the generator gives only the first-argument terms
 (i = 1 above).  Every other term of d_n on a source (x_1, ...) keeps x_1 in
@@ -68,10 +67,11 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
+from operator import getitem, gt
 
 from .algebra import AlgebraPresentation, ModulePresentation
 from .field import _is_int, scalar_to_hex
@@ -118,11 +118,6 @@ def flavor_dim(d: int, n: int, m: int, flavor: str) -> int:
     return d**n * m
 
 
-def _insert_sorted(tpl: tuple[int, ...], value: int) -> tuple[int, ...]:
-    i = bisect_left(tpl, value)
-    return tpl[:i] + (value,) + tpl[i:]
-
-
 # -- spaces and cochains ---------------------------------------------------------------
 
 
@@ -130,83 +125,92 @@ class CochainSpace:
     """The degree-n cochain space of one flavor, with a fixed basis order.
 
     Basis elements are pairs (argument tuple, module index); the flat index
-    is tuple_rank * m + module_index, tuples in lexicographic order.
+    is rank * m + module_index, with one rank rule for every flavor: of N
+    tuples, t has rank sum_j w[j][t_j], a sum of per-position table entries,
+    w[j][t] = -c_j(t) plus N - 1 on row 0, where c_j(t) is (d-1-t) d^(n-1-j)
+    for tensor (a base-d numeral), C(d+n-2-t-j, n-j) for symmetric and
+    C(d-1-t, n-j) for alternating, the combinatorial number system on sorted
+    tuples (Knuth, TAOCP 4A, 7.2.1.3); so tuples rank in lexicographic order.
+    Each row of the n x d table `w`, all a space holds, ascends, so `unindex`
+    inverts the sum with one bisect per row.
     """
 
-    __slots__ = ("algebra", "module", "degree", "flavor", "_tuples", "_index")
+    __slots__ = ("algebra", "module", "degree", "flavor", "w")
 
     def __init__(self, algebra, module, degree, flavor):
         self.algebra = algebra
         self.module = module
         self.degree = degree
         self.flavor = flavor
-        self._tuples = None
-        self._index = None
+        d, n = algebra.dim, degree
+        if flavor == "tensor":  # row j steps by p = d^(n-1-j) from (1-d) p to 0
+            w, p = [], 1
+            for _ in range(n):
+                w.insert(0, list(range((1 - d) * p, 1, p)))
+                p = p * d or 1  # d = 0 keeps the empty rows' step at 1
+        elif flavor == "symmetric":
+            w = [[-math.comb(d + n - 2 - t - j, n - j) for t in range(d)] for j in range(n)]
+        else:
+            w = [[-math.comb(d - 1 - t, n - j) for t in range(d)] for j in range(n)]
+        if w:  # N - 1 folded into row 0
+            w[0] = [flavor_dim(d, n, 1, flavor) - 1 + x for x in w[0]]
+        self.w = w
 
     @property
     def dim(self) -> int:
         return flavor_dim(self.algebra.dim, self.degree, self.module.dim, self.flavor)
 
     @property
-    def tuples(self) -> tuple[tuple[int, ...], ...]:
-        if self._tuples is None:
-            check_entry_count(self.dim, 1)
-            d, n = range(self.algebra.dim), self.degree
-            if self.flavor == "tensor":  # ranked as numerals, so listed on request, not kept
-                return tuple(itertools.product(d, repeat=n))
-            if self.flavor == "symmetric":
-                self._tuples = tuple(itertools.combinations_with_replacement(d, n))
-            else:
-                self._tuples = tuple(itertools.combinations(d, n))
-        return self._tuples
+    def tuples(self) -> Iterator[tuple[int, ...]]:
+        """The basis tuples in rank order, as an iterator that nothing keeps."""
+        check_entry_count(self.dim, 1)
+        d, n = range(self.algebra.dim), self.degree
+        if self.flavor == "tensor":
+            return itertools.product(d, repeat=n)
+        if self.flavor == "symmetric":
+            return itertools.combinations_with_replacement(d, n)
+        return itertools.combinations(d, n)
 
-    def tuple_index(self, tpl: tuple[int, ...]) -> int:
+    def tuple_index(self, tpl: Sequence[int]) -> int:
         """The rank of a basis tuple; KeyError for a tuple that is not one."""
-        return self.read(tpl) if self.flavor == "tensor" else self._ranks()[tpl]
+        rank = self.read(tpl)
+        if rank is None or self.flavor != "tensor" and any(map(gt, tpl, tpl[1:])):
+            raise KeyError(tpl)
+        return rank
 
     def read(self, args: Sequence[int]) -> int | None:
         """The rank of the basis tuple this flavor reads on ordered basis arguments.
 
         Symmetric reads the sorted tuple, alternating reads it and gives None
-        (a zero value) on a repeat, tensor reads the arguments in order, as the
-        base-d numeral that `unindex` reads back.  KeyError in every flavor for
-        a wrong length or an index outside range(d).
+        (a zero value) on a repeat, tensor reads the arguments in order.
+        KeyError in every flavor for a wrong length or an argument that is not
+        an int in range(d).
         """
-        d = self.algebra.dim
-        if len(args) != self.degree or not all(0 <= t < d for t in args):
+        if len(args) != self.degree or args and not (
+            ({*map(type, args)} <= {int} or all(map(_is_int, args)))
+            and 0 <= min(args) and max(args) < self.algebra.dim
+        ):
             raise KeyError(args)
-        if self.flavor == "tensor":
-            rank = 0
-            for t in args:
-                rank = rank * d + t
-            return rank
-        key = tuple(sorted(args))
+        key = args if self.flavor == "tensor" else sorted(args)
         if self.flavor == "alternating" and len(set(key)) < len(key):
             return None
-        return self._ranks()[key]
+        return sum(map(getitem, self.w, key))
 
-    def _ranks(self) -> dict[tuple[int, ...], int]:
-        if self._index is None:
-            self._index = {t: i for i, t in enumerate(self.tuples)}
-        return self._index
-
-    def index(self, tpl: tuple[int, ...], mu: int = 0) -> int:
+    def index(self, tpl: Sequence[int], mu: int = 0) -> int:
         """The flat index of (tpl, mu); KeyError unless both are basis indices."""
-        if not 0 <= mu < self.module.dim:
+        if not (_is_int(mu) and 0 <= mu < self.module.dim):
             raise KeyError(mu)
         return self.tuple_index(tpl) * self.module.dim + mu
 
     def unindex(self, flat: int) -> tuple[tuple[int, ...], int]:
+        """The (tuple, module index) at a flat index: t_j is the least t with w[j][t] >= rest."""
         rank, mu = divmod(flat, self.module.dim)
-        if self.flavor != "tensor":
-            return self.tuples[rank], mu
-        # a tensor rank is a base-d numeral, so the space need not be listed
-        d = self.algebra.dim
-        digits = []
-        for _ in range(self.degree):
-            rank, t = divmod(rank, d)
-            digits.append(t)
-        return tuple(reversed(digits)), mu
+        tpl = []
+        for row in self.w:
+            t = bisect_left(row, rank)
+            tpl.append(t)
+            rank -= row[t]
+        return tuple(tpl), mu
 
     def label(self, flat: int) -> str:
         tpl, mu = self.unindex(flat)
@@ -302,7 +306,7 @@ class Cochain:
 
     def value(self, args: Sequence[int], mu: int = 0) -> int:
         """The value on ordered basis arguments at module index mu; KeyError off the basis."""
-        if not 0 <= mu < self.space.module.dim:
+        if not (_is_int(mu) and 0 <= mu < self.space.module.dim):
             raise KeyError(mu)
         return self.value_vector(args)[mu]
 
@@ -383,10 +387,10 @@ def _source_terms(algebra, module, dst, source):
     # the symmetric terms with repeat-free targets.  For a repeat-free source, an
     # action term by t has one iff t is not in the source, and a bracket term
     # (u, v) iff u != v and neither is in the rest; each has multiplicity one.
-    strict = dst.flavor == "alternating"
-    index = dst._ranks()
+    # ranked through dst's table, with no check: the sorted tuples are basis tuples
+    strict, w = dst.flavor == "alternating", dst.w
     action = [
-        (index[_insert_sorted(source, t)], t)
+        (sum(map(getitem, w, sorted(source + (t,)))), t)
         for t in acting
         if not (source.count(t) if strict else source.count(t) & 1)
     ]
@@ -402,7 +406,7 @@ def _source_terms(algebra, module, dst, source):
                 cv = rest.count(v)
                 mult = not (cu or cv) if strict else ((cu + 1) * (cv + 1)) & 1
             if mult:
-                key = index[_insert_sorted(_insert_sorted(rest, u), v)]
+                key = sum(map(getitem, w, sorted(rest + (u, v))))
                 bracket[key] = bracket.get(key, 0) ^ coeff
     return bracket, action
 
@@ -502,7 +506,7 @@ def _tensor_rows(algebra, module, degree):
 
 
 def delta(phi: Cochain) -> Cochain:
-    """The differential of a cochain, one degree up; a tensor target space is not listed."""
+    """The differential of a cochain, one degree up, read off the cached columns."""
     space = phi.space
     algebra, module, flavor = space.algebra, space.module, space.flavor
     target = cochain_space(algebra, module, space.degree + 1, flavor)
@@ -583,10 +587,7 @@ def _upward_reads(src: CochainSpace, dst: CochainSpace) -> list[int | None]:
     """The rank `src` reads on each tuple of `dst`; ValueError unless dst's flavor is larger."""
     if _UPWARD.index(src.flavor) >= _UPWARD.index(dst.flavor):
         raise ValueError(f"no inclusion from {src.flavor} to {dst.flavor}")
-    check_entry_count(dst.dim, 1)
-    # tensor tuples are walked in numeral order, so no tensor space is listed
-    walk = itertools.product(range(dst.algebra.dim), repeat=dst.degree)
-    return [src.read(tpl) for tpl in (walk if dst.flavor == "tensor" else dst.tuples)]
+    return [src.read(tpl) for tpl in dst.tuples]  # `tuples` checks the entry cap
 
 
 def inclusion_matrix(

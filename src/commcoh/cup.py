@@ -52,10 +52,9 @@ def cup(phi: Cochain, psi: Cochain) -> Cochain:
     w = target.degree.bit_length()
 
     def coded(c: Cochain) -> list[tuple[tuple[int, ...], int, int]]:
-        """(tuple, multiplicity code, coefficient) of each nonzero lane; lane j is tuple j."""
-        tuples = c.space.tuples
-        lanes = nonzeros(c.bits, k)
-        return [(tuples[j], sum(1 << (w * t) for t in tuples[j]), x) for j, x in lanes]
+        """(tuple, multiplicity code, coefficient) of each nonzero lane, read by `unindex`."""
+        lanes = [(c.space.unindex(j)[0], x) for j, x in nonzeros(c.bits, k)]
+        return [(tpl, sum(1 << (w * t) for t in tpl), x) for tpl, x in lanes]
 
     right = coded(psi)
     bits = 0

@@ -11,8 +11,8 @@ The low-degree readings of cohomology live only here: invariants (H^0),
 the dual of the abelianization (H^1 with trivial coefficients), derivations
 (H^1 with adjoint coefficients, modulo the inner ones) and the Zassenhaus
 relation space, against which the tests check `cohomology`.  So do the
-documented degree-2 family of the Zassenhaus e-basis, the closed-form
-critical cells of the Heisenberg collapse and its pairs built on the
+documented degree-2 family of the Zassenhaus e-basis and the closed-form
+family that spans its H^2, the closed-form critical cells of the Heisenberg collapse and its pairs built on the
 exponent form a^alpha b^beta c^gamma, whose helpers share no code with
 `morse.py`, and `binom_mod2`, the binomial coefficient mod 2 by Lucas's
 theorem.  One fault injector lives here too: a wrong class coordinate in
@@ -269,6 +269,25 @@ def zassenhaus_printed_basis_report(n):
         "span_rank": span_rank,
         "spans": span_rank == h2.dim_H and all(cocycle_flags),
     }
+
+
+def zassenhaus_h2_family(n):
+    """A closed-form degree-2 family of the e-basis commutant, one cocycle per class of H^2.
+
+    phi_{-1} is the cochain dual to (e_{-1}, e_{-1}), and for j = 0..n-2, phi_j
+    is 1 on every (e_a, e_b), a <= b <= 2^n - 3, with a + b = 2^n + 2^(j+1) - 4,
+    in e-indices (e_i sits at slot i + 1).  Computed by hand from the printed
+    RREF representatives, so a caller checks it against `cohomology` or `delta`.
+    """
+    algebra = zassenhaus_e(n)
+    space = cochain_space(algebra, trivial_module(algebra), 2)
+    top = (1 << n) - 3
+    family = [space.from_items({((0, 0), 0): 1})]
+    for j in range(n - 1):
+        s = (1 << n) + (1 << (j + 1)) - 4
+        pairs = [(a, s - a) for a in range(-1, s // 2 + 1) if s - a <= top]
+        family.append(space.from_items({((a + 1, b + 1), 0): 1 for a, b in pairs}))
+    return family
 
 
 # ------------------------------------------------------------------

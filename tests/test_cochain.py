@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from commcoh.field import FieldError, make_field
 from commcoh.algebra import (
     AlgebraPresentation,
+    ModulePresentation,
     abelian,
     adjoint_module,
     dim2,
@@ -37,6 +38,7 @@ from commcoh.cochain import (
     _source_image_cached,
 )
 from commcoh.linalg import SizeCapError, entry_cap_override, nonzeros
+from commcoh.cup import cup
 
 GF2 = make_field(1)
 
@@ -65,7 +67,50 @@ def test_degree_zero_spaces():
     for flavor in ("symmetric", "alternating", "tensor"):
         sp = cochain_space(a, m, 0, flavor)
         assert sp.dim == 3
-        assert sp.tuples == ((),)
+        assert list(sp.tuples) == [()]
+        assert sp.w == [] and sp.unindex(2) == ((), 2) and sp.index((), 2) == 2
+
+
+def holds_only_its_table(sp):
+    """A space keeps its n x d rank table and nothing else that grows with it."""
+    slots = {"algebra", "module", "degree", "flavor", "w"}
+    return set(CochainSpace.__slots__) == slots and list(map(len, sp.w)) == [sp.algebra.dim] * sp.degree
+
+
+def trivial_of_dim(a, m):
+    return ModulePresentation(a, m, [(0,) * m] * a.dim)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_the_rank_table_round_trips_every_tuple(flavor):
+    for d in range(6):
+        a = abelian(d)
+        for n in range(5):
+            for m in (1, 3):
+                sp = CochainSpace(a, trivial_of_dim(a, m), n, flavor)
+                count = 0
+                for i, tpl in enumerate(sp.tuples):
+                    count += 1
+                    assert sp.tuple_index(tpl) == i
+                    for mu in range(m):
+                        assert sp.unindex(i * m + mu) == (tpl, mu)
+                    if flavor != "tensor":  # a permutation of the arguments reads as the sorted tuple
+                        assert {sp.read(perm) for perm in itertools.permutations(tpl)} == {i}
+                assert count * m == sp.dim == flavor_dim(d, n, m, flavor)
+                assert holds_only_its_table(sp)
+
+
+@pytest.mark.parametrize("flavor", ["symmetric", "alternating"])
+def test_a_tuple_that_is_not_a_basis_tuple_has_no_index(flavor):
+    # `read` sorts its arguments, but `tuple_index` and `index` take basis tuples only
+    a = abelian(3)
+    sp = cochain_space(a, trivial_module(a), 3, flavor)
+    for tpl in [(2, 1, 0), (0, 2, 1), (1, 0, 0)] + ([(0, 0, 1)] if flavor == "alternating" else []):
+        with pytest.raises(KeyError):
+            sp.tuple_index(tpl)
+        with pytest.raises(KeyError):
+            sp.index(tpl)
+    assert sp.read((2, 1, 0)) == sp.tuple_index((0, 1, 2)) == sp.tuple_index([0, 1, 2])
 
 
 def test_space_tuples_are_lex_sorted():
@@ -265,7 +310,7 @@ def test_space_tuples_respect_the_entry_cap():
     with entry_cap_override(5):
         with pytest.raises(SizeCapError, match="6 x 1"):
             space.tuples
-    assert len(space.tuples) == 6
+    assert len(list(space.tuples)) == 6
 
 
 def test_tensor_ranks_are_base_d_numerals():
@@ -277,10 +322,11 @@ def test_tensor_ranks_are_base_d_numerals():
     for bad in [(0, 1), (0, 1, 2, 0), (0, 3, 1), (0, -1, 1)]:
         with pytest.raises(KeyError):
             sp.index(bad)
-    assert sp._index is None and sp._tuples is None
-    # listed on request, a tensor space's tuples are not kept
-    assert sp.tuples == tuple(itertools.product(range(3), repeat=3))
-    assert sp._tuples is None
+    # the rank table's rows are the numeral's places, negated, with 3^3 - 1 on row 0
+    assert sp.w == [[26 - 18, 26 - 9, 26], [-6, -3, 0], [-2, -1, 0]]
+    # an iterator in numeral order, which the space does not keep
+    assert list(sp.tuples) == list(itertools.product(range(3), repeat=3))
+    assert holds_only_its_table(sp)
 
 
 def test_from_items_checks_the_entry_cap_before_it_allocates():
@@ -290,7 +336,7 @@ def test_from_items_checks_the_entry_cap_before_it_allocates():
         with pytest.raises(SizeCapError, match="243 x 1"):
             space.from_items({((0,) * 5, 0): 1})
     assert space.from_items({((2,) * 5, 0): 1}).coeffs[-1] == 1
-    assert space._index is None and space._tuples is None
+    assert holds_only_its_table(space)
 
 
 def test_zero_and_basis_cochain_check_the_entry_cap_and_the_index():
@@ -358,6 +404,24 @@ def test_every_flavor_refuses_arguments_off_the_basis(flavor):
             phi.value(bad)
         with pytest.raises(KeyError):
             phi.value_vector(bad)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_every_flavor_refuses_arguments_that_are_not_ints(flavor):
+    # a float once ranked as a fraction, and True as index 1
+    a = heisenberg(1)
+    sp = cochain_space(a, adjoint_module(a), 2, flavor)
+    phi = sp.from_items({((1, 2), 1): 1})
+    for bad in [(0.5, 1), (1.0, 2), (True, 2), (1, False), ("1", 2), (None, 1)]:
+        for call in (sp.read, sp.tuple_index, sp.index, phi.value, phi.value_vector):
+            with pytest.raises(KeyError):
+                call(bad)
+    for mu in (True, 1.0):
+        with pytest.raises(KeyError):
+            sp.index((1, 2), mu)
+        with pytest.raises(KeyError):
+            phi.value((1, 2), mu)
+    assert phi.value((1, 2), 1) == 1 == phi.value([1, 2], 1)
 
 
 
@@ -551,12 +615,12 @@ def test_tensor_matrix_of_a_high_degree_does_not_recurse():
 
 
 def test_tensor_matrices_list_no_tuples(monkeypatch):
+    # every flavor ranks by its table, so ranking, reading, labelling, applying d
+    # and cup walk no space's tuples, and neither does assembling a tensor matrix
     listed = CochainSpace.tuples
 
     def guarded(self):
-        if self.flavor == "tensor":
-            raise AssertionError("tensor space listed")
-        return listed.fget(self)
+        raise AssertionError(f"{self} walked")
 
     a = heisenberg(1)
     m = adjoint_module(a)
@@ -564,22 +628,32 @@ def test_tensor_matrices_list_no_tuples(monkeypatch):
         patch.setattr(CochainSpace, "tuples", property(guarded))
         _differential_matrix_cached.cache_clear()
         shapes = [differential_matrix(a, m, n, "tensor").nrows for n in range(6)]
-        # nor does the sparse path: ranking, reading and applying d
-        sp = cochain_space(a, m, 3, "tensor")
-        phi = sp.from_items({((0, 1, 2), 1): 1, ((2, 2, 0), 0): 1})
-        assert sp.index((2, 2, 0), 0) == 24 * 3
-        assert phi.value((0, 1, 2), 1) == 1 and phi.value((2, 2, 1), 0) == 0
-        d_3 = differential_matrix(a, m, 3, "tensor")
-        assert list(delta(phi).coeffs) == d_3.mul_vec(list(phi.coeffs))
-        # nor do the upward inclusions into the tensor flavor, matrix or cochain
-        for src in ("symmetric", "alternating"):
-            inc = inclusion_matrix(a, m, 3, src, "tensor")
-            psi = cochain_space(a, m, 3, src).from_items({((0, 1, 2), 1): 1, ((0, 1, 2), 2): 1})
-            assert (inc.nrows, inc.ncols) == (sp.dim, psi.space.dim)
-            assert list(include_cochain(psi, "tensor").coeffs) == inc.mul_vec(list(psi.coeffs))
-        assert include_cochain(psi, "tensor").value((2, 0, 1), 1) == 1
+        for flavor in FLAVORS:
+            sp = cochain_space(a, m, 3, flavor)
+            repeat = {} if flavor == "alternating" else {((0, 1, 1), 0): 1}
+            phi = sp.from_items({((0, 1, 2), 1): 1, **repeat})
+            assert sp.unindex(sp.index((0, 1, 2), 1)) == ((0, 1, 2), 1)
+            assert sp.read((2, 1, 0)) == sp.tuple_index((0, 1, 2) if flavor != "tensor" else (2, 1, 0))
+            assert phi.value((0, 1, 2), 1) == 1 and sp.label(sp.index((0, 1, 2), 1)) == "(a,b1,c1)|1"
+            image = delta(phi)
+            assert sp.labels()[-1] == sp.label(sp.dim - 1)
+            with patch.context() as unguarded:
+                unguarded.setattr(CochainSpace, "tuples", listed)
+                d_3 = differential_matrix(a, m, 3, flavor)
+            assert list(image.coeffs) == d_3.mul_vec(list(phi.coeffs))
+        triv = trivial_module(a)
+        one, two = cochain_space(a, triv, 1).basis_cochain(1), cochain_space(a, triv, 2).basis_cochain(3)
+        assert cup(one, two).items() == [(((1, 1, 1), 0), 1)]
     assert shapes == [3 ** (n + 2) for n in range(6)]
-    assert sp._tuples is None
+    # the upward inclusions into the tensor flavor walk its tuples, which nothing keeps
+    sp = cochain_space(a, m, 3, "tensor")
+    for src in ("symmetric", "alternating"):
+        inc = inclusion_matrix(a, m, 3, src, "tensor")
+        psi = cochain_space(a, m, 3, src).from_items({((0, 1, 2), 1): 1, ((0, 1, 2), 2): 1})
+        assert (inc.nrows, inc.ncols) == (sp.dim, psi.space.dim)
+        assert list(include_cochain(psi, "tensor").coeffs) == inc.mul_vec(list(psi.coeffs))
+    assert include_cochain(psi, "tensor").value((2, 0, 1), 1) == 1
+    assert holds_only_its_table(sp)
 
 
 def test_tensor_delta_of_a_high_degree_basis_cochain():

@@ -52,6 +52,7 @@ from oracles import (
     shift_first_map1_coordinate,
     zassenhaus_printed_basis_report,
     zassenhaus_printed_cocycles,
+    zassenhaus_h2_family,
 )
 
 GF2 = make_field(1)
@@ -152,6 +153,27 @@ def test_zassenhaus_printed_candidates():
         assert report["cocycle_flags"][1:] == [False] * (n - 1)
         assert report["span_rank"] == 1
         assert report["spans"] is False
+
+
+def test_zassenhaus_h2_family_is_the_printed_representative_basis():
+    # the closed-form family is, as a set, the RREF representatives of H^2(e:n);
+    # d_2 of e:6 has 43680 x 2016 entries, past the default cap
+    with entry_cap_override(100_000_000):
+        for n in range(2, 7):
+            a = zassenhaus_e(n)
+            reps = cohomology(a, trivial_module(a), 2).representatives
+            family = zassenhaus_h2_family(n)
+            assert len(family) == n
+            assert {phi.bits for phi in family} == {rep.bits for rep in reps}
+
+
+def test_zassenhaus_h2_family_is_closed_at_e8():
+    # C^3 of e:8 has 2796160 cells; delta reads the columns of the family's
+    # 770 nonzero lanes only, so no space is listed and no matrix is built
+    with entry_cap_override(10_000_000):
+        family = zassenhaus_h2_family(8)
+        assert all(delta(phi).is_zero() for phi in family)
+    assert family[0].space.dim == 32640 and len(family) == 8
 
 
 def test_zassenhaus_printed_candidate_failure_witness():

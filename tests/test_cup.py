@@ -145,7 +145,7 @@ def test_cup_codes_multiplicities_at_the_width_boundaries(n, k):
         for x in range(left.dim):
             for y in range(right.dim):
                 phi, psi = left.basis_cochain(x).scale(top), right.basis_cochain(y).scale(top)
-                assert cup(phi, psi) == naive_cup(phi, psi), (p, left.tuples[x], right.tuples[y])
+                assert cup(phi, psi) == naive_cup(phi, psi), (p, left.unindex(x), right.unindex(y))
 
 
 # ------------------------------------------------------------------
