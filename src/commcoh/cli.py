@@ -115,14 +115,6 @@ def _setup(args):
     return algebra, module
 
 
-def _need_lie(algebra, flavor: str) -> None:
-    if flavor == "alternating" and not algebra.is_lie():
-        raise ValueError(
-            "the alternating complex needs an ordinary Lie algebra; "
-            "this input has nonzero squares or Jacobi failures"
-        )
-
-
 def _check_degree_cap(args) -> None:
     """Fail before any work when the top degree needs cochains above the degree cap:
     H^N needs degree N + 1, and the Morse complex to degree N needs degree N."""
@@ -177,7 +169,6 @@ def cmd_check(args):
 def cmd_cohomology(args):
     algebra, module = _setup(args)
     flavor = _flavor(args)
-    _need_lie(algebra, flavor)
     blocks = [
         _degree_block(algebra, module, flavor, n, args.reps)
         for n in range(args.max_degree + 1)
@@ -196,7 +187,6 @@ def cmd_cocycles2(args):
 
     algebra, module = _setup(args)
     flavor = _flavor(args)
-    _need_lie(algebra, flavor)
     res = cohomology(algebra, module, 2, flavor)
     payload = {
         "algebra": args.algebra,
@@ -234,7 +224,6 @@ def cmd_morse(args):
     if fast and flavor == "symmetric" and args.module == "trivial":
         cx, matching = heisenberg_matching(ell, args.max_degree)
     else:
-        _need_lie(algebra, flavor)
         cx = complex_from_cochains(algebra, module, flavor, args.max_degree)
         matching = greedy_matching(cx)
     red = morse_complex(cx, matching)
@@ -276,7 +265,6 @@ def cmd_basechange(args):
     algebra = parse_algebra(args.algebra, 1)
     module = parse_module(args.module, algebra)
     flavor = _flavor(args)
-    _need_lie(algebra, flavor)
     big_algebra, big_module = base_change(algebra, module, args.field_degree)
     rows = []
     all_match = True

@@ -27,11 +27,13 @@ same coefficient for every nu, and the action terms by each basis vector
 that acts nontrivially.  Targets come out as ranks in the next space by the
 one rank rule of every flavor (see `CochainSpace`): a tuple's rank is a sum
 of per-position entries of the space's table, which `unindex` inverts, so
-no space is listed or indexed.  Alternating terms are the symmetric terms
-with repeat-free targets.  The matrix is assembled straight into lane-packed
-rows (see linalg): a bracket term XORs its coefficient into row (target,
-nu), and an action term XORs a packed row of rho(e_t) in at the source's
-lanes, so even multiplicities cancel in place.
+no space is listed or indexed.  Alternating terms are the symmetric terms,
+on Lie algebras: `check_alternating` refuses the alternating differential on
+any other, whose alternating spaces, reads and inclusions stay defined.  The
+matrix is assembled straight into lane-packed rows (see linalg): a bracket
+term XORs its coefficient into row (target, nu), and an action term XORs a
+packed row of rho(e_t) in at the source's lanes, so even multiplicities
+cancel in place.
 
 For the tensor flavor the generator gives only the first-argument terms
 (i = 1 above).  Every other term of d_n on a source (x_1, ...) keeps x_1 in
@@ -109,13 +111,20 @@ def check_degree(n: int) -> None:
         raise DegreeCapError(f"degree {n} exceeds the cap {cap}")
 
 
+def check_alternating(algebra: AlgebraPresentation, flavor: str) -> None:
+    """ValueError for an alternating differential off Lie algebras (see `_source_terms`)."""
+    if flavor == "alternating" and not algebra.is_lie():
+        raise ValueError(
+            "the alternating complex needs an ordinary Lie algebra; "
+            "this input has nonzero squares or Jacobi failures"
+        )
+
+
 def flavor_dim(d: int, n: int, m: int, flavor: str) -> int:
-    """Uncapped dimension of the degree-n cochain space."""
-    if flavor == "symmetric":
-        return (math.comb(d + n - 1, n) if d > 0 else (1 if n == 0 else 0)) * m
-    if flavor == "alternating":
-        return math.comb(d, n) * m
-    return d**n * m
+    """Uncapped dimension of the degree-n cochain space; a multiset is a combination t_j + j."""
+    if flavor == "tensor":
+        return d**n * m
+    return math.comb(max(d + n - 1, 0) if flavor == "symmetric" else d, n) * m
 
 
 # -- spaces and cochains ---------------------------------------------------------------
@@ -128,9 +137,10 @@ class CochainSpace:
     is rank * m + module_index, with one rank rule for every flavor: of N
     tuples, t has rank sum_j w[j][t_j], a sum of per-position table entries,
     w[j][t] = -c_j(t) plus N - 1 on row 0, where c_j(t) is (d-1-t) d^(n-1-j)
-    for tensor (a base-d numeral), C(d+n-2-t-j, n-j) for symmetric and
-    C(d-1-t, n-j) for alternating, the combinatorial number system on sorted
-    tuples (Knuth, TAOCP 4A, 7.2.1.3); so tuples rank in lexicographic order.
+    for tensor (a base-d numeral) and C(d-1+(n-1-j)s-t, n-j) for symmetric
+    (s = 1, a multiset read as the combination t_j + j) and alternating (s = 0),
+    the combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3); so tuples rank
+    in lexicographic order.
     Each row of the n x d table `w`, all a space holds, ascends, so `unindex`
     inverts the sum with one bisect per row.
     """
@@ -143,15 +153,12 @@ class CochainSpace:
         self.degree = degree
         self.flavor = flavor
         d, n = algebra.dim, degree
-        if flavor == "tensor":  # row j steps by p = d^(n-1-j) from (1-d) p to 0
-            w, p = [], 1
-            for _ in range(n):
-                w.insert(0, list(range((1 - d) * p, 1, p)))
-                p = p * d or 1  # d = 0 keeps the empty rows' step at 1
-        elif flavor == "symmetric":
-            w = [[-math.comb(d + n - 2 - t - j, n - j) for t in range(d)] for j in range(n)]
+        if flavor == "tensor":  # row j steps by p = d^(n-1-j), 1 when d = 0, from (1-d) p to 0
+            w = [range((1 - d) * p, 1, p) for p in map((d or 1).__pow__, range(n - 1, -1, -1))]
         else:
-            w = [[-math.comb(d - 1 - t, n - j) for t in range(d)] for j in range(n)]
+            s = flavor == "symmetric"
+            w = [[-math.comb(d - 1 + (n - 1 - j) * s - t, n - j) for t in range(d)]
+                 for j in range(n)]
         if w:  # N - 1 folded into row 0
             w[0] = [flavor_dim(d, n, 1, flavor) - 1 + x for x in w[0]]
         self.w = w
@@ -203,7 +210,10 @@ class CochainSpace:
         return self.tuple_index(tpl) * self.module.dim + mu
 
     def unindex(self, flat: int) -> tuple[tuple[int, ...], int]:
-        """The (tuple, module index) at a flat index: t_j is the least t with w[j][t] >= rest."""
+        """The (tuple, module index) at a flat index in range(dim), else ValueError: t_j is
+        the least t with w[j][t] >= rest."""
+        if not 0 <= flat < self.dim:
+            raise ValueError(f"basis index {flat} is not in range({self.dim})")
         rank, mu = divmod(flat, self.module.dim)
         tpl = []
         for row in self.w:
@@ -227,8 +237,7 @@ class CochainSpace:
 
     def basis_cochain(self, flat: int) -> "Cochain":
         """The cochain dual to basis element `flat`; ValueError outside range(dim)."""
-        if not 0 <= flat < self.dim:
-            raise ValueError(f"basis index {flat} is not in range({self.dim})")
+        self.unindex(flat)
         check_entry_count(self.dim, 1)
         return Cochain(self, 1 << (self.algebra.field.degree * flat))
 
@@ -383,16 +392,15 @@ def _source_terms(algebra, module, dst, source):
                         bracket[key] = bracket.get(key, 0) ^ coeff
         return bracket, action
 
-    # symmetric: on a multiset, even position multiplicities cancel.  Alternating:
-    # the symmetric terms with repeat-free targets.  For a repeat-free source, an
-    # action term by t has one iff t is not in the source, and a bracket term
-    # (u, v) iff u != v and neither is in the rest; each has multiplicity one.
+    # on a multiset, even position multiplicities cancel: a square [e_u, e_u] lands
+    # C(cu + 2, 2) times, odd iff cu & 2 == 0, and [e_u, e_v] (cu + 1)(cv + 1) times.
+    # On a Lie algebra, which has no squares, a repeat-free source keeps an action
+    # by t iff t is not in it, and [e_u, e_v] iff neither is in the rest: exactly
+    # the repeat-free targets, so these are the alternating terms too.  Each is
     # ranked through dst's table, with no check: the sorted tuples are basis tuples
-    strict, w = dst.flavor == "alternating", dst.w
+    w = dst.w
     action = [
-        (sum(map(getitem, w, sorted(source + (t,)))), t)
-        for t in acting
-        if not (source.count(t) if strict else source.count(t) & 1)
+        (sum(map(getitem, w, sorted(source + (t,)))), t) for t in acting if not source.count(t) & 1
     ]
     for p, s in enumerate(source):
         if p and source[p - 1] == s:
@@ -400,12 +408,7 @@ def _source_terms(algebra, module, dst, source):
         rest = source[:p] + source[p + 1 :]
         for u, v, coeff in algebra.bracket_into(s):
             cu = rest.count(u)
-            if u == v:
-                mult = 0 if strict else ((cu + 2) * (cu + 1) // 2) & 1
-            else:
-                cv = rest.count(v)
-                mult = not (cu or cv) if strict else ((cu + 1) * (cv + 1)) & 1
-            if mult:
+            if not (cu & 2 if u == v else cu & 1 or rest.count(v) & 1):
                 key = sum(map(getitem, w, sorted(rest + (u, v))))
                 bracket[key] = bracket.get(key, 0) ^ coeff
     return bracket, action
@@ -447,6 +450,7 @@ def differential_matrix(
     A tensor matrix is built upward: degrees 0..n-1 are requested first, each a
     cache hit once built, so `_tensor_rows` finds d_{n-1} in the cache.
     """
+    check_alternating(algebra, flavor)
     src = cochain_space(algebra, module, degree, flavor)
     dst = cochain_space(algebra, module, degree + 1, flavor)
     check_entry_count(dst.dim, src.dim)
@@ -509,6 +513,7 @@ def delta(phi: Cochain) -> Cochain:
     """The differential of a cochain, one degree up, read off the cached columns."""
     space = phi.space
     algebra, module, flavor = space.algebra, space.module, space.flavor
+    check_alternating(algebra, flavor)
     target = cochain_space(algebra, module, space.degree + 1, flavor)
     check_entry_count(target.dim, 1)
     f = algebra.field

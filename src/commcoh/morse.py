@@ -37,7 +37,7 @@ from collections.abc import Callable
 from graphlib import CycleError, TopologicalSorter
 
 from .algebra import AlgebraPresentation, ModulePresentation, heisenberg, trivial_module
-from .cochain import cochain_space, differential_matrix
+from .cochain import check_alternating, cochain_space, differential_matrix
 from .field import FiniteField, _is_int
 from .linalg import Matrix, rank as matrix_rank, scale_packed
 
@@ -114,8 +114,10 @@ def complex_from_cochains(
     """The cochain complex in degrees 0..top_degree as a based complex.
 
     Basis names hold no label delimiter, so each space's labels are distinct;
-    they are made only when read.
+    they are made only when read.  ValueError for the alternating flavor off
+    Lie algebras, at top degree 0 too (`check_alternating`).
     """
+    check_alternating(algebra, flavor)
     matrices = [
         differential_matrix(algebra, module, n, flavor) for n in range(top_degree)
     ]

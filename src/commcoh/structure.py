@@ -114,11 +114,9 @@ def comparison_lie_to_comm(
 ) -> ComparisonReport:
     """The map from alternating to symmetric cohomology classes.
 
-    Only meaningful for Lie-algebra inputs, where the alternating complex
-    is a complex and its inclusion is a chain map.
+    Defined on Lie algebras, where the alternating complex is a complex and
+    its inclusion is a chain map; ValueError elsewhere, from the differential.
     """
-    if not algebra.is_lie():
-        raise ValueError("the alternating complex needs an ordinary Lie algebra")
     return _comparison(algebra, module, degree, "alternating", "symmetric")
 
 

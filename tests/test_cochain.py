@@ -41,6 +41,7 @@ from commcoh.linalg import SizeCapError, entry_cap_override, nonzeros
 from commcoh.cup import cup
 
 GF2 = make_field(1)
+LIE_ONLY = "the alternating complex needs an ordinary Lie algebra; this input has nonzero squares"
 
 
 def square_example():
@@ -323,7 +324,7 @@ def test_tensor_ranks_are_base_d_numerals():
         with pytest.raises(KeyError):
             sp.index(bad)
     # the rank table's rows are the numeral's places, negated, with 3^3 - 1 on row 0
-    assert sp.w == [[26 - 18, 26 - 9, 26], [-6, -3, 0], [-2, -1, 0]]
+    assert list(map(list, sp.w)) == [[26 - 18, 26 - 9, 26], [-6, -3, 0], [-2, -1, 0]]
     # an iterator in numeral order, which the space does not keep
     assert list(sp.tuples) == list(itertools.product(range(3), repeat=3))
     assert holds_only_its_table(sp)
@@ -353,6 +354,19 @@ def test_zero_and_basis_cochain_check_the_entry_cap_and_the_index():
     assert space.zero().is_zero()
     assert space.basis_cochain(242).items() == [(((2,) * 5, 0), 1)]
     assert space.basis_cochain(0).items() == [(((0,) * 5, 0), 1)]
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_unindex_and_label_refuse_a_flat_index_outside_the_space(flavor):
+    a = heisenberg(1)
+    for m in (1, 2):
+        sp = cochain_space(a, trivial_of_dim(a, m), 2, flavor)
+        for bad in (-1, sp.dim):
+            with pytest.raises(ValueError, match="not in range"):
+                sp.unindex(bad)
+            with pytest.raises(ValueError, match="not in range"):
+                sp.label(bad)
+        assert sp.unindex(sp.dim - 1) == ((2, 2) if flavor != "alternating" else (1, 2), m - 1)
 
 
 def test_a_module_index_outside_the_module_is_not_read_or_written():
@@ -474,22 +488,20 @@ def test_delta_matches_naive_formula(flavor):
         (zassenhaus_f(2), adjoint_module),
     ]
     for algebra, make_mod in cases:
-        # a square [x, x] reaches an alternating d(phi) only through repeated
-        # arguments, so off Lie algebras that flavor is checked on distinct basis vectors
-        distinct = flavor == "alternating" and not algebra.is_lie()
         mod = make_mod(algebra)
         d = algebra.dim
         q = algebra.field.order
         for n in range(0, 3):
             sp = cochain_space(algebra, mod, n, flavor)
+            if flavor == "alternating" and not algebra.is_lie():
+                with pytest.raises(ValueError, match=LIE_ONLY):
+                    delta(sp.zero())
+                continue
             for _ in range(4):
                 phi = sp.cochain([rng.randrange(q) for _ in range(sp.dim)])
                 dphi = delta(phi)
                 for _ in range(6):
-                    if distinct:
-                        args = [[int(t == i) for t in range(d)] for i in rng.sample(range(d), n + 1)]
-                    else:
-                        args = [[rng.randrange(q) for _ in range(d)] for _ in range(n + 1)]
+                    args = [[rng.randrange(q) for _ in range(d)] for _ in range(n + 1)]
                     assert evaluate(dphi, args) == naive_delta_eval(phi, args, flavor)
 
 
@@ -508,11 +520,14 @@ def test_differential_matrix_matches_naive_formula(flavor):
         # dimension 7 over GF(8): the target ranks are base-7 numerals of up to 3 digits
         cases.append((zassenhaus_f(3), adjoint_module))
     for algebra, make_mod in cases:
-        distinct = flavor == "alternating" and not algebra.is_lie()
         mod = make_mod(algebra)
         d = algebra.dim
         q = algebra.field.order
         for n in range(0, 3):
+            if flavor == "alternating" and not algebra.is_lie():
+                with pytest.raises(ValueError, match=LIE_ONLY):
+                    differential_matrix(algebra, mod, n, flavor)
+                continue
             sp = cochain_space(algebra, mod, n, flavor)
             up = cochain_space(algebra, mod, n + 1, flavor)
             mat = differential_matrix(algebra, mod, n, flavor)
@@ -520,11 +535,40 @@ def test_differential_matrix_matches_naive_formula(flavor):
                 phi = sp.cochain([rng.randrange(q) for _ in range(sp.dim)])
                 dphi = up.cochain(mat.mul_vec(list(phi.coeffs)))
                 for _ in range(4):
-                    if distinct:
-                        args = [[int(t == i) for t in range(d)] for i in rng.sample(range(d), n + 1)]
-                    else:
-                        args = [[rng.randrange(q) for _ in range(d)] for _ in range(n + 1)]
+                    args = [[rng.randrange(q) for _ in range(d)] for _ in range(n + 1)]
                     assert evaluate(dphi, args) == naive_delta_eval(phi, args, flavor)
+
+
+@pytest.mark.parametrize(
+    "algebra, make_mod",
+    [
+        (zassenhaus_e(3), trivial_module),
+        (zassenhaus_e(4), trivial_module),
+        (zassenhaus_e(3), adjoint_module),
+        (zassenhaus_f(2), dual_module),
+        (zassenhaus_f(2), adjoint_module),
+        (heisenberg(2), adjoint_module),
+    ],
+    ids=["e3-trivial", "e4-trivial", "e3-adjoint", "f2-dual", "f2-adjoint", "h2-adjoint"],
+)
+def test_alternating_differential_is_the_symmetric_one_on_repeat_free_cells(algebra, make_mod):
+    # on a Lie algebra the alternating d_n is the symmetric d_n restricted to the
+    # rows and columns of repeat-free tuples, each re-indexed by its alternating rank
+    mod = make_mod(algebra)
+    m = mod.dim
+    for n in range(4):
+        alt = differential_matrix(algebra, mod, n, "alternating")
+        with entry_cap_override(3_000_000):  # e:4's symmetric d_3 is 3060 x 680
+            sym = differential_matrix(algebra, mod, n, "symmetric")
+        # the symmetric flat index of each alternating one, in degrees n and n + 1
+        flat = [
+            [cochain_space(algebra, mod, k).tuple_index(tpl) * m + mu
+             for tpl in cochain_space(algebra, mod, k, "alternating").tuples for mu in range(m)]
+            for k in (n, n + 1)
+        ]
+        cols = {c: j for j, c in enumerate(flat[0])}
+        for i, r in enumerate(flat[1]):
+            assert alt.nonzeros(i) == [(cols[c], v) for c, v in sym.nonzeros(r) if c in cols]
 
 
 def test_differential_matrix_does_not_fill_the_source_image_cache():

@@ -537,8 +537,13 @@ def test_comparison_on_non_lie_still_injects_into_tensor():
 
 
 def test_lie_comparison_requires_lie():
-    with pytest.raises(ValueError):
-        comparison_lie_to_comm(square_example(), trivial_module(square_example()), 2)
+    a = square_example()
+    message = "the alternating complex needs an ordinary Lie algebra; this input has nonzero"
+    for n in range(3):
+        with pytest.raises(ValueError, match=message):
+            comparison_lie_to_comm(a, trivial_module(a), n)
+        with pytest.raises(ValueError, match=message):
+            cohomology(a, adjoint_module(a), n, "alternating")
 
 
 # ------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from commcoh import morse
 from commcoh.field import make_field
 from commcoh.algebra import (
+    AlgebraPresentation,
     adjoint_module,
     dim2,
     heisenberg,
@@ -39,6 +40,15 @@ GF2 = make_field(1)
 # ------------------------------------------------------------------
 # hand-built matchings on the worked examples
 # ------------------------------------------------------------------
+
+
+def test_the_alternating_complex_of_an_algebra_that_is_not_lie_is_refused():
+    # [x, x] = y; even with no differential to build, at top degree 0
+    a = AlgebraPresentation(GF2, 3, ["x", "y", "w"], {(0, 0): {1: 1}})
+    for top in (0, 2):
+        with pytest.raises(ValueError, match="the alternating complex needs an ordinary Lie"):
+            complex_from_cochains(a, trivial_module(a), "alternating", top)
+    assert complex_from_cochains(a, trivial_module(a), "symmetric", 2).dims() == [1, 3, 6]
 
 
 def dim2_matching(top):
