@@ -247,6 +247,8 @@ class AlgebraPresentation:
 
 def abelian(dim: int, fld: FiniteField | None = None) -> AlgebraPresentation:
     """The abelian algebra of the given dimension (all brackets zero)."""
+    if not _is_int(dim):
+        raise PresentationError(f"abelian needs an int dimension, got {dim!r}")
     check_entry_count(dim, dim)
     f = fld if fld is not None else GF2
     return AlgebraPresentation(f, dim, [f"x{i}" for i in range(dim)], {})
@@ -260,8 +262,8 @@ def dim2(fld: FiniteField | None = None) -> AlgebraPresentation:
 
 def heisenberg(ell: int, fld: FiniteField | None = None) -> AlgebraPresentation:
     """The (2*ell+1)-dimensional Heisenberg algebra: [b_i, c_i] = a, a central."""
-    if ell < 1:
-        raise PresentationError(f"heisenberg needs ell >= 1, got {ell}")
+    if not (_is_int(ell) and ell >= 1):
+        raise PresentationError(f"heisenberg needs an int ell >= 1, got {ell!r}")
     check_entry_count(2 * ell + 1, 2 * ell + 1)
     f = fld if fld is not None else GF2
     names = ["a"] + [f"b{i}" for i in range(1, ell + 1)] + [f"c{i}" for i in range(1, ell + 1)]
@@ -270,10 +272,10 @@ def heisenberg(ell: int, fld: FiniteField | None = None) -> AlgebraPresentation:
 
 
 def _check_zassenhaus_n(name: str, n: int) -> None:
-    """Refuse n < 2, and an n whose (2^n - 1)^2 table passes the entry cap, as every n past
-    the cap's bit length does: that n is refused before 2^n is computed."""
-    if n < 2:
-        raise PresentationError(f"{name} needs n >= 2, got {n}")
+    """Refuse an n that is not an int n >= 2 or whose (2^n - 1)^2 table passes the entry
+    cap, as every n past the cap's bit length does: that n is refused before 2^n is computed."""
+    if not (_is_int(n) and n >= 2):
+        raise PresentationError(f"{name} needs an int n >= 2, got {n!r}")
     if n > _entry_cap.get().bit_length():
         raise SizeCapError(f"(2^{n} - 1) x (2^{n} - 1) entries exceeds the cap {_entry_cap.get()}")
     check_entry_count((1 << n) - 1, (1 << n) - 1)

@@ -60,8 +60,9 @@ and is zero on a repeat, and a tensor cochain reads the arguments in order.
 
 A cochain is one packed row in linalg's lane layout, built only by
 `Cochain(space, bits)`: dense coefficients enter through `CochainSpace.cochain`,
-and nonzero lanes are read with linalg's `nonzeros`.  Representatives are the
-packed rows `quotient_basis` returns, and `solve` takes a cochain's int.
+and `Cochain.items` is the one reader of its nonzero cells, which `delta`,
+`cup` and `to_json` use.  Representatives are the packed rows
+`quotient_basis` returns, and `solve` takes a cochain's int.
 """
 
 from __future__ import annotations
@@ -103,9 +104,9 @@ def degree_cap_override(cap: int):
 
 
 def check_degree(n: int) -> None:
-    """DegreeCapError when cochains of degree n are above the degree cap."""
-    if n < 0:
-        raise ValueError(f"cochain degree must be nonnegative, got {n}")
+    """ValueError unless n is an int n >= 0; DegreeCapError when n is above the degree cap."""
+    if not (_is_int(n) and n >= 0):
+        raise ValueError(f"cochain degree must be a nonnegative int, got {n!r}")
     cap = _degree_cap.get()
     if n > cap:
         raise DegreeCapError(f"degree {n} exceeds the cap {cap}")
@@ -140,12 +141,12 @@ class CochainSpace:
     for tensor (a base-d numeral) and C(d-1+(n-1-j)s-t, n-j) for symmetric
     (s = 1, a multiset read as the combination t_j + j) and alternating (s = 0),
     the combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3); so tuples rank
-    in lexicographic order.
-    Each row of the n x d table `w`, all a space holds, ascends, so `unindex`
-    inverts the sum with one bisect per row.
+    in lexicographic order.  N is computed once, and the space stores its
+    size `dim` = N * m.  Each row of the n x d table `w`, all else a space
+    holds, ascends, so `unindex` inverts the sum with one bisect per row.
     """
 
-    __slots__ = ("algebra", "module", "degree", "flavor", "w")
+    __slots__ = ("algebra", "module", "degree", "flavor", "dim", "w")
 
     def __init__(self, algebra, module, degree, flavor):
         self.algebra = algebra
@@ -153,6 +154,8 @@ class CochainSpace:
         self.degree = degree
         self.flavor = flavor
         d, n = algebra.dim, degree
+        size = flavor_dim(d, n, 1, flavor)
+        self.dim = size * module.dim
         if flavor == "tensor":  # row j steps by p = d^(n-1-j), 1 when d = 0, from (1-d) p to 0
             w = [range((1 - d) * p, 1, p) for p in map((d or 1).__pow__, range(n - 1, -1, -1))]
         else:
@@ -160,12 +163,8 @@ class CochainSpace:
             w = [[-math.comb(d - 1 + (n - 1 - j) * s - t, n - j) for t in range(d)]
                  for j in range(n)]
         if w:  # N - 1 folded into row 0
-            w[0] = [flavor_dim(d, n, 1, flavor) - 1 + x for x in w[0]]
+            w[0] = [size - 1 + x for x in w[0]]
         self.w = w
-
-    @property
-    def dim(self) -> int:
-        return flavor_dim(self.algebra.dim, self.degree, self.module.dim, self.flavor)
 
     @property
     def tuples(self) -> Iterator[tuple[int, ...]]:
@@ -210,10 +209,10 @@ class CochainSpace:
         return self.tuple_index(tpl) * self.module.dim + mu
 
     def unindex(self, flat: int) -> tuple[tuple[int, ...], int]:
-        """The (tuple, module index) at a flat index in range(dim), else ValueError: t_j is
-        the least t with w[j][t] >= rest."""
-        if not 0 <= flat < self.dim:
-            raise ValueError(f"basis index {flat} is not in range({self.dim})")
+        """The (tuple, module index) at an int flat index in range(dim), else ValueError:
+        t_j is the least t with w[j][t] >= rest."""
+        if not (_is_int(flat) and 0 <= flat < self.dim):
+            raise ValueError(f"basis index {flat!r} is not an int, or not in range({self.dim})")
         rank, mu = divmod(flat, self.module.dim)
         tpl = []
         for row in self.w:
@@ -518,8 +517,7 @@ def delta(phi: Cochain) -> Cochain:
     check_entry_count(target.dim, 1)
     f = algebra.field
     image: dict[int, int] = {}
-    for j, c in nonzeros(phi.bits, f.degree):
-        source, nu = space.unindex(j)
+    for (source, nu), c in phi.items():
         for flat, val in _source_image_cached(algebra, module, flavor, source, nu):
             image[flat] = image.get(flat, 0) ^ f.mul(c, val)
     return Cochain(target, _pack_lanes(image.items(), target.dim, f))

@@ -7,8 +7,10 @@ B <= Z, that is d_n d_{n-1} = 0, is checked once, by Freivalds' test, on
 every path.  The cocycles and deterministic representatives of a basis of
 the quotient are built only when first read, and then checked against those
 ranks: the representatives take B's pivots from the independent rows of
-d_{n-1}, which its rank already found.  `coboundary_witness` solves
-d(psi) = phi.  The structure maps built on top of them live in `structure`.
+d_{n-1}, which its rank already found.  `class_coordinates` reduces a
+cochain by B first and solves against the representatives alone, and
+`coboundary_witness` solves d(psi) = phi.  The structure maps built on top
+of them live in `structure`.
 """
 
 from __future__ import annotations
@@ -153,20 +155,17 @@ class CohomologyResult:
         """Coordinates of a cocycle's class in the representative basis.
 
         None if phi is not a cocycle; ValueError if it lies in another space.
-        Coboundaries map to all zeros.  The matrix whose rows are the
-        representatives and then B's basis is built once per result from the
-        packed rows, and `solve` eliminates it once and reuses that for every query.
+        Coboundaries map to all zeros.  B's RREF reduces phi to zero on B's
+        pivots, off which the representatives are Z's RREF rows, so the residual
+        is in their span exactly when phi is a cocycle.  `solve` eliminates the
+        representatives' packed rows alone once per result and keeps that.
         """
         if phi.space != self.space:
             raise ValueError("the cochain is not in this result's cochain space")
         if self._solver is None:
-            f, n = self.space.algebra.field, self.space.dim
-            rows = [rep.bits for rep in self.representatives] + self.coboundaries._packed_basis()
-            self._solver = Matrix.from_packed(f, rows, n)
-        sol = solve(self._solver, phi.bits)
-        if sol is None:
-            return None
-        return sol[: self.dim_H]
+            rows = [rep.bits for rep in self.representatives]
+            self._solver = Matrix.from_packed(self.space.algebra.field, rows, self.space.dim)
+        return solve(self._solver, self.coboundaries._residual(phi.bits))
 
     def __repr__(self) -> str:
         return (

@@ -25,10 +25,9 @@ from __future__ import annotations
 from itertools import compress
 
 from .algebra import AlgebraPresentation, trivial_module
-from .cochain import Cochain, cochain_space
+from .cochain import Cochain, check_degree, cochain_space
 from .cohomology import CohomologyResult, cohomology
 from .field import scalar_to_hex
-from .linalg import nonzeros
 
 
 def _check_trivial_scalar(phi: Cochain) -> None:
@@ -52,9 +51,8 @@ def cup(phi: Cochain, psi: Cochain) -> Cochain:
     w = target.degree.bit_length()
 
     def coded(c: Cochain) -> list[tuple[tuple[int, ...], int, int]]:
-        """(tuple, multiplicity code, coefficient) of each nonzero lane, read by `unindex`."""
-        lanes = [(c.space.unindex(j)[0], x) for j, x in nonzeros(c.bits, k)]
-        return [(tpl, sum(1 << (w * t) for t in tpl), x) for tpl, x in lanes]
+        """(tuple, multiplicity code, coefficient) of each nonzero cell, read by `Cochain.items`."""
+        return [(tpl, sum(1 << (w * t) for t in tpl), x) for (tpl, _), x in c.items()]
 
     right = coded(psi)
     bits = 0
@@ -131,6 +129,7 @@ class RingTable:
 
 def ring_table(algebra: AlgebraPresentation, max_degree: int) -> RingTable:
     """Products of all symmetric class representatives in total degree <= max_degree."""
+    check_degree(max_degree)
     triv = trivial_module(algebra)
     results = [cohomology(algebra, triv, n) for n in range(max_degree + 1)]
     labels = [

@@ -37,7 +37,7 @@ from collections.abc import Callable
 from graphlib import CycleError, TopologicalSorter
 
 from .algebra import AlgebraPresentation, ModulePresentation, heisenberg, trivial_module
-from .cochain import check_alternating, cochain_space, differential_matrix
+from .cochain import check_alternating, check_degree, cochain_space, differential_matrix
 from .field import FiniteField, _is_int
 from .linalg import Matrix, rank as matrix_rank, scale_packed
 
@@ -117,6 +117,7 @@ def complex_from_cochains(
     they are made only when read.  ValueError for the alternating flavor off
     Lie algebras, at top degree 0 too (`check_alternating`).
     """
+    check_degree(top_degree)
     check_alternating(algebra, flavor)
     matrices = [
         differential_matrix(algebra, module, n, flavor) for n in range(top_degree)

@@ -15,8 +15,10 @@ documented degree-2 family of the Zassenhaus e-basis and the closed-form
 family that spans its H^2, the closed-form critical cells of the Heisenberg collapse and its pairs built on the
 exponent form a^alpha b^beta c^gamma, whose helpers share no code with
 `morse.py`, and `binom_mod2`, the binomial coefficient mod 2 by Lucas's
-theorem.  One fault injector lives here too: a wrong class coordinate in
-the four-term sequence, which the library and CLI tests both use.
+theorem.  `naive_class_coordinates` keeps the stacked solve of class
+coordinates, against which `class_coordinates` is checked.  One fault
+injector lives here too: a wrong class coordinate in the four-term
+sequence, which the library and CLI tests both use.
 """
 
 from itertools import combinations_with_replacement
@@ -26,7 +28,7 @@ from commcoh.algebra import PresentationError, heisenberg, trivial_module, zasse
 from commcoh.cochain import cochain_space, delta
 from commcoh.cohomology import cohomology
 from commcoh.field import make_field
-from commcoh.linalg import Matrix, Subspace, kernel_basis
+from commcoh.linalg import Matrix, Subspace, kernel_basis, solve
 
 
 def binom_mod2(a, b):
@@ -351,6 +353,23 @@ def heisenberg_unmatched_cells(ell, degree):
         elif alpha == 0 and even_k > odd_k:
             family0.append(cell)
     return family0, family1
+
+
+# ------------------------------------------------------------------
+# class coordinates against the stacked rows
+# ------------------------------------------------------------------
+
+
+def naive_class_coordinates(res, phi):
+    """phi's class coordinates, or None: `solve` against the representatives stacked
+    over B's basis, the first dim H entries of the answer.
+
+    The stacked rows are a basis of Z, so phi has a solution exactly when it is a
+    cocycle, and the representatives' part of it is its class.
+    """
+    rows = [rep.bits for rep in res.representatives] + res.coboundaries._packed_basis()
+    sol = solve(Matrix.from_packed(res.space.algebra.field, rows, res.space.dim), phi.bits)
+    return None if sol is None else sol[: res.dim_H]
 
 
 # ------------------------------------------------------------------

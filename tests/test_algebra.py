@@ -243,6 +243,18 @@ def test_import_rejects_jacobi_failure():
     assert exc.value.violations
 
 
+def test_builders_refuse_a_parameter_that_is_not_an_int():
+    for build, bad in [
+        (heisenberg, True),
+        (heisenberg, 1.0),
+        (abelian, 2.0),
+        (zassenhaus_e, 2.0),
+        (zassenhaus_f, 2.0),
+    ]:
+        with pytest.raises(PresentationError, match="needs an int"):
+            build(bad)
+
+
 def test_presentation_validation():
     with pytest.raises(PresentationError):
         AlgebraPresentation(GF2, 2, ["a", "a"], {})

@@ -38,7 +38,9 @@ from commcoh.cochain import (
     _source_image_cached,
 )
 from commcoh.linalg import SizeCapError, entry_cap_override, nonzeros
-from commcoh.cup import cup
+from commcoh.cohomology import cohomology
+from commcoh.cup import cup, ring_table
+from commcoh.morse import complex_from_cochains
 
 GF2 = make_field(1)
 LIE_ONLY = "the alternating complex needs an ordinary Lie algebra; this input has nonzero squares"
@@ -73,8 +75,8 @@ def test_degree_zero_spaces():
 
 
 def holds_only_its_table(sp):
-    """A space keeps its n x d rank table and nothing else that grows with it."""
-    slots = {"algebra", "module", "degree", "flavor", "w"}
+    """A space keeps its n x d rank table, its size, and nothing else that grows with it."""
+    slots = {"algebra", "module", "degree", "flavor", "dim", "w"}
     return set(CochainSpace.__slots__) == slots and list(map(len, sp.w)) == [sp.algebra.dim] * sp.degree
 
 
@@ -295,6 +297,23 @@ def test_degree_cap():
     cochain_space(a, m, 4)
 
 
+def test_a_degree_that_is_not_an_int_is_refused():
+    # True, 1 and 1.0 hash alike, so a space cached under True would answer for 1.0
+    a = heisenberg(1)
+    m = trivial_module(a)
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match="cochain degree must be a nonnegative int"):
+            cochain_space(a, m, bad)
+    for call in (
+        lambda: cohomology(a, m, 1.0),
+        lambda: ring_table(a, True),
+        lambda: complex_from_cochains(a, m, "symmetric", True),
+    ):
+        with pytest.raises(ValueError, match="cochain degree must be a nonnegative int"):
+            call()
+    assert cohomology(a, m, 1).degree == 1
+
+
 def test_degree_cap_is_per_context():
     a = dim2()
     m = trivial_module(a)
@@ -361,11 +380,13 @@ def test_unindex_and_label_refuse_a_flat_index_outside_the_space(flavor):
     a = heisenberg(1)
     for m in (1, 2):
         sp = cochain_space(a, trivial_of_dim(a, m), 2, flavor)
-        for bad in (-1, sp.dim):
+        for bad in (-1, sp.dim, True, 1.0, 1.5):
             with pytest.raises(ValueError, match="not in range"):
                 sp.unindex(bad)
             with pytest.raises(ValueError, match="not in range"):
                 sp.label(bad)
+            with pytest.raises(ValueError, match="not in range"):
+                sp.basis_cochain(bad)
         assert sp.unindex(sp.dim - 1) == ((2, 2) if flavor != "alternating" else (1, 2), m - 1)
 
 
