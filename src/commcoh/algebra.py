@@ -35,8 +35,9 @@ from operator import xor
 from types import MappingProxyType
 
 from .field import GF2, FieldError, FiniteField, _is_int, scalar_from_hex, scalar_to_hex
-from .linalg import Matrix, SizeCapError, Subspace, _entry_cap, _pack_lanes, _pack_row, _unpack_row
-from .linalg import check_entry_count, nonzeros, scale_packed
+from .field import scale_packed
+from .linalg import Matrix, SizeCapError, Subspace, _entry_cap, _pack_lanes, _pack_row, _rows_fit
+from .linalg import _unpack_row, check_entry_count, nonzeros
 
 Vec = Sequence[int]
 
@@ -410,10 +411,8 @@ class ModulePresentation:
         if len(stored) != algebra.dim or any(len(rows) != dim for rows in stored):
             raise PresentationError(f"rho needs {algebra.dim} action matrices of {dim} rows each")
         width = algebra.field.degree * dim
-        for rows in stored:  # type(row) is int excludes bool, and each check runs in C
-            if rows and not (
-                {*map(type, rows)} == {int} and min(rows) >= 0 and max(rows).bit_length() <= width
-            ):
+        for rows in stored:
+            if not _rows_fit(rows, width):
                 raise PresentationError(f"an action row is not a packed row of {dim} lanes")
         self.algebra = algebra
         self.dim = dim

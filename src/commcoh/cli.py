@@ -322,27 +322,18 @@ def _fmt(v) -> str:
 
 def render_text(obj, indent: int = 0) -> list[str]:
     pad = "  " * indent
+    is_dict = isinstance(obj, dict)
+    entries = [(f"{k}:", v) for k, v in obj.items()] if is_dict else [("-", v) for v in obj]
     lines = []
-    if isinstance(obj, dict):
-        for key, val in obj.items():
-            if _scalar(val) or (isinstance(val, list) and all(_scalar(x) for x in val)):
-                lines.append(f"{pad}{key}: {_fmt(val)}")
-            elif isinstance(val, dict) and all(_scalar(x) for x in val.values()):
-                inner = ", ".join(f"{k}={_fmt(x)}" for k, x in val.items()) or "{}"
-                lines.append(f"{pad}{key}: {inner}")
-            else:
-                lines.append(f"{pad}{key}:")
-                lines.extend(render_text(val, indent + 1))
-    elif isinstance(obj, list):
-        for item in obj:
-            if _scalar(item):
-                lines.append(f"{pad}- {_fmt(item)}")
-            elif isinstance(item, dict) and all(_scalar(x) for x in item.values()):
-                inner = ", ".join(f"{k}={_fmt(x)}" for k, x in item.items()) or "{}"
-                lines.append(f"{pad}- {inner}")
-            else:
-                lines.append(f"{pad}-")
-                lines.extend(render_text(item, indent + 1))
+    for head, val in entries:  # only a dict entry puts a list of scalars on its own line
+        if _scalar(val) or (is_dict and isinstance(val, list) and all(map(_scalar, val))):
+            lines.append(f"{pad}{head} {_fmt(val)}")
+        elif isinstance(val, dict) and all(map(_scalar, val.values())):
+            inner = ", ".join(f"{k}={_fmt(x)}" for k, x in val.items()) or "{}"
+            lines.append(f"{pad}{head} {inner}")
+        else:
+            lines.append(f"{pad}{head}")
+            lines.extend(render_text(val, indent + 1))
     return lines
 
 

@@ -77,9 +77,8 @@ from functools import lru_cache
 from operator import getitem, gt
 
 from .algebra import AlgebraPresentation, ModulePresentation
-from .field import _is_int, scalar_to_hex
-from .linalg import Matrix, _pack_lanes, _pack_row, _unpack_row, check_entry_count
-from .linalg import nonzeros, scale_packed
+from .field import _is_int, scalar_to_hex, scale_packed
+from .linalg import Matrix, _pack_lanes, _pack_row, _unpack_row, check_entry_count, nonzeros
 
 FLAVORS = ("symmetric", "alternating", "tensor")
 _UPWARD = ("alternating", "symmetric", "tensor")  # each flavor includes into the later ones

@@ -1,4 +1,4 @@
-"""Arithmetic in the finite fields GF(2^k), k <= 16.
+"""Arithmetic in the finite fields GF(2^k), k <= 16, of one element and of a row of k-bit lanes.
 
 Field elements are polynomials over GF(2) encoded as integer bitmasks:
 bit i holds the coefficient of x^i.  Arithmetic is exact; multiplication
@@ -8,6 +8,10 @@ as a bitmask (so GF(4) with modulus x^2+x+1 is ``FiniteField(2, 0b111)``).
 The field operations (`add`, `mul`, `inv`, ...) work directly on these
 integer bit representations; every layer above passes elements as plain
 ints and validates them with `check_bits` / `check_vector` where they enter.
+A packed row (see linalg) holds an element in each k-bit lane of one int:
+`_times_x` multiplies all its lanes by x at once (the packed GF(2^e) layout of
+Albrecht, "The M4RIE library", ISSAC 2012), and `_scale` by any c, shift and
+add.  `FiniteField.mul` is `_scale` on one lane, so GF(2^k) has one multiply.
 """
 
 from __future__ import annotations
@@ -107,19 +111,8 @@ class FiniteField:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        if self.degree == 1:
-            return a & b
-        res = 0
-        mod = self.modulus
-        top = self.order
-        while b:
-            if b & 1:
-                res ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= mod
-        return res
+        """a b: the one-lane case of `_scale`, whose lane's top bit is order >> 1."""
+        return _scale(a, b, self, self.order >> 1)
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -165,6 +158,41 @@ class FiniteField:
 
     def __repr__(self) -> str:
         return f"FiniteField(2^{self.degree}, modulus={self.modulus:#b})"
+
+
+# -- lane arithmetic on packed rows ----------------------------------------------
+
+
+def _tops(f: FiniteField, nlanes: int) -> int:
+    """The top bit of each of nlanes lanes."""
+    return ((1 << (f.degree * nlanes)) - 1) // (f.order - 1) << (f.degree - 1)
+
+
+def _times_x(row: int, f: FiniteField, tops: int) -> int:
+    """x times every entry of a packed row; tops comes from _tops and covers the row."""
+    top = row & tops
+    return ((row ^ top) << 1) ^ (top >> (f.degree - 1)) * (f.modulus ^ f.order)
+
+
+def _scale(row: int, c: int, f: FiniteField, tops: int) -> int:
+    """c times every entry of a packed row: one _times_x per bit of c above the lowest."""
+    if c == 1:
+        return row
+    acc = 0
+    while c:
+        if c & 1:
+            acc ^= row
+        c >>= 1
+        if c:
+            row = _times_x(row, f, tops)
+    return acc
+
+
+def scale_packed(row: int, c: int, f: FiniteField) -> int:
+    """c times every entry of a packed row, as linalg lays rows out."""
+    if c == 1:
+        return row
+    return _scale(row, c, f, _tops(f, row.bit_length() // f.degree + 1))
 
 
 def make_field(degree: int, modulus: int | None = None) -> FiniteField:

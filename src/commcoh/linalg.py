@@ -2,9 +2,9 @@
 
 Every matrix row and every vector is one Python int in which entry j fills
 bits k*j .. k*j + k - 1, its lane, as a field element bitmask; over GF(2) a
-lane is one bit.  Adding two rows is one XOR for every k, and multiplying a
-row by x acts on all of its lanes at once with shifts and masks (the packed
-GF(2^e) layout of Albrecht, "The M4RIE library", ISSAC 2012).  Rows stay
+lane is one bit.  Adding two rows is one XOR for every k, and field's
+`_times_x` multiplies all of a row's lanes by x at once (the packed GF(2^e)
+layout of Albrecht, "The M4RIE library", ISSAC 2012).  Rows stay
 packed from the matrix through kernels, images, subspaces and quotients
 into cochains: `quotient_basis` returns packed rows, `solve` takes a packed
 right-hand side, and a cochain (see cochain) is one such row.  They are
@@ -40,15 +40,16 @@ Everything here is deterministic: pivots are the leftmost nonzero entries
 of the reduced rows, subspaces are kept in reduced row echelon form, and
 quotient bases are the rows of the numerator off the denominator's pivots.
 
-This module is the one home of the packed row.  A dense vector is packed
-only by `_pack_row(row, f, n)`, whose `FiniteField.check_vector(vec, n)` is
-the one check of dense vectors (ValueError for a length other than n,
-FieldError for a non-element), and sparse (lane, value) pairs by
-`_pack_lanes`.  Nonzero lanes are read, ascending, by `nonzeros`
-(`Matrix.nonzeros` for a matrix row), and `_unpack_row` unpacks a row.
-Elsewhere single entries are placed by shifting, and rows pass through
-`Matrix.from_packed`, `Subspace.from_packed` (the one constructor of a
-span), `Matrix.packed_rows` and `scale_packed`.
+This module is the one home of the lane layout of a packed row (field holds
+the arithmetic on its lanes).  A dense vector is packed only by
+`_pack_row(row, f, n)`, whose `FiniteField.check_vector(vec, n)` is the one
+check of dense vectors (ValueError for a length other than n, FieldError
+for a non-element), and sparse (lane, value) pairs by `_pack_lanes`.
+Nonzero lanes are read, ascending, by `nonzeros` (`Matrix.nonzeros` for a
+matrix row), and `_unpack_row` unpacks a row.  Elsewhere single entries are
+placed by shifting, and rows pass through `Matrix.from_packed` and
+`Subspace.from_packed` (the one constructor of a span), which `_rows_fit`
+checks, `Matrix.packed_rows` and field's `scale_packed`.
 
 An entry cap (rows * cols), held in a context variable, turns runaway size
 requests into errors instead of memory exhaustion; see entry_cap_override.
@@ -63,7 +64,7 @@ from functools import reduce
 from itertools import compress
 from operator import xor
 
-from .field import FiniteField
+from .field import FiniteField, _scale, _times_x, _tops
 
 _entry_cap: ContextVar[int] = ContextVar("entry_cap", default=1_000_000)
 
@@ -95,9 +96,9 @@ class Matrix:
 
     __slots__ = ("field", "nrows", "ncols", "_packed", "_solver", "_independent")
 
-    def __init__(self, field: FiniteField, nrows: int, ncols: int, packed: list[int]):
+    def __init__(self, field: FiniteField, ncols: int, packed: list[int]):
         self.field = field
-        self.nrows = nrows
+        self.nrows = len(packed)
         self.ncols = ncols
         self._packed = packed  # one lane-packed int per row
         self._solver = None    # solve()'s subspace of tagged rows, made on first use
@@ -115,12 +116,14 @@ class Matrix:
                 raise ValueError("ncols is required for a matrix with no rows")
             ncols = len(rows[0])
         check_entry_count(len(rows), ncols)
-        return cls(field, len(rows), ncols, [_pack_row(r, field, ncols) for r in rows])
+        return cls(field, ncols, [_pack_row(r, field, ncols) for r in rows])
 
     @classmethod
     def from_packed(cls, field: FiniteField, packed: Sequence[int], ncols: int) -> "Matrix":
         check_entry_count(len(packed), ncols)
-        return cls(field, len(packed), ncols, list(packed))
+        if not _rows_fit(packed, field.degree * ncols):
+            raise ValueError(f"a row is not a packed row of {ncols} lanes")
+        return cls(field, ncols, list(packed))
 
     @classmethod
     def identity(cls, field: FiniteField, n: int) -> "Matrix":
@@ -179,7 +182,7 @@ class Matrix:
             for s, c in _lanes(a, k):
                 acc ^= _scale(brows[s // k], c, f, tops)
             out.append(acc)
-        return Matrix(f, self.nrows, other.ncols, out)
+        return Matrix(f, other.ncols, out)
 
     def mul_vec(self, vec: Sequence[int]) -> list[int]:
         return self.mul(Matrix.from_rows(self.field, [[v] for v in vec], 1))._packed
@@ -192,10 +195,10 @@ class Matrix:
         for i, r in enumerate(self._packed):
             for s, c in _lanes(r, k):
                 cols[s // k] |= c << (k * i)
-        return Matrix(self.field, self.ncols, self.nrows, cols)
+        return Matrix(self.field, self.nrows, cols)
 
 
-# -- lane arithmetic on packed rows ----------------------------------------------
+# -- the lane layout of packed rows ----------------------------------------------
 
 # Byte translation tables for moving between GF(2) entry lists and packed ints
 # through a binary string, so neither direction loops over the columns in Python.
@@ -227,6 +230,11 @@ def _pack_lanes(pairs: Iterable[tuple[int, int]], ncols: int, f: FiniteField) ->
     return int.from_bytes(buf, "little")
 
 
+def _rows_fit(rows: Sequence[int], width: int) -> bool:
+    """Whether each row is an int, not a bool, with 0 <= row < 2^width; each check runs in C."""
+    return not rows or {*map(type, rows)} <= {int} and min(rows) >= 0 and max(rows) >> width == 0
+
+
 def _unpack_row(mask: int, ncols: int, f: FiniteField) -> list[int]:
     k = f.degree
     bits = format(mask, f"0{k * ncols}b")
@@ -234,38 +242,6 @@ def _unpack_row(mask: int, ncols: int, f: FiniteField) -> list[int]:
         return list(bits[::-1][:ncols].encode().translate(_DIGIT_TO_ENTRY))
     end = len(bits)
     return [int(bits[end - i - k : end - i], 2) for i in range(0, k * ncols, k)]
-
-
-def _tops(f: FiniteField, nlanes: int) -> int:
-    """The top bit of each of nlanes lanes."""
-    return ((1 << (f.degree * nlanes)) - 1) // (f.order - 1) << (f.degree - 1)
-
-
-def _times_x(row: int, f: FiniteField, tops: int) -> int:
-    """x times every entry of a packed row; tops comes from _tops and covers the row."""
-    top = row & tops
-    return ((row ^ top) << 1) ^ (top >> (f.degree - 1)) * (f.modulus ^ f.order)
-
-
-def _scale(row: int, c: int, f: FiniteField, tops: int) -> int:
-    """c times every entry of a packed row: one _times_x per bit of c above the lowest."""
-    if c == 1:
-        return row
-    acc = 0
-    while c:
-        if c & 1:
-            acc ^= row
-        c >>= 1
-        if c:
-            row = _times_x(row, f, tops)
-    return acc
-
-
-def scale_packed(row: int, c: int, f: FiniteField) -> int:
-    """c times every entry of a packed row, as Matrix.from_packed lays rows out."""
-    if c == 1:
-        return row
-    return _scale(row, c, f, _tops(f, row.bit_length() // f.degree + 1))
 
 
 # Lanes per chunk of `_lanes`: a chunk of k * 2048 bits is a whole number of bytes and of lanes.
@@ -414,7 +390,10 @@ class Subspace:
 
     @classmethod
     def from_packed(cls, field: FiniteField, rows: Iterable[int], ambient_dim: int) -> "Subspace":
-        """The span of packed rows over ambient_dim lanes."""
+        """The span of packed rows; ValueError unless each is a packed row of ambient_dim lanes."""
+        rows = list(rows)
+        if not _rows_fit(rows, field.degree * ambient_dim):
+            raise ValueError(f"a row is not a packed row of {ambient_dim} lanes")
         return cls(field, ambient_dim, _rref(rows, ambient_dim, field))
 
     @classmethod

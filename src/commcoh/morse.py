@@ -38,8 +38,8 @@ from graphlib import CycleError, TopologicalSorter
 
 from .algebra import AlgebraPresentation, ModulePresentation, heisenberg, trivial_module
 from .cochain import check_alternating, check_degree, cochain_space, differential_matrix
-from .field import FiniteField, _is_int
-from .linalg import Matrix, rank as matrix_rank, scale_packed
+from .field import FiniteField, _is_int, scale_packed
+from .linalg import Matrix, rank as matrix_rank
 
 
 class MorseError(ValueError):

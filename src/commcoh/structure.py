@@ -289,6 +289,8 @@ def base_change(
     degree: int,
 ) -> tuple[AlgebraPresentation, ModulePresentation | None]:
     """Reinterpret a presentation with prime-field constants over GF(2^degree)."""
+    if module is not None and module.algebra != algebra:
+        raise ValueError("module is over a different algebra")
     if any(bits > 1 for value in algebra.brackets.values() for bits in value.values()):
         raise ValueError("structure constants are not in the prime field; base change undefined")
     if module is not None:

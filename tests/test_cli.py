@@ -807,6 +807,14 @@ def test_render_text_shapes():
     assert "c: x=yes" in text
     assert "- y=2" in text
     assert "e: {}" in text
+    # lists of lists and empty lists, as a dict entry and as a list item: only a
+    # dict entry puts a list of scalars on its own line
+    nested = {"f": [[1, 2], []], "g": [], "h": [[[3]], {"z": [4]}]}
+    assert render_text(nested) == [
+        "f:", "  -", "    - 1", "    - 2", "  -",
+        "g: []",
+        "h:", "  -", "    -", "      - 3", "  -", "    z: [4]",
+    ]
 
 
 def test_console_script_installed():

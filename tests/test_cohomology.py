@@ -805,6 +805,13 @@ def test_base_change_rejects_extension_constants():
         base_change(a, None, 3)
 
 
+def test_base_change_refuses_a_module_over_another_algebra():
+    # the adjoint module of dim2 has two basis vectors like abelian(2), but its
+    # actions do not make a module of abelian(2): refused before any work
+    with pytest.raises(ValueError, match="module is over a different algebra"):
+        base_change(abelian(2), adjoint_module(dim2()), 2)
+
+
 def test_base_change_moves_the_packed_rows_to_the_wider_lanes():
     # the rows of the adjoint and dual modules over GF(2) become those of GF(2^k)
     for a in (heisenberg(1), square_example(), zassenhaus_e(3)):

@@ -28,8 +28,8 @@ from commcoh.algebra import (
 )
 from commcoh.cochain import Cochain
 from commcoh.cohomology import cohomology
-from commcoh.field import make_field
-from commcoh.linalg import Subspace, _pack_row, scale_packed
+from commcoh.field import make_field, scale_packed
+from commcoh.linalg import Subspace, _pack_row
 from commcoh.structure import central_extension
 from oracles import (
     naive_ad_matrix,

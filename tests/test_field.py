@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +15,9 @@ from commcoh.field import (
     poly_mod,
     scalar_from_hex,
     scalar_to_hex,
+    scale_packed,
 )
+from commcoh.linalg import _CHUNK_LANES
 from oracles import binom_mod2
 
 
@@ -187,6 +190,57 @@ def test_gf16_associativity_random(a, b, c):
 def test_gf256_inverse_roundtrip(a):
     f = make_field(8)
     assert f.mul(a, f.inv(a)) == 1
+
+
+def reference_product(a: int, b: int, modulus: int) -> int:
+    """a b mod modulus: a carry-less product, then long division by the modulus."""
+    product = 0
+    for i in range(b.bit_length()):
+        if b >> i & 1:
+            product ^= a << i
+    k = modulus.bit_length() - 1
+    for i in reversed(range(k, product.bit_length())):
+        if product >> i & 1:
+            product ^= modulus << (i - k)
+    return product
+
+
+# the default modulus of every degree, and fields on a second irreducible polynomial
+ORACLE_FIELDS = [make_field(k) for k in range(1, 17)] + [
+    FiniteField(1, 0b11),
+    FiniteField(3, 0b1101),
+    FiniteField(8, 0b100011101),
+    FiniteField(16, 0b10001000000001011),
+]
+
+
+@pytest.mark.parametrize("f", ORACLE_FIELDS, ids=repr)
+def test_mul_agrees_with_a_carry_less_product_reduced_by_the_modulus(f):
+    # the axiom tests hold in a field on any irreducible polynomial; this pins the modulus
+    rng = random.Random(f.modulus)
+    if f.degree <= 5:
+        pairs = [(a, b) for a in f.elements() for b in f.elements()]
+    else:
+        pairs = [(rng.randrange(f.order), rng.randrange(f.order)) for _ in range(500)]
+        pairs += [(f.order - 1, f.order - 1), (f.order >> 1, 2), (1, f.order - 1)]
+    for a, b in pairs:
+        assert f.mul(a, b) == reference_product(a, b, f.modulus), (a, b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 16])
+def test_scale_packed_is_mul_in_every_lane(k):
+    f = make_field(k)
+    rng = random.Random(k)
+    for nlanes in (1, 2, 7, 64, _CHUNK_LANES + 5):
+        for _ in range(3):
+            row = rng.getrandbits(k * nlanes)
+            c = rng.randrange(f.order)
+            lanes = [(row >> (k * j)) & (f.order - 1) for j in range(nlanes)]
+            scaled = scale_packed(row, c, f)
+            assert scaled >> (k * nlanes) == 0
+            assert [(scaled >> (k * j)) & (f.order - 1) for j in range(nlanes)] == [
+                f.mul(c, a) for a in lanes
+            ]
 
 
 # ------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from commcoh.algebra import abelian, adjoint_module, dim2, heisenberg, trivial_module, zassenhaus_f
 from commcoh.cochain import cochain_space, differential_matrix
-from commcoh.field import FieldError, make_field
+from commcoh.field import FieldError, make_field, scale_packed
 from commcoh import linalg
 from commcoh.linalg import (
     _CHUNK_LANES,
@@ -28,7 +28,6 @@ from commcoh.linalg import (
     nonzeros,
     quotient_basis,
     rank,
-    scale_packed,
     solve,
 )
 
@@ -580,6 +579,24 @@ def test_a_dense_vector_of_the_wrong_length_is_rejected_where_it_enters():
                 space.cochain(wrong)
         assert _pack_row([1, 0, 1], f, 3) == 1 | 1 << (2 * f.degree)
         assert s.coordinates([1, 0, 0]) == [1] and s.reduce([1, 1, 0]) == (0, 1, 0)
+
+
+def test_packed_rows_outside_their_lanes_are_rejected_where_they_enter():
+    # a row wider than its lanes, a bool, a negative int or a non-int is refused
+    for f in (GF2, GF4):
+        width = 2 * f.degree
+        for bad in (1 << width, True, -1, 1.0, "1"):
+            with pytest.raises(ValueError, match="not a packed row of 2 lanes"):
+                Matrix.from_packed(f, [1, bad], 2)
+            with pytest.raises(ValueError, match="not a packed row of 2 lanes"):
+                Subspace.from_packed(f, [bad, 1], 2)
+        top = (1 << width) - 1
+        assert rank(Matrix.from_packed(f, [top, 0], 2)) == 1
+        assert Subspace.from_packed(f, iter([top, 1]), 2).dim == 2
+        assert Matrix.from_packed(f, [], 2).nrows == 0 and Subspace.from_packed(f, [], 2).dim == 0
+    # a matrix takes its row count from its rows
+    m = Matrix(GF2, 2, [1])
+    assert (m.nrows, m.rows()) == (1, [[1, 0]])
 
 
 def test_solve_rejects_a_right_hand_side_wider_than_its_columns():
